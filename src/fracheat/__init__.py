@@ -21,8 +21,6 @@ from .core import (
     multi_indices,
     normalization_constant,
     parabolic_distance,
-    poly_eval,
-    poly_norm,
 )
 from .fields import (
     constant,

@@ -30,7 +30,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +43,7 @@ from .kernel import (
     verify_local_bound,
     verify_translation_bound,
 )
-from .operator import apply_fully_fractional, apply_marchaud, symbol_oracle
+from .operator import apply_fully_fractional
 from .quadrature import QuadratureSpec
 from .regularity import (
     NuProfile,

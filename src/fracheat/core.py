@@ -10,11 +10,10 @@ operator.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -30,8 +29,6 @@ __all__ = [
     "normalization_constant",
     "parabolic_distance",
     "multi_indices",
-    "poly_eval",
-    "poly_norm",
     "check_slowly_increasing",
 ]
 
@@ -334,14 +331,6 @@ class ParabolicPolynomial:
     @staticmethod
     def from_json(s: str) -> "ParabolicPolynomial":
         return ParabolicPolynomial.from_dict(json.loads(s))
-
-
-def poly_eval(p: ParabolicPolynomial, x, t):
-    return p.eval(x, t)
-
-
-def poly_norm(p: ParabolicPolynomial) -> float:
-    return p.norm()
 
 
 @dataclass

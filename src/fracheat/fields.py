@@ -9,7 +9,7 @@ never a clipped max(., 0)).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -72,12 +72,12 @@ def gaussian_bump(
         raise ValueError("center length must equal n")
 
     def func(x, t):
-        q = np.sum((x - c) ** 2, axis=-1) / width**2 + (t - t_center) ** 2 / t_width**2
-        out = np.zeros(np.shape(q))
+        d = x - c
+        r2 = d[..., 0] * d[..., 0] if n == 1 else np.sum(d * d, axis=-1)
+        q = r2 / width**2 + (t - t_center) ** 2 / t_width**2
         inside = q < 1.0
-        with np.errstate(divide="ignore", over="ignore"):
-            out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - q[inside]))
-        return out
+        q = np.where(inside, q, 0.0)  # keeps exp finite off the support
+        return np.where(inside, amplitude * np.exp(1.0 - 1.0 / (1.0 - q)), 0.0)
 
     rad = max(width, math.sqrt(t_width))
     support = ParabolicCylinder(
@@ -146,16 +146,15 @@ def polynomial_field(p: ParabolicPolynomial, cut: Optional[ScalarField] = None) 
     return ScalarField(func, n, tail="bounded", bound=None, name="polynomial")
 
 
-def time_profile(func, time_floor: Optional[float] = None, bound: Optional[float] = None,
-                 breaks: Sequence[float] = ()) -> ScalarField:
+def time_profile(func, time_floor: Optional[float] = None,
+                 bound: Optional[float] = None) -> ScalarField:
     """Purely temporal field u(t) wrapped as a ScalarField on n = 1."""
 
     def f(x, t):
         return np.asarray(func(np.asarray(t, dtype=float)), dtype=float)
 
-    sf = ScalarField(f, 1, tail="bounded", bound=bound, time_floor=time_floor,
-                     name="time_profile")
-    return sf
+    return ScalarField(f, 1, tail="bounded", bound=bound, time_floor=time_floor,
+                       name="time_profile")
 
 
 FIELD_CATALOG = {

@@ -16,12 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import FracParams, MultiIndex, SpaceTimePoint
+from .core import FracParams, MultiIndex
 
 __all__ = [
     "log_kernel",
@@ -154,38 +154,23 @@ def eval_kernel_derivative(params: FracParams, sigma, x, t) -> np.ndarray:
 def kernel_mass(params: FracParams, T: float, rtol: float = 1e-9) -> tuple:
     """Numerical mass int_0^T int_{R^n} K dx dt and an error estimate.
 
-    The spatial integral collapses exactly under Gauss-Hermite (the
-    integrand is the Gaussian weight itself), leaving the time integral of
-    c * t^(s-1), handled with dyadic bands plus an analytic head where the
-    integrand is a pure power.  Closed form for cross-checking:
-    T^s / Gamma(1-s).
+    After x = 2 sqrt(t) w the spatial integral is the Gaussian integral
+    pi^{n/2} exactly, leaving the time integral of c 2^n pi^{n/2} t^(s-1),
+    handled with dyadic bands plus an analytic head where the integrand is
+    a pure power.  Closed form for cross-checking: T^s / Gamma(1-s).
     """
+    # quadrature imports this module, so the band integrator is imported here
+    from .quadrature import _graded_bands
+
     if T <= 0:
         raise ValueError("T must be positive")
     s = params.s
-
-    def spatial(tvals: np.ndarray) -> np.ndarray:
-        # Gauss-Hermite in w after x = 2 sqrt(t) w; exact for the Gaussian.
-        nodes, weights = np.polynomial.hermite.hermgauss(24)
-        fac = params.c_ns * 2.0**params.n * tvals ** (s - 1.0)
-        if params.n == 1:
-            gh = float(np.sum(weights))
-        else:
-            gh = float(np.sum(weights)) ** params.n
-        return fac * gh
+    c = params.c_ns * 2.0**params.n * math.pi ** (params.n / 2.0)
+    lo = T * 1e-12
 
     def time_integral(nodes_per_band: int) -> float:
-        a = T * 1e-12
-        total = spatial(np.array([a]))[0] * a / s  # exact power head
-        edges = [a]
-        while edges[-1] < T:
-            edges.append(min(edges[-1] * 2.0, T))
-        gl_x, gl_w = np.polynomial.legendre.leggauss(nodes_per_band)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            tv = mid + half * gl_x
-            total += half * float(np.sum(gl_w * spatial(tv)))
-        return total
+        bands = _graded_bands(lambda t, a, b: t ** (s - 1.0), lo, T, (), nodes_per_band)
+        return c * (lo**s / s + bands)  # exact power head below lo
 
     fine = time_integral(12)
     coarse = time_integral(6)

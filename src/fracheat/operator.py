@@ -15,12 +15,16 @@ exp(lam t) maps to lam^s exp(lam t) exactly.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .core import FracParams, ScalarField, SpaceTimePoint, check_slowly_increasing
-from .quadrature import QuadratureSpec, gauss_legendre, increment_integral
+from .quadrature import (
+    QuadratureSpec,
+    _graded_bands,
+    _richardson_head,
+    increment_integral,
+)
 
 __all__ = [
     "symbol_oracle",
@@ -104,10 +108,9 @@ def apply_fractional_laplacian(
         raise NotImplementedError("direct spatial route implemented for n = 1")
     s = params.s
     C = fractional_laplacian_constant(1, s)
-    t0 = np.array([0.0])
 
     def uval(xs: np.ndarray) -> np.ndarray:
-        return u_space.eval(xs.reshape(-1, 1), np.zeros(xs.size))
+        return u_space.eval(xs.reshape(-1, 1), np.zeros(xs.size)).reshape(xs.shape)
 
     u_at = float(uval(np.array([x]))[0])
 
@@ -132,27 +135,17 @@ def apply_fractional_laplacian(
         # Richardson head: incr(z) ~ c2 z^2 + c4 z^4 for smooth u
         g1 = float(incr(np.array([z_lo]))[0])
         g2 = float(incr(np.array([z_lo / 2.0]))[0])
-        c2 = (16.0 * g2 - g1) / (3.0 * z_lo**2)
-        c4 = (g1 - 4.0 * g2) * 4.0 / (3.0 * z_lo**4)
-        head = c2 * z_lo ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-        head += c4 * z_lo ** (4.0 - 2.0 * s) / (4.0 - 2.0 * s)
-        total = head
-        edges = [z_lo]
-        while edges[-1] < z_hi:
-            edges.append(min(2.0 * edges[-1], z_hi))
-        for a, b in zip(edges[:-1], edges[1:]):
-            n_nodes = nodes
-            if osc_k > 0:
-                n_nodes = max(nodes, int(math.ceil(1.5 * osc_k * (b - a))) + 4)
-                n_nodes = min(n_nodes, 200)
-            gx, gw = gauss_legendre(n_nodes)
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            z = mid + half * gx
-            total += half * float(np.sum(gw * incr(z) * z ** (-1.0 - 2.0 * s)))
-        return total
+        head = _richardson_head(g1, g2, z_lo, 2.0, 4.0, -1.0 - 2.0 * s)
+        order = nodes
+        if osc_k > 0:  # enough nodes on every band to resolve cos(k z)
+            def order(a, b):
+                return min(max(nodes, math.ceil(1.5 * osc_k * (b - a)) + 4), 200)
+        return head + _graded_bands(
+            lambda z, a, b: incr(z) * z ** (-1.0 - 2.0 * s), z_lo, z_hi, (), order
+        )
 
     fine = one_pass(quad.graded_nodes)
-    coarse = one_pass(max(4, quad.graded_nodes // 2))
+    coarse = one_pass(quad.coarsened().graded_nodes)
 
     # tail beyond z_hi: the 2u(x) part is an exact power integral
     tail = 2.0 * u_at * z_hi ** (-2.0 * s) / (2.0 * s)
@@ -196,7 +189,7 @@ def apply_marchaud(
     Cs = marchaud_constant(s)
 
     def uval(ts: np.ndarray) -> np.ndarray:
-        return u_time.eval(np.zeros((ts.size, 1)), ts)
+        return u_time.eval(np.zeros((ts.size, 1)), ts.ravel()).reshape(ts.shape)
 
     u_at = float(uval(np.array([t]))[0])
 
@@ -204,33 +197,20 @@ def apply_marchaud(
     floor = u_time.time_floor
     if floor is not None and math.isfinite(floor):
         tau_hi = min(quad.tau_max, max(t - floor, 4.0 * quad.tau_min))
-    wlo, whi = u_time.time_window()
+    breaks = [t - v for v in u_time.time_window() if math.isfinite(v)]
 
     def one_pass(nodes: int) -> float:
         tau_lo = quad.tau_min
         g1 = u_at - float(uval(np.array([t - tau_lo]))[0])
         g2 = u_at - float(uval(np.array([t - tau_lo / 2.0]))[0])
-        c1 = (4.0 * g2 - g1) / tau_lo
-        c2 = (2.0 * g1 - 4.0 * g2) / tau_lo**2
-        head = c1 * tau_lo ** (1.0 - s) / (1.0 - s)
-        head += c2 * tau_lo ** (2.0 - s) / (2.0 - s)
-        total = head
-        breaks = [t - v for v in (wlo, whi) if math.isfinite(v) and tau_lo < t - v < tau_hi]
-        edges = sorted(
-            {tau_lo, tau_hi, *breaks}
-            | {tau_lo * 2.0**j for j in range(1, 200) if tau_lo * 2.0**j < tau_hi}
+        head = _richardson_head(g1, g2, tau_lo, 1.0, 2.0, -1.0 - s)
+        return head + _graded_bands(
+            lambda tau, a, b: (u_at - uval(t - tau)) * tau ** (-1.0 - s),
+            tau_lo, tau_hi, breaks, nodes,
         )
-        gx, gw = gauss_legendre(nodes)
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            tau = mid + half * gx
-            total += half * float(
-                np.sum(gw * (u_at - uval(t - tau)) * tau ** (-1.0 - s))
-            )
-        return total
 
     fine = one_pass(quad.graded_nodes)
-    coarse = one_pass(max(4, quad.graded_nodes // 2))
+    coarse = one_pass(quad.coarsened().graded_nodes)
 
     tail = u_at * tau_hi ** (-s) / s
     tail_err = 0.0

@@ -8,22 +8,25 @@ the substitution y = x - 2 sqrt(tau) w:
 The time integral runs over dyadic bands graded toward tau = 0, with band
 edges aligned to every time at which the integrand's spatial restriction
 changes shape, plus an analytic head below tau_min where the integrand is
-a pure power.  The inner integral uses Gauss-Hermite when the admissible
-region is unbounded and mapped Gauss-Legendre panels (with the Gaussian
-written out explicitly) when the region is a union of intervals, so that
-indicator boundaries are hit exactly instead of being smeared.
+a pure power.  `_graded_bands` is that band integrator for every kernel
+quadrature of the package (this module, the operator routes and the kernel
+mass), and `_richardson_head` their fitted power-law head.  The inner
+integral (`_inner`) uses Gauss-Hermite when the admissible region is
+unbounded and mapped Gauss-Legendre panels (with the Gaussian written out
+explicitly) when the region is a union of intervals, so that indicator
+boundaries are hit exactly instead of being smeared.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import FracParams, ParabolicCylinder, ScalarField, SpaceTimePoint
+from .core import FracParams, ScalarField, SpaceTimePoint
 from .kernel import _derivative_factor
 
 __all__ = [
@@ -174,7 +177,7 @@ class RestrictedSource:
         if base is None and not self.constraints:
             return None
         lo, hi = self.field.time_window()
-        if not lo < eta < hi and not (eta == hi and False):
+        if not lo < eta < hi:
             return []
         ints = [base] if base is not None else [(-1e300, 1e300)]
         for cyl, inside in self.constraints:
@@ -225,6 +228,41 @@ def _band_edges(tau_lo: float, tau_hi: float, breakpoints: Sequence[float]):
     return sorted(edges)
 
 
+def _graded_bands(integrand: Callable, lo: float, hi: float, breaks, nodes) -> float:
+    """int_lo^hi integrand over dyadic bands graded toward lo.
+
+    The bands double from lo and are split at every break inside (lo, hi).
+    nodes is the Gauss-Legendre order per band, or a function
+    (a, b) -> order.  Bands of one order are evaluated together:
+    integrand(tau, a, b) gets the nodes tau, shape (bands, order), of the
+    bands [a_i, b_i] and returns the integrand there, same shape.
+    """
+    edges = _band_edges(lo, hi, breaks)
+    pairs = list(zip(edges[:-1], edges[1:]))
+    orders = np.array([nodes(*p) if callable(nodes) else nodes for p in pairs])
+    a, b = np.array(pairs).reshape(-1, 2).T
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    sums = np.empty(len(pairs))
+    for order in dict.fromkeys(orders.tolist()):
+        rows = orders == order
+        gl_x, gl_w = gauss_legendre(order)
+        vals = integrand(mid[rows, None] + half[rows, None] * gl_x, a[rows], b[rows])
+        sums[rows] = np.sum(gl_w * vals, axis=1)
+    total = 0.0
+    for h, v in zip(half, sums):
+        total += h * v
+    return float(total)
+
+
+def _richardson_head(g1: float, g2: float, lo: float, p: float, q: float, w: float) -> float:
+    """int_0^lo (A z^p + B z^q) z^w dz, with A and B fitted so that the
+    model takes the values g1 at lo and g2 at lo / 2."""
+    u, v = 2.0**-p, 2.0**-q
+    a = (g2 - v * g1) / (u - v)  # A lo^p
+    b = (u * g1 - g2) / (u - v)  # B lo^q
+    return lo ** (w + 1.0) * (a / (p + w + 1.0) + b / (q + w + 1.0))
+
+
 def _inner_intervals(
     field_eval: Callable,
     x: float,
@@ -237,10 +275,11 @@ def _inner_intervals(
 ) -> np.ndarray:
     """int e^{-w^2} g(x - 2 sqrt(tau) w, t - tau) [phi] dw over mapped intervals.
 
-    Vectorized over the tau nodes of one band; returns shape (len(tau),).
+    tau holds the nodes of one band per row; each band gets as many panels
+    as its widest window needs.  Returns the integral at every node.
     """
     sq = 2.0 * np.sqrt(tau)
-    inner = np.zeros(len(tau))
+    inner = np.zeros(tau.shape)
     gl_x, gl_w = gauss_legendre(spatial_nodes)
     for lo, hi in ints:
         y_lo = np.maximum(lo, x - W_MAX * sq)
@@ -248,27 +287,37 @@ def _inner_intervals(
         y_hi = np.maximum(y_hi, y_lo)
         w_lo = (x - y_hi) / sq
         w_hi = (x - y_lo) / sq
-        max_len = float(np.max(w_hi - w_lo))
-        if max_len <= 0:
-            continue
-        n_panels = int(np.clip(math.ceil(max_len / 2.0), 1, 10))
-        frac = np.linspace(0.0, 1.0, n_panels + 1)
-        edges = w_lo[:, None] + (w_hi - w_lo)[:, None] * frac[None, :]
-        mids = 0.5 * (edges[:, 1:] + edges[:, :-1])
-        halfs = 0.5 * (edges[:, 1:] - edges[:, :-1])
-        w = mids[:, :, None] + halfs[:, :, None] * gl_x
-        wq = halfs[:, :, None] * gl_w
-        y = x - sq[:, None, None] * w
-        eta = np.broadcast_to(t - tau[:, None, None], y.shape)
-        vals = field_eval(y.reshape(-1, 1), eta.ravel()).reshape(y.shape)
-        integ = vals * np.exp(-(w**2))
-        if deriv is not None:
-            tau3 = np.broadcast_to(tau[:, None, None], y.shape)
-            integ = integ * _factor_eval(
-                params, deriv, (sq[:, None, None] * w)[..., None], tau3
-            )
-        inner += np.sum(integ * wq, axis=(1, 2))
+        max_len = np.max(w_hi - w_lo, axis=1)
+        panels = np.where(max_len > 0, np.clip(np.ceil(max_len / 2.0), 1, 10), 0)
+        for n_panels in np.unique(panels[panels > 0]).astype(int):
+            rows = panels == n_panels
+            r_tau, r_sq, r_lo = tau[rows].ravel(), sq[rows].ravel(), w_lo[rows].ravel()
+            frac = np.linspace(0.0, 1.0, n_panels + 1)
+            edges = r_lo[:, None] + (w_hi[rows].ravel() - r_lo)[:, None] * frac[None, :]
+            mids = 0.5 * (edges[:, 1:] + edges[:, :-1])
+            halfs = 0.5 * (edges[:, 1:] - edges[:, :-1])
+            w = mids[:, :, None] + halfs[:, :, None] * gl_x
+            y = x - r_sq[:, None, None] * w
+            eta = np.repeat(t - r_tau, w[0].size)
+            vals = field_eval(y.reshape(-1, 1), eta).reshape(y.shape)
+            integ = vals * np.exp(-(w * w))
+            if deriv is not None:
+                tau3 = np.broadcast_to(r_tau[:, None, None], y.shape)
+                integ = integ * _factor_eval(
+                    params, deriv, (r_sq[:, None, None] * w)[..., None], tau3
+                )
+            wq = halfs[:, :, None] * gl_w
+            inner[rows] += np.sum(integ * wq, axis=(1, 2)).reshape(-1, tau.shape[1])
     return inner
+
+
+@lru_cache(maxsize=64)
+def _hermite_grid(order: int, n: int):
+    """Tensor Gauss-Hermite nodes, shape (order^n, n), and their weights."""
+    gx, gw = gauss_hermite(order)
+    wpts = np.stack([g.ravel() for g in np.meshgrid(*[gx] * n, indexing="ij")], axis=-1)
+    wq = np.prod(np.meshgrid(*[gw] * n, indexing="ij"), axis=0).ravel()
+    return wpts, wq
 
 
 def _inner_unbounded(
@@ -280,34 +329,19 @@ def _inner_unbounded(
     params: FracParams,
     deriv: Optional[tuple],
 ) -> np.ndarray:
-    """Gauss-Hermite inner integral for unrestricted regions, n <= 2."""
+    """Tensor Gauss-Hermite inner integral for unrestricted regions, n <= 2."""
     n = params.n
-    gx, gw = gauss_hermite(order)
+    if n > 2:
+        raise NotImplementedError("unbounded inner integral implemented for n <= 2")
+    wpts, wq = _hermite_grid(order, n)
     sq = 2.0 * np.sqrt(tau)
-    if n == 1:
-        w = gx[None, :]
-        wq = gw[None, :]
-        y = x[0] - sq[:, None] * w
-        eta = np.broadcast_to((t - tau)[:, None], y.shape)
-        vals = field_eval(y.reshape(-1, 1), eta.ravel()).reshape(y.shape)
-        if deriv is not None:
-            tau2 = np.broadcast_to(tau[:, None], y.shape)
-            vals = vals * _factor_eval(params, deriv, (sq[:, None] * w)[..., None], tau2)
-        return np.sum(vals * wq, axis=1)
-    if n == 2:
-        wx, wy = np.meshgrid(gx, gx, indexing="ij")
-        wq = np.outer(gw, gw).ravel()
-        wpts = np.stack([wx.ravel(), wy.ravel()], axis=-1)  # (q, 2)
-        y = x[None, None, :] - sq[:, None, None] * wpts[None, :, :]
-        eta = np.broadcast_to((t - tau)[:, None], y.shape[:2])
-        vals = field_eval(y.reshape(-1, 2), eta.ravel()).reshape(y.shape[:2])
-        if deriv is not None:
-            tau2 = np.broadcast_to(tau[:, None], y.shape[:2])
-            vals = vals * _factor_eval(
-                params, deriv, sq[:, None, None] * wpts[None, :, :], tau2
-            )
-        return np.sum(vals * wq[None, :], axis=1)
-    raise NotImplementedError("unbounded inner integral implemented for n <= 2")
+    dy = sq[:, None, None] * wpts[None, :, :]  # (len(tau), q, n)
+    eta = np.broadcast_to((t - tau)[:, None], dy.shape[:2])
+    vals = field_eval((x - dy).reshape(-1, n), eta.ravel()).reshape(dy.shape[:2])
+    if deriv is not None:
+        tau2 = np.broadcast_to(tau[:, None], dy.shape[:2])
+        vals = vals * _factor_eval(params, deriv, dy, tau2)
+    return np.sum(vals * wq[None, :], axis=1)
 
 
 def _gh_order_for_band(source_field: ScalarField, tau_hi: float, base: int) -> int:
@@ -331,6 +365,45 @@ def _gh_order_for_band(source_field: ScalarField, tau_hi: float, base: int) -> i
     return min(8 * math.ceil(order / 8), 512)
 
 
+def _inner(
+    field: ScalarField,
+    x: np.ndarray,
+    t: float,
+    tau: np.ndarray,
+    ints,
+    spec: QuadratureSpec,
+    band_hi: np.ndarray,
+    params: FracParams,
+    deriv: Optional[tuple],
+) -> np.ndarray:
+    """int e^{-w^2} g(x - 2 sqrt(tau) w, t - tau) [phi] dw at the tau nodes.
+
+    tau holds the nodes of one band per row and band_hi the bands' upper
+    ends.  ints is the admissible region of the bands (None: unbounded,
+    []: empty).  Bounded regions, and unbounded ones for n = 1 fields that
+    do not oscillate, use windowed Gauss-Legendre panels; the rest
+    Gauss-Hermite, with the order raised for oscillating symbol fields up
+    to each band's upper end.
+    """
+    if ints is None and params.n == 1 and field.tail != "exponential_symbol":
+        # windowed panels beat Gauss-Hermite on generic smooth fields
+        ints = [(-math.inf, math.inf)]
+    if ints is None:
+        # one band at a time: a raised order makes a large tensor grid
+        inner = np.empty(tau.shape)
+        for i, b in enumerate(band_hi):
+            order = _gh_order_for_band(field, b, spec.hermite_order)
+            inner[i] = _inner_unbounded(field.eval, x, t, tau[i], order, params, deriv)
+        return inner
+    if not ints:
+        return np.zeros(tau.shape)
+    if params.n != 1:
+        raise NotImplementedError("restricted regions require n = 1")
+    return _inner_intervals(
+        field.eval, x[0], t, tau, ints, spec.spatial_nodes, params, deriv
+    )
+
+
 def _convolve_once(
     source: RestrictedSource,
     pt: SpaceTimePoint,
@@ -338,12 +411,9 @@ def _convolve_once(
     quad: QuadratureSpec,
     deriv: Optional[tuple],
 ) -> float:
-    n = params.n
     x = pt.x_array()
     t = pt.t
     s = params.s
-    # solution-kernel constant: the convolution inverts the operator exactly
-    c2n = params.c_inv * 2.0**n
     win_lo, win_hi = source.time_window()
     if t <= win_lo:
         return 0.0
@@ -358,30 +428,24 @@ def _convolve_once(
         total += g0 * tau_lo**s / (s * math.gamma(s))
     if tau_hi <= tau_lo:
         return total
-    breaks = [t - b for b in source.time_breakpoints()]
-    edges = _band_edges(tau_lo, tau_hi, breaks)
-    gl_x, gl_w = gauss_legendre(quad.graded_nodes)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        tau = mid + half * gl_x
-        wt = half * gl_w
-        ints = source.intervals(t - mid)
-        if ints is None and n == 1 and source.field.tail != "exponential_symbol":
-            # windowed panels beat Gauss-Hermite on generic smooth fields
-            ints = [(-math.inf, math.inf)]
-        if ints is None:
-            order = _gh_order_for_band(source.field, b, quad.hermite_order)
-            inner = _inner_unbounded(source.field.eval, x, t, tau, order, params, deriv)
-        else:
-            if not ints:
-                continue
-            if n != 1:
-                raise NotImplementedError("restricted regions require n = 1")
-            inner = _inner_intervals(
-                source.field.eval, x[0], t, tau, ints, quad.spatial_nodes, params, deriv
+
+    def integrand(tau, a, b):
+        # bands with the same admissible region share one inner evaluation
+        groups = {}
+        for i, mid in enumerate(0.5 * (a + b)):
+            ints = source.intervals(t - mid)
+            groups.setdefault(None if ints is None else tuple(ints), []).append(i)
+        inner = np.empty(tau.shape)
+        for ints, rows in groups.items():
+            inner[rows] = _inner(
+                source.field, x, t, tau[rows], ints, quad, b[rows], params, deriv
             )
-        total += c2n * float(np.sum(wt * tau ** (s - 1.0) * inner))
-    return total
+        return tau ** (s - 1.0) * inner
+
+    breaks = [t - b for b in source.time_breakpoints()]
+    # solution-kernel constant: the convolution inverts the operator exactly
+    c2n = params.c_inv * 2.0**params.n
+    return total + c2n * _graded_bands(integrand, tau_lo, tau_hi, breaks, quad.graded_nodes)
 
 
 def kernel_convolve(
@@ -422,22 +486,13 @@ def _avg_increment(
     u_at: float,
     params: FracParams,
     quad: QuadratureSpec,
-    band_hi: float,
+    band_hi: np.ndarray,
 ) -> np.ndarray:
     """G(tau) = int e^{-w^2} [u(pt) - u(x - 2 sqrt(tau) w, t - tau)] dw."""
-    x = pt.x_array()
     interval = u.spatial_interval()
-    pin = math.pi ** (params.n / 2.0)
-    if params.n == 1 and u.tail != "exponential_symbol":
-        if interval is None:
-            interval = (-math.inf, math.inf)
-        inner = _inner_intervals(
-            u.eval, x[0], pt.t, tau, [interval], quad.spatial_nodes, params, None
-        )
-    else:
-        order = _gh_order_for_band(u, band_hi, quad.hermite_order)
-        inner = _inner_unbounded(u.eval, x, pt.t, tau, order, params, None)
-    return pin * u_at - inner
+    ints = None if interval is None else [interval]
+    inner = _inner(u, pt.x_array(), pt.t, tau, ints, quad, band_hi, params, None)
+    return math.pi ** (params.n / 2.0) * u_at - inner
 
 
 def increment_integral(
@@ -470,29 +525,21 @@ def increment_integral(
     if floor is not None and math.isfinite(floor):
         tau_hi = min(quad.tau_max, max(t - floor, 4.0 * quad.tau_min))
 
+    breaks = [t - v for v in u.time_window() if math.isfinite(v)]
+
     def quad_pass(spec: QuadratureSpec) -> float:
-        tau_lo = spec.tau_min
-        # Richardson head from G(tau_lo) and G(tau_lo / 2)
-        g1 = _avg_increment(u, pt, np.array([tau_lo]), u_at, params, spec, tau_lo)[0]
-        g2 = _avg_increment(u, pt, np.array([tau_lo / 2]), u_at, params, spec, tau_lo)[0]
-        c1 = (4.0 * g2 - g1) / tau_lo
-        c2 = (2.0 * g1 - 4.0 * g2) / tau_lo**2
-        head = c2n * (
-            c1 * tau_lo ** (1.0 - s) / (1.0 - s) + c2 * tau_lo ** (2.0 - s) / (2.0 - s)
+        def G(tau, band_hi):
+            return _avg_increment(u, pt, tau, u_at, params, spec, band_hi)
+
+        lo = spec.tau_min
+        # Richardson head from G(lo) and G(lo / 2)
+        g1, g2 = G(np.array([[lo], [lo / 2]]), np.array([lo, lo]))[:, 0]
+        head = _richardson_head(g1, g2, lo, 1.0, 2.0, -1.0 - s)
+        bands = _graded_bands(
+            lambda tau, a, b: tau ** (-1.0 - s) * G(tau, b),
+            lo, tau_hi, breaks, spec.graded_nodes,
         )
-        breaks = []
-        wlo, whi = u.time_window()
-        for v in (wlo, whi):
-            if math.isfinite(v) and tau_lo < t - v < tau_hi:
-                breaks.append(t - v)
-        total = head
-        gl_x, gl_w = gauss_legendre(spec.graded_nodes)
-        for a, b in zip(*_pairs(_band_edges(tau_lo, tau_hi, breaks))):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            tau = mid + half * gl_x
-            g = _avg_increment(u, pt, tau, u_at, params, spec, b, )
-            total += c2n * float(np.sum(half * gl_w * tau ** (-1.0 - s) * g))
-        return total
+        return c2n * (head + bands)
 
     fine = quad_pass(quad)
     coarse = quad_pass(quad.coarsened())
@@ -512,8 +559,8 @@ def increment_integral(
     elif u.tail == "bounded":
         # no decay assumption available: freeze G at its tau_hi value
         g_hi = _avg_increment(
-            u, pt, np.array([tau_hi]), u_at, params, quad, tau_hi
-        )[0]
+            u, pt, np.array([[tau_hi]]), u_at, params, quad, np.array([tau_hi])
+        )[0, 0]
         tail = c2n * g_hi * tau_hi ** (-s) / s
         bound = u.bound if u.bound is not None else abs(u_at)
         tail_err = 2.0 * bound * tail_mass
@@ -522,6 +569,3 @@ def increment_integral(
     err = abs(fine - coarse) + tail_err + 1e-13 * abs(value) + 1e-16
     return value, err
 
-
-def _pairs(edges):
-    return edges[:-1], edges[1:]

@@ -19,21 +19,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import (
     FracParams,
-    MultiIndex,
-    ParabolicCylinder,
     ParabolicPolynomial,
     ScalarField,
     SpaceTimePoint,
     multi_indices,
 )
 from .quadrature import QuadratureSpec, RestrictedSource, kernel_convolve
-from .synthesis import difference_field, _past, _two
+from .synthesis import _piece_sources, difference_field, jet_source
 
 __all__ = [
     "NuProfile",
@@ -408,14 +406,14 @@ def extract_jet(
     top = gamma - 1 if integer_case else gamma
     if top > 4:
         raise ValueError("jet degree above 4 not supported")
+    J = jet_source(P, cutoff)
     fmJ = difference_field(f, P, params, center=center, cutoff=cutoff)
-    Q1 = _past(center, 1.0)
 
     mis = [mi for mi in multi_indices(params.n, max(top, 0))]
     polys = [ParabolicPolynomial.zero(params.n, max(top, 0), center)]
     for i in range(2, depth + 1):
         r_i = eta ** (i - 1)
-        src = RestrictedSource(fmJ, [(Q1, True), (_past(center, r_i), False)])
+        src = RestrictedSource(*_piece_sources(f, J, fmJ, r_i, center)["T_r"])
         coeffs = {}
         for mi in mis:
             val, _ = kernel_convolve(

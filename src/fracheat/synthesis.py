@@ -285,6 +285,23 @@ class DecompositionBundle:
     u_P: Callable
 
 
+def _piece_sources(
+    f: ScalarField, J: ScalarField, fmJ: ScalarField, r: float, center: SpaceTimePoint
+) -> dict:
+    """(field, constraints) of every decomposition piece at radius r: the
+    source each piece convolves and the cylinders that restrict it."""
+    past_r, past_1, two_r = _past(center, r), _past(center, 1.0), _two(center, r)
+    return {
+        "u": (f, ()),
+        "v_r": (f, [(two_r, False)]),
+        "w_r": (f, [(two_r, True)]),
+        "w_1": (f, [(past_1, True)]),
+        "S_r": (fmJ, [(past_r, True)]),
+        "T_r": (fmJ, [(past_1, True), (past_r, False)]),
+        "u_P": (J, [(past_1, True)]),
+    }
+
+
 def decompose_internal(
     f: ScalarField,
     P: ParabolicPolynomial,
@@ -301,38 +318,15 @@ def decompose_internal(
     J = jet_source(P, cutoff)
     fmJ = difference_field(f, P, params, center=center, cutoff=cutoff)
 
-    Q_r_past = _past(center, r)
-    Q_1_past = _past(center, 1.0)
-    Q_r_two = _two(center, r)
+    def piece(field, constraints):
+        def value(pt):
+            return kernel_convolve(RestrictedSource(field, constraints), pt, params, quad)
 
-    def u(pt):
-        return kernel_convolve(f, pt, params, quad)
+        return value
 
-    def v_r(pt):
-        return kernel_convolve(RestrictedSource(f, [(Q_r_two, False)]), pt, params, quad)
-
-    def w_r(pt):
-        return kernel_convolve(RestrictedSource(f, [(Q_r_two, True)]), pt, params, quad)
-
-    def w_1(pt):
-        return kernel_convolve(
-            RestrictedSource(f, [(Q_1_past, True)]), pt, params, quad
-        )
-
-    def S_r(pt):
-        return kernel_convolve(RestrictedSource(fmJ, [(Q_r_past, True)]), pt, params, quad)
-
-    def T_r(pt):
-        return kernel_convolve(
-            RestrictedSource(fmJ, [(Q_1_past, True), (Q_r_past, False)]),
-            pt, params, quad,
-        )
-
-    def u_P(pt):
-        return kernel_convolve(RestrictedSource(J, [(Q_1_past, True)]), pt, params, quad)
-
+    pieces = _piece_sources(f, J, fmJ, r, center)
     return DecompositionBundle(
-        r=r, P=P, params=params, u=u, v_r=v_r, w_r=w_r, w_1=w_1, S_r=S_r, T_r=T_r, u_P=u_P
+        r=r, P=P, params=params, **{name: piece(*src) for name, src in pieces.items()}
     )
 
 
@@ -374,10 +368,11 @@ def s_decay_probe(
     """
     center = center or SpaceTimePoint.of(np.zeros(params.n), 0.0)
     radii = sorted(float(r) for r in radii)
+    J = jet_source(P)
     fmJ = difference_field(f, P, params, center=center)
     avgs = []
     for r in radii:
-        src = RestrictedSource(fmJ, [(_past(center, r), True)])
+        src = RestrictedSource(*_piece_sources(f, J, fmJ, r, center)["S_r"])
         cyl = _past(center, r)
 
         def val(pt):

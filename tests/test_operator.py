@@ -114,8 +114,7 @@ class TestMarchaud:
 
     def test_ramp_closed_form(self):
         # d^{1/2}/dt^{1/2} of t_+ at t=1 equals 2/sqrt(pi)
-        ramp = time_profile(lambda t: np.maximum(t, 0.0), time_floor=0.0,
-                            breaks=(0.0,))
+        ramp = time_profile(lambda t: np.maximum(t, 0.0), time_floor=0.0)
         val, err = apply_marchaud(ramp, 1.0, 0.5, QUAD)
         assert val == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-9)
 
