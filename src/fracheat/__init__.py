@@ -69,14 +69,9 @@ from .synthesis import (
     cylinder_average,
     decompose_internal,
     difference_field,
-    external_part,
-    internal_part,
     jet_source,
     make_cutoff,
     s_decay_probe,
     synthesize_solution,
     synthesized_field,
-    u_P_part,
-    v_P_part,
-    w_P_part,
 )

@@ -26,7 +26,6 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -47,6 +46,7 @@ from .operator import apply_fully_fractional
 from .quadrature import QuadratureSpec
 from .regularity import (
     NuProfile,
+    _jet_degree,
     classify_pointwise,
     estimate_exponent,
     extract_jet,
@@ -417,10 +417,7 @@ def exponent_recovery(
     2^-start .. 2^-depth; the polynomial is fitted at 2^-(depth+fit_margin)
     so the fit residual does not bias the smallest profile radii.
     """
-    thresh = alpha + 2.0 * params.s
-    integer_case = abs(thresh - round(thresh)) < 1e-12
-    gamma = k + int(math.floor(thresh + 1e-12))
-    degree = max(gamma - 1 if integer_case else gamma, 0)
+    gamma, degree = _jet_degree(k, alpha, params.s)
     u = synthesized_field(f, params, quad=quad)
     base = SpaceTimePoint.of([0.0] * params.n, 0.0)
     radii = [2.0**-i for i in range(start, depth + 1)]
@@ -433,7 +430,7 @@ def exponent_recovery(
         "log_correction": est["log_correction"],
         "expected": target_exponent(k, alpha, params.s),
         "degree": degree,
-        "integer_threshold": integer_case,
+        "integer_threshold": degree != gamma,
         "radii": [float(r) for r in radii],
         "nu": [float(v) for v in prof.nu],
         "raw": [float(v) for v in prof.raw],

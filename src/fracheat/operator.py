@@ -22,6 +22,7 @@ from .core import FracParams, ScalarField, SpaceTimePoint, check_slowly_increasi
 from .quadrature import (
     QuadratureSpec,
     _graded_bands,
+    _refined,
     _richardson_head,
     increment_integral,
 )
@@ -131,12 +132,12 @@ def apply_fractional_laplacian(
     else:
         z_hi = quad.z_max
 
-    def one_pass(nodes: int) -> float:
+    def one_pass(spec: QuadratureSpec) -> float:
         # Richardson head: incr(z) ~ c2 z^2 + c4 z^4 for smooth u
         g1 = float(incr(np.array([z_lo]))[0])
         g2 = float(incr(np.array([z_lo / 2.0]))[0])
         head = _richardson_head(g1, g2, z_lo, 2.0, 4.0, -1.0 - 2.0 * s)
-        order = nodes
+        nodes = order = spec.graded_nodes
         if osc_k > 0:  # enough nodes on every band to resolve cos(k z)
             def order(a, b):
                 return min(max(nodes, math.ceil(1.5 * osc_k * (b - a)) + 4), 200)
@@ -144,12 +145,10 @@ def apply_fractional_laplacian(
             lambda z, a, b: incr(z) * z ** (-1.0 - 2.0 * s), z_lo, z_hi, (), order
         )
 
-    fine = one_pass(quad.graded_nodes)
-    coarse = one_pass(quad.coarsened().graded_nodes)
-
     # tail beyond z_hi: the 2u(x) part is an exact power integral
     tail = 2.0 * u_at * z_hi ** (-2.0 * s) / (2.0 * s)
     tail_err = 0.0
+    worst_case = quad.tail_mode == "bound_only"
     if interval is not None:
         pass  # u vanishes beyond z_hi: exact
     elif osc_k > 0:
@@ -158,12 +157,11 @@ def apply_fractional_laplacian(
         tail -= 2.0 * math.cos(osc_k * x) * osc
         tail_err = 2.0 * rem
     else:
+        worst_case = True  # no decay assumption available
+    if worst_case:
         bound = u_space.bound if u_space.bound is not None else abs(u_at)
         tail_err = 2.0 * bound * z_hi ** (-2.0 * s) / (2.0 * s)
-
-    value = C * (fine + tail)
-    err = C * (abs(fine - coarse) + tail_err) + 1e-13 * abs(value) + 1e-16
-    return value, err
+    return _refined(one_pass, quad, tail, tail_err, C)
 
 
 # ---------------------------------------------------------------------------
@@ -199,32 +197,29 @@ def apply_marchaud(
         tau_hi = min(quad.tau_max, max(t - floor, 4.0 * quad.tau_min))
     breaks = [t - v for v in u_time.time_window() if math.isfinite(v)]
 
-    def one_pass(nodes: int) -> float:
-        tau_lo = quad.tau_min
+    def one_pass(spec: QuadratureSpec) -> float:
+        tau_lo = spec.tau_min
         g1 = u_at - float(uval(np.array([t - tau_lo]))[0])
         g2 = u_at - float(uval(np.array([t - tau_lo / 2.0]))[0])
         head = _richardson_head(g1, g2, tau_lo, 1.0, 2.0, -1.0 - s)
         return head + _graded_bands(
             lambda tau, a, b: (u_at - uval(t - tau)) * tau ** (-1.0 - s),
-            tau_lo, tau_hi, breaks, nodes,
+            tau_lo, tau_hi, breaks, spec.graded_nodes,
         )
-
-    fine = one_pass(quad.graded_nodes)
-    coarse = one_pass(quad.coarsened().graded_nodes)
 
     tail = u_at * tau_hi ** (-s) / s
     tail_err = 0.0
+    worst_case = quad.tail_mode == "bound_only"
     if floor is not None and math.isfinite(floor) and tau_hi >= t - floor:
-        tail_err = 0.0
+        pass  # exact: u vanishes beyond the working range
     elif u_time.tail == "exponential_symbol":
         lam, _ = u_time.symbol_params
         tail_err = abs(u_at) * math.exp(-min(lam * tau_hi, 700.0)) * tau_hi ** (-s) / s
     else:
         # no decay assumption: freeze the increment at its tau_hi value
         tail = (u_at - float(uval(np.array([t - tau_hi]))[0])) * tau_hi ** (-s) / s
+        worst_case = True
+    if worst_case:
         bound = u_time.bound if u_time.bound is not None else abs(u_at)
         tail_err = 2.0 * bound * tau_hi ** (-s) / s
-
-    value = Cs * (fine + tail)
-    err = Cs * (abs(fine - coarse) + tail_err) + 1e-13 * abs(value) + 1e-16
-    return value, err
+    return _refined(one_pass, quad, tail, tail_err, Cs)

@@ -10,7 +10,8 @@ edges aligned to every time at which the integrand's spatial restriction
 changes shape, plus an analytic head below tau_min where the integrand is
 a pure power.  `_graded_bands` is that band integrator for every kernel
 quadrature of the package (this module, the operator routes and the kernel
-mass), and `_richardson_head` their fitted power-law head.  The inner
+mass), `_richardson_head` their fitted power-law head, and `_refined` the
+fine/coarse error estimate of all but the kernel mass.  The inner
 integral (`_inner`) uses Gauss-Hermite when the admissible region is
 unbounded and mapped Gauss-Legendre panels (with the Gaussian written out
 explicitly) when the region is a union of intervals, so that indicator
@@ -27,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import FracParams, ScalarField, SpaceTimePoint
-from .kernel import _derivative_factor
+from .kernel import _factor_eval
 
 __all__ = [
     "QuadratureSpec",
@@ -201,20 +202,6 @@ class RestrictedSource:
         return float(self.field.eval(x[None, :], np.array([t]))[0])
 
 
-def _factor_eval(params: FracParams, sigma: tuple, dx: np.ndarray, tau: np.ndarray):
-    """Polynomial factor phi with D^sigma K = K * phi; dx has shape (..., n)."""
-    out = np.zeros(np.broadcast(dx[..., 0], tau).shape)
-    for (beta, q), c in _derivative_factor(params.n, params.time_exponent, sigma):
-        term = np.full(out.shape, c)
-        for i, b in enumerate(beta):
-            if b:
-                term = term * dx[..., i] ** b
-        if q:
-            term = term * tau ** (-float(q))
-        out = out + term
-    return out
-
-
 def _band_edges(tau_lo: float, tau_hi: float, breakpoints: Sequence[float]):
     edges = set()
     v = tau_lo
@@ -261,6 +248,19 @@ def _richardson_head(g1: float, g2: float, lo: float, p: float, q: float, w: flo
     a = (g2 - v * g1) / (u - v)  # A lo^p
     b = (u * g1 - g2) / (u - v)  # B lo^q
     return lo ** (w + 1.0) * (a / (p + w + 1.0) + b / (q + w + 1.0))
+
+
+def _refined(
+    one_pass: Callable, quad: QuadratureSpec, tail: float = 0.0, tail_err: float = 0.0,
+    scale: float = 1.0,
+) -> tuple:
+    """(value, err) of scale * (one_pass + tail) from a fine pass at quad and a
+    coarse pass at quad.coarsened(); err is their difference plus tail_err,
+    scaled, plus a relative floor."""
+    fine = one_pass(quad)
+    coarse = one_pass(quad.coarsened())
+    value = scale * (fine + tail)
+    return value, scale * (abs(fine - coarse) + tail_err) + 1e-13 * abs(value) + 1e-16
 
 
 def _inner_intervals(
@@ -466,12 +466,9 @@ def kernel_convolve(
     """
     if isinstance(source, ScalarField):
         source = RestrictedSource(source)
-    fine = _convolve_once(source, pt, params, quad, deriv)
     if not with_error:
-        return fine, math.nan
-    coarse = _convolve_once(source, pt, params, quad.coarsened(), deriv)
-    err = abs(fine - coarse) + 1e-13 * abs(fine) + 1e-16
-    return fine, err
+        return _convolve_once(source, pt, params, quad, deriv), math.nan
+    return _refined(lambda spec: _convolve_once(source, pt, params, spec, deriv), quad)
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +538,6 @@ def increment_integral(
         )
         return c2n * (head + bands)
 
-    fine = quad_pass(quad)
-    coarse = quad_pass(quad.coarsened())
-
     # analytic tail beyond the working range
     tail_mass = tau_hi ** (-s) / (s * params.abs_gamma)
     tail = u_at * tail_mass
@@ -564,8 +558,5 @@ def increment_integral(
         tail = c2n * g_hi * tau_hi ** (-s) / s
         bound = u.bound if u.bound is not None else abs(u_at)
         tail_err = 2.0 * bound * tail_mass
-
-    value = fine + tail
-    err = abs(fine - coarse) + tail_err + 1e-13 * abs(value) + 1e-16
-    return value, err
+    return _refined(quad_pass, quad, tail, tail_err)
 

@@ -30,8 +30,8 @@ from .core import (
     SpaceTimePoint,
     multi_indices,
 )
-from .quadrature import QuadratureSpec, RestrictedSource, kernel_convolve
-from .synthesis import _piece_sources, difference_field, jet_source
+from .quadrature import QuadratureSpec, kernel_convolve
+from .synthesis import _piece_sources
 
 __all__ = [
     "NuProfile",
@@ -53,14 +53,22 @@ def target_exponent(k: int, alpha: float, s: float) -> float:
     return k + alpha + 2.0 * s
 
 
+def _jet_degree(k: int, alpha: float, s: float) -> tuple:
+    """(gamma, degree) with gamma = k + floor(alpha + 2s) and degree the jet
+    degree: gamma, or gamma - 1 when alpha + 2s is an integer (the
+    logarithmic threshold), never below 0."""
+    v = 2.0 * s + alpha
+    gamma = k + int(math.floor(v + 1e-12))
+    return gamma, max(gamma - 1 if abs(v - round(v)) < 1e-12 else gamma, 0)
+
+
 def integer_threshold_kind(k: int, alpha: float, s: float) -> Optional[str]:
     """None off the integer thresholds; at 2s + alpha integer, "x-ln" when
     k + 2s + alpha is odd and "ln" when it is even."""
-    v = 2.0 * s + alpha
-    if abs(v - round(v)) > 1e-12:
+    gamma, degree = _jet_degree(k, alpha, s)
+    if degree == gamma:
         return None
-    total = k + int(round(v))
-    return "x-ln" if total % 2 == 1 else "ln"
+    return "x-ln" if gamma % 2 == 1 else "ln"
 
 
 @dataclass
@@ -399,28 +407,21 @@ def extract_jet(
     if depth < 3:
         raise ValueError("depth must be >= 3")
     center = center or SpaceTimePoint.of(np.zeros(params.n), 0.0)
-    s = params.s
-    thresh = 2.0 * s + alpha
-    integer_case = abs(thresh - round(thresh)) < 1e-12
-    gamma = k + int(math.floor(thresh + 1e-12))
-    top = gamma - 1 if integer_case else gamma
+    gamma, top = _jet_degree(k, alpha, params.s)
     if top > 4:
         raise ValueError("jet degree above 4 not supported")
-    J = jet_source(P, cutoff)
-    fmJ = difference_field(f, P, params, center=center, cutoff=cutoff)
-
-    mis = [mi for mi in multi_indices(params.n, max(top, 0))]
-    polys = [ParabolicPolynomial.zero(params.n, max(top, 0), center)]
+    mis = list(multi_indices(params.n, top))
+    polys = [ParabolicPolynomial.zero(params.n, top, center)]
     for i in range(2, depth + 1):
         r_i = eta ** (i - 1)
-        src = RestrictedSource(*_piece_sources(f, J, fmJ, r_i, center)["T_r"])
+        src = _piece_sources(f, P, r_i, params, center, cutoff)["T_r"]
         coeffs = {}
         for mi in mis:
             val, _ = kernel_convolve(
                 src, center, params, quad, deriv=mi.sigma, with_error=False
             )
             coeffs[mi] = val
-        polys.append(ParabolicPolynomial(max(top, 0), center, coeffs))
+        polys.append(ParabolicPolynomial(top, center, coeffs))
 
     diffs: dict = {}
     rates: dict = {}

@@ -43,13 +43,8 @@ __all__ = [
     "make_cutoff",
     "synthesize_solution",
     "synthesized_field",
-    "external_part",
-    "internal_part",
     "jet_source",
     "difference_field",
-    "u_P_part",
-    "w_P_part",
-    "v_P_part",
     "DecompositionBundle",
     "decompose_internal",
     "s_decay_probe",
@@ -153,43 +148,6 @@ def synthesized_field(
     return u
 
 
-def _past(center: SpaceTimePoint, r: float) -> ParabolicCylinder:
-    return ParabolicCylinder(center, r, sided="past")
-
-
-def _two(center: SpaceTimePoint, r: float) -> ParabolicCylinder:
-    return ParabolicCylinder(center, r, sided="two")
-
-
-def external_part(
-    f: ScalarField,
-    r: float,
-    pt: SpaceTimePoint,
-    params: FracParams,
-    center: Optional[SpaceTimePoint] = None,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> tuple:
-    """v_r(pt): convolution of f restricted outside the two-sided cylinder."""
-    center = center or SpaceTimePoint.of(np.zeros(params.n), 0.0)
-    src = RestrictedSource(f, [(_two(center, r), False)])
-    return kernel_convolve(src, pt, params, quad)
-
-
-def internal_part(
-    f: ScalarField,
-    r: float,
-    pt: SpaceTimePoint,
-    params: FracParams,
-    center: Optional[SpaceTimePoint] = None,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> tuple:
-    """w_r(pt): convolution of f restricted to the two-sided cylinder, so
-    that u = v_r + w_r pointwise."""
-    center = center or SpaceTimePoint.of(np.zeros(params.n), 0.0)
-    src = RestrictedSource(f, [(_two(center, r), True)])
-    return kernel_convolve(src, pt, params, quad)
-
-
 def jet_source(P: ParabolicPolynomial, cutoff: Optional[ScalarField] = None) -> ScalarField:
     """J = P * psi: the polynomial jet localized by the cutoff."""
     cutoff = cutoff or make_cutoff(P.base.n)
@@ -200,36 +158,6 @@ def jet_source(P: ParabolicPolynomial, cutoff: Optional[ScalarField] = None) -> 
     return ScalarField(
         func, P.base.n, tail="compact", support=cutoff.support, name="jet_source"
     )
-
-
-def u_P_part(
-    J: ScalarField, pt: SpaceTimePoint, params: FracParams,
-    center: Optional[SpaceTimePoint] = None,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> tuple:
-    """Contribution of J on the unit past cylinder."""
-    center = center or SpaceTimePoint.of(np.zeros(params.n), 0.0)
-    src = RestrictedSource(J, [(_past(center, 1.0), True)])
-    return kernel_convolve(src, pt, params, quad)
-
-
-def w_P_part(
-    J: ScalarField, r: float, pt: SpaceTimePoint, params: FracParams,
-    center: Optional[SpaceTimePoint] = None,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> tuple:
-    """W_{P,r}: contribution of J outside the past cylinder of radius r."""
-    center = center or SpaceTimePoint.of(np.zeros(params.n), 0.0)
-    src = RestrictedSource(J, [(_past(center, r), False)])
-    return kernel_convolve(src, pt, params, quad)
-
-
-def v_P_part(
-    J: ScalarField, pt: SpaceTimePoint, params: FracParams,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> tuple:
-    """V_P: unrestricted convolution of J; V_P = W_{P,1} + u_P."""
-    return kernel_convolve(J, pt, params, quad)
 
 
 def difference_field(
@@ -265,12 +193,14 @@ def difference_field(
 
 @dataclass
 class DecompositionBundle:
-    """Callable handles for every piece of the internal decomposition.
+    """Callable handles for the nine pieces of the cylinder decomposition.
 
     Each entry maps a SpaceTimePoint to (value, error_estimate).  The
-    identities u = v_r + w_r and w_1 = S_r + T_r + u_P hold pointwise
-    (w_1, S_r, T_r, u_P restrict to past cylinders; v_r and w_r split on
-    the two-sided cylinder).
+    identities u = v_r + w_r, w_1 = S_r + T_r + u_P and V_P = W_{P,1} + u_P
+    hold pointwise: v_r and w_r split f on the two-sided cylinder of radius
+    r; w_1, S_r, T_r and u_P restrict to past cylinders, S_r and T_r
+    carrying f - J; W_P is J outside the past cylinder of radius r (so
+    W_{P,1} at r = 1) and V_P is J unrestricted.
     """
 
     r: float
@@ -283,15 +213,26 @@ class DecompositionBundle:
     S_r: Callable
     T_r: Callable
     u_P: Callable
+    W_P: Callable
+    V_P: Callable
 
 
 def _piece_sources(
-    f: ScalarField, J: ScalarField, fmJ: ScalarField, r: float, center: SpaceTimePoint
+    f: ScalarField,
+    P: ParabolicPolynomial,
+    r: float,
+    params: FracParams,
+    center: SpaceTimePoint,
+    cutoff: Optional[ScalarField] = None,
 ) -> dict:
-    """(field, constraints) of every decomposition piece at radius r: the
-    source each piece convolves and the cylinders that restrict it."""
-    past_r, past_1, two_r = _past(center, r), _past(center, 1.0), _two(center, r)
-    return {
+    """The restricted source every decomposition piece at radius r convolves,
+    with J = P * cutoff."""
+    J = jet_source(P, cutoff)
+    fmJ = difference_field(f, P, params, center=center, cutoff=cutoff)
+    past_r = ParabolicCylinder(center, r, sided="past")
+    past_1 = ParabolicCylinder(center, 1.0, sided="past")
+    two_r = ParabolicCylinder(center, r, sided="two")
+    table = {
         "u": (f, ()),
         "v_r": (f, [(two_r, False)]),
         "w_r": (f, [(two_r, True)]),
@@ -299,7 +240,10 @@ def _piece_sources(
         "S_r": (fmJ, [(past_r, True)]),
         "T_r": (fmJ, [(past_1, True), (past_r, False)]),
         "u_P": (J, [(past_1, True)]),
+        "W_P": (J, [(past_r, False)]),
+        "V_P": (J, ()),
     }
+    return {name: RestrictedSource(*src) for name, src in table.items()}
 
 
 def decompose_internal(
@@ -315,18 +259,13 @@ def decompose_internal(
     if not 0 < r <= 1:
         raise ValueError("r must lie in (0, 1]")
     center = center or SpaceTimePoint.of(np.zeros(params.n), 0.0)
-    J = jet_source(P, cutoff)
-    fmJ = difference_field(f, P, params, center=center, cutoff=cutoff)
 
-    def piece(field, constraints):
-        def value(pt):
-            return kernel_convolve(RestrictedSource(field, constraints), pt, params, quad)
+    def piece(src):
+        return lambda pt: kernel_convolve(src, pt, params, quad)
 
-        return value
-
-    pieces = _piece_sources(f, J, fmJ, r, center)
+    pieces = _piece_sources(f, P, r, params, center, cutoff)
     return DecompositionBundle(
-        r=r, P=P, params=params, **{name: piece(*src) for name, src in pieces.items()}
+        r=r, P=P, params=params, **{name: piece(src) for name, src in pieces.items()}
     )
 
 
@@ -368,12 +307,10 @@ def s_decay_probe(
     """
     center = center or SpaceTimePoint.of(np.zeros(params.n), 0.0)
     radii = sorted(float(r) for r in radii)
-    J = jet_source(P)
-    fmJ = difference_field(f, P, params, center=center)
     avgs = []
     for r in radii:
-        src = RestrictedSource(*_piece_sources(f, J, fmJ, r, center)["S_r"])
-        cyl = _past(center, r)
+        src = _piece_sources(f, P, r, params, center)["S_r"]
+        cyl = ParabolicCylinder(center, r, sided="past")
 
         def val(pt):
             return kernel_convolve(src, pt, params, quad, with_error=False)[0]

@@ -144,3 +144,19 @@ class TestErrorEstimates:
             f, pt, params, QuadratureSpec(tail_mode="bound_only")
         )
         assert crude[1] >= auto[1]
+
+    def test_bound_only_inflates_reduction_estimates(self):
+        # bound_only adds the worst-case tail 2 |u| (tail mass) to the
+        # estimates of both reductions and leaves their values alone
+        crude = QuadratureSpec(tail_mode="bound_only")
+        f = exp_symbol(1.0, [0.0])
+        auto_v, auto_e = apply_marchaud(f, 0.2, 0.5)
+        v, e = apply_marchaud(f, 0.2, 0.5, crude)
+        tail = marchaud_constant(0.5) * 2.0 * math.exp(0.2) * crude.tau_max**-0.5 / 0.5
+        assert v == auto_v
+        assert e >= tail > 1e6 * auto_e
+        params = FracParams(1, 0.5)
+        auto_v, auto_e = apply_fractional_laplacian(gaussian_bump(), 0.3, params)
+        v, e = apply_fractional_laplacian(gaussian_bump(), 0.3, params, crude)
+        assert v == auto_v
+        assert e > 1e4 * auto_e

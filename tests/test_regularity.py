@@ -15,6 +15,7 @@ from fracheat import (
 )
 from fracheat.regularity import (
     NuProfile,
+    _jet_degree,
     classify_pointwise,
     estimate_exponent,
     extract_jet,
@@ -35,6 +36,20 @@ def power_field(beta):
     return ScalarField(func, 1, tail="bounded", name=f"|x|^{beta}")
 
 
+# (alpha, s) -> (floor(alpha + 2s), alpha + 2s is an integer)
+JET_FLOOR = {
+    (0.0, 0.25): (0, False),
+    (0.25, 0.25): (0, False),
+    (0.5, 0.25): (1, True),   # alpha + 2s = 1
+    (0.0, 0.5): (1, True),    # alpha + 2s = 1
+    (0.25, 0.5): (1, False),
+    (0.5, 0.5): (1, False),
+    (0.0, 0.75): (1, False),
+    (0.25, 0.75): (1, False),
+    (0.5, 0.75): (2, True),   # alpha + 2s = 2
+}
+
+
 class TestTargetExponent:
     def test_value(self):
         assert target_exponent(1, 0.5, 0.25) == pytest.approx(2.0)
@@ -43,6 +58,13 @@ class TestTargetExponent:
         assert integer_threshold_kind(0, 0.0, 0.5) == "x-ln"  # k + alpha + 2s = 1
         assert integer_threshold_kind(0, 0.0, 1.0) == "ln"    # even threshold
         assert integer_threshold_kind(0, 0.25, 0.5) is None
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("alpha,s", sorted(JET_FLOOR))
+    def test_jet_degree_table(self, k, alpha, s):
+        fl, integer = JET_FLOOR[(alpha, s)]
+        assert _jet_degree(k, alpha, s) == (k + fl, k + fl - integer)
+        assert (integer_threshold_kind(k, alpha, s) is not None) == integer
 
 
 class TestNuProfile:

@@ -12,10 +12,7 @@ from fracheat import (
     SpaceTimePoint,
     decompose_internal,
     exp_symbol,
-    external_part,
     gaussian_bump,
-    internal_part,
-    jet_source,
     make_cutoff,
     polynomial_field,
     power_cusp,
@@ -23,13 +20,7 @@ from fracheat import (
     synthesize_solution,
     synthesized_field,
 )
-from fracheat.synthesis import (
-    cylinder_average,
-    difference_field,
-    u_P_part,
-    v_P_part,
-    w_P_part,
-)
+from fracheat.synthesis import cylinder_average, difference_field
 
 QUAD = QuadratureSpec(graded_nodes=10, spatial_nodes=12)
 CENTER = SpaceTimePoint.of(0.0, 0.0)
@@ -105,12 +96,14 @@ class TestPartition:
     def test_external_plus_internal_is_whole(self):
         params = FracParams(1, 0.5)
         f = gaussian_bump()
+        bundle = decompose_internal(f, ParabolicPolynomial.zero(1), 0.5, params,
+                                    CENTER, QUAD)
         rng = np.random.default_rng(5)
         for _ in range(5):
             pt = SpaceTimePoint.of(rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3))
             u, ue = synthesize_solution(f, pt, params, QUAD)
-            v, ve = external_part(f, 0.5, pt, params, quad=QUAD)
-            w, we = internal_part(f, 0.5, pt, params, quad=QUAD)
+            v, ve = bundle.v_r(pt)
+            w, we = bundle.w_r(pt)
             assert abs(u - v - w) <= ue + ve + we
 
     def test_polynomial_data_leaves_no_remainder(self):
@@ -151,12 +144,12 @@ class TestPartition:
         P = ParabolicPolynomial(
             1, CENTER, {MultiIndex(sigma=(0, 0)): 1.0, MultiIndex(sigma=(1, 0)): 1.0}
         )
-        J = jet_source(P)
+        bundle = decompose_internal(gaussian_bump(), P, 1.0, params, CENTER, QUAD)
         for xt in [(0.2, 0.1), (-0.4, -0.3)]:
             pt = SpaceTimePoint.of(*xt)
-            vp, vpe = v_P_part(J, pt, params, QUAD)
-            wp, wpe = w_P_part(J, 1.0, pt, params, quad=QUAD)
-            up, upe = u_P_part(J, pt, params, quad=QUAD)
+            vp, vpe = bundle.V_P(pt)
+            wp, wpe = bundle.W_P(pt)
+            up, upe = bundle.u_P(pt)
             assert abs(vp - wp - up) <= 5 * (vpe + wpe + upe)
 
     def test_rejects_radius_above_one(self):
