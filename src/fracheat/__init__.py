@@ -57,6 +57,7 @@ from .regularity import (
     RegularityReport,
     classify_pointwise,
     estimate_exponent,
+    exponent_recovery,
     extract_jet,
     fit_polynomial,
     integer_threshold_kind,

@@ -15,15 +15,12 @@ Subcommands map one-to-one onto the library's entry points:
 Every invocation writes a run manifest (JSON) next to its outputs with the
 exact parameters, a hash of the quadrature settings, and the seed, so runs
 are reproducible bit for bit.  CSV values are printed with 17 significant
-digits in scientific notation.  Point loops honor --threads (or the
-FRACHEAT_THREADS environment variable); results do not depend on the
-thread count.
+digits in scientific notation.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -46,20 +43,14 @@ from .operator import apply_fully_fractional
 from .quadrature import QuadratureSpec
 from .regularity import (
     NuProfile,
-    _jet_degree,
     classify_pointwise,
     estimate_exponent,
+    exponent_recovery,
     extract_jet,
-    fit_polynomial,
     nu_profile,
     target_exponent,
 )
-from .synthesis import (
-    decompose_internal,
-    s_decay_probe,
-    synthesize_solution,
-    synthesized_field,
-)
+from .synthesis import decompose_internal, s_decay_probe, synthesize_solution
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -124,20 +115,6 @@ def _is_number(tok: str) -> bool:
         return False
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("FRACHEAT_THREADS")
-    return max(1, int(env)) if env else 1
-
-
-def _map_points(fn, pts, n_threads: int):
-    if n_threads <= 1:
-        return [fn(p) for p in pts]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=n_threads) as ex:
-        return list(ex.map(fn, pts))
-
-
 def _field_from_args(args, n: int) -> ScalarField:
     spec = args.field
     if os.path.exists(spec):
@@ -171,11 +148,7 @@ def cmd_apply(args) -> int:
     u = _field_from_args(args, params.n)
     pts = _load_points(args.points, params.n)
     t0 = time.time()
-
-    def one(pt):
-        return apply_fully_fractional(u, pt, params, quad)
-
-    results = _map_points(one, pts, _threads(args))
+    results = [apply_fully_fractional(u, pt, params, quad) for pt in pts]
     out = _out_dir(args)
     rows = [
         list(p.x) + [p.t, float(v), float(e)] for p, (v, e) in zip(pts, results)
@@ -186,8 +159,7 @@ def cmd_apply(args) -> int:
     write_manifest(out, "apply", {
         "command": "apply", "n": params.n, "s": params.s,
         "field": u.name, "quad": quad.signature(), "quad_hash": quad_hash(quad),
-        "seed": args.seed, "threads": _threads(args),
-        "outputs": [csv_path.name], "wall_time_s": time.time() - t0,
+        "seed": args.seed, "outputs": [csv_path.name], "wall_time_s": time.time() - t0,
     })
     print(f"wrote {csv_path}")
     return 0
@@ -199,11 +171,7 @@ def cmd_synthesize(args) -> int:
     f = _field_from_args(args, params.n)
     pts = _load_points(args.points, params.n)
     t0 = time.time()
-
-    def one(pt):
-        return synthesize_solution(f, pt, params, quad)
-
-    results = _map_points(one, pts, _threads(args))
+    results = [synthesize_solution(f, pt, params, quad) for pt in pts]
     out = _out_dir(args)
     rows = [list(p.x) + [p.t, float(v), float(e)] for p, (v, e) in zip(pts, results)]
     header = [f"x{i+1}" for i in range(params.n)] + ["t", "value", "err_est"]
@@ -212,8 +180,7 @@ def cmd_synthesize(args) -> int:
     write_manifest(out, "synthesize", {
         "command": "synthesize", "n": params.n, "s": params.s,
         "field": f.name, "quad": quad.signature(), "quad_hash": quad_hash(quad),
-        "seed": args.seed, "threads": _threads(args),
-        "outputs": [csv_path.name], "wall_time_s": time.time() - t0,
+        "seed": args.seed, "outputs": [csv_path.name], "wall_time_s": time.time() - t0,
     })
     print(f"wrote {csv_path}")
     return 0
@@ -397,47 +364,6 @@ def cmd_exponent_recovery(args) -> int:
     return 0
 
 
-def exponent_recovery(
-    f: ScalarField,
-    params: FracParams,
-    k: int,
-    alpha: float,
-    quad: QuadratureSpec = QuadratureSpec(),
-    depth: int = 9,
-    start: int = 3,
-    fit_margin: int = 4,
-    grid: tuple = (48, 48),
-    spatial_only: bool = False,
-) -> dict:
-    """Synthesize, fit a local polynomial, profile the deviation, estimate.
-
-    The fit degree is gamma = k + floor(alpha + 2s); when alpha + 2s is an
-    integer the degree drops to gamma - 1 (threshold case).  The expected
-    exponent of the recovered profile is k + alpha + 2s.  Profile radii run
-    2^-start .. 2^-depth; the polynomial is fitted at 2^-(depth+fit_margin)
-    so the fit residual does not bias the smallest profile radii.
-    """
-    gamma, degree = _jet_degree(k, alpha, params.s)
-    u = synthesized_field(f, params, quad=quad)
-    base = SpaceTimePoint.of([0.0] * params.n, 0.0)
-    radii = [2.0**-i for i in range(start, depth + 1)]
-    fit_r = 2.0 ** -(depth + fit_margin)
-    P = fit_polynomial(u, base, degree, fit_r, grid=grid)
-    prof = nu_profile(u, P, base, radii, grid=grid, spatial_only=spatial_only)
-    est = estimate_exponent(prof)
-    return {
-        "exponent": est["exponent"],
-        "log_correction": est["log_correction"],
-        "expected": target_exponent(k, alpha, params.s),
-        "degree": degree,
-        "integer_threshold": degree != gamma,
-        "radii": [float(r) for r in radii],
-        "nu": [float(v) for v in prof.nu],
-        "raw": [float(v) for v in prof.raw],
-        "poly": P.to_dict(),
-    }
-
-
 def cmd_run(args) -> int:
     cfg = json.loads(Path(args.config).read_text())
     if cfg.get("schema_version", 1) != CONFIG_SCHEMA_VERSION:
@@ -471,7 +397,6 @@ def _add_common(p: argparse.ArgumentParser, with_field=True):
     p.add_argument("--quad", help="path to a quadrature spec JSON")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.add_argument("--threads", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -397,7 +397,7 @@ class ScalarField:
         return (lo, math.inf)
 
 
-def check_slowly_increasing(u: ScalarField, params: FracParams) -> bool:
+def check_slowly_increasing(u: ScalarField) -> bool:
     """Admissibility for the backward-in-time integral defining the operator.
 
     Compact and declared-bounded fields are admissible.  Exponential symbol

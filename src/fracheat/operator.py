@@ -9,7 +9,9 @@ On exp(lam t) cos(k.x) it multiplies by the symbol (lam + |k|^2)^s.  On
 time-independent functions it reduces to the fractional Laplacian, and on
 space-independent functions to the one-sided (Marchaud-type) fractional
 time derivative with constant s / Gamma(1-s), normalized so that
-exp(lam t) maps to lam^s exp(lam t) exactly.
+exp(lam t) maps to lam^s exp(lam t) exactly.  The operator and that time
+derivative are one increment integral (`quadrature._increment`), with the
+Gaussian average and with the point value u(t - tau) as the average.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import math
 
 import numpy as np
 
-from .core import FracParams, ScalarField, SpaceTimePoint, check_slowly_increasing
+from .core import FracParams, ScalarField, SpaceTimePoint
 from .quadrature import (
     QuadratureSpec,
     _graded_bands,
+    _increment,
     _refined,
     _richardson_head,
     increment_integral,
@@ -71,10 +74,6 @@ def apply_fully_fractional(
     """Evaluate the operator at a point; returns (value, error_estimate)."""
     if u.n != params.n:
         raise ValueError("field dimension does not match params")
-    if not check_slowly_increasing(u, params):
-        raise ValueError(
-            "field grows too fast backward in time for the history integral"
-        )
     return increment_integral(u, pt, params, quad)
 
 
@@ -179,47 +178,22 @@ def apply_marchaud(
 
       (s / Gamma(1-s)) int_0^inf (u(t) - u(t - tau)) / tau^(1+s) dtau
 
-    u_time is a ScalarField whose values depend on t only (n = 1, x
-    ignored).  Returns (value, error_estimate).
+    This is the operator's increment integral (`_increment`) with the point
+    value u(t - tau) as the directional average.  u_time is a ScalarField
+    whose values depend on t only (n = 1, x ignored).  Returns (value,
+    error_estimate).
     """
     if not 0 < s < 1:
         raise ValueError("s must lie in (0,1)")
-    Cs = marchaud_constant(s)
+    if u_time.tail == "exponential_symbol" and any(u_time.symbol_params[1]):
+        raise ValueError("u_time must depend on t only (k = 0)")
 
     def uval(ts: np.ndarray) -> np.ndarray:
         return u_time.eval(np.zeros((ts.size, 1)), ts.ravel()).reshape(ts.shape)
 
     u_at = float(uval(np.array([t]))[0])
 
-    tau_hi = quad.tau_max
-    floor = u_time.time_floor
-    if floor is not None and math.isfinite(floor):
-        tau_hi = min(quad.tau_max, max(t - floor, 4.0 * quad.tau_min))
-    breaks = [t - v for v in u_time.time_window() if math.isfinite(v)]
+    def G(tau, band_hi, spec):
+        return u_at - uval(t - tau)
 
-    def one_pass(spec: QuadratureSpec) -> float:
-        tau_lo = spec.tau_min
-        g1 = u_at - float(uval(np.array([t - tau_lo]))[0])
-        g2 = u_at - float(uval(np.array([t - tau_lo / 2.0]))[0])
-        head = _richardson_head(g1, g2, tau_lo, 1.0, 2.0, -1.0 - s)
-        return head + _graded_bands(
-            lambda tau, a, b: (u_at - uval(t - tau)) * tau ** (-1.0 - s),
-            tau_lo, tau_hi, breaks, spec.graded_nodes,
-        )
-
-    tail = u_at * tau_hi ** (-s) / s
-    tail_err = 0.0
-    worst_case = quad.tail_mode == "bound_only"
-    if floor is not None and math.isfinite(floor) and tau_hi >= t - floor:
-        pass  # exact: u vanishes beyond the working range
-    elif u_time.tail == "exponential_symbol":
-        lam, _ = u_time.symbol_params
-        tail_err = abs(u_at) * math.exp(-min(lam * tau_hi, 700.0)) * tau_hi ** (-s) / s
-    else:
-        # no decay assumption: freeze the increment at its tau_hi value
-        tail = (u_at - float(uval(np.array([t - tau_hi]))[0])) * tau_hi ** (-s) / s
-        worst_case = True
-    if worst_case:
-        bound = u_time.bound if u_time.bound is not None else abs(u_at)
-        tail_err = 2.0 * bound * tau_hi ** (-s) / s
-    return _refined(one_pass, quad, tail, tail_err, Cs)
+    return _increment(u_time, t, s, u_at, G, 1.0, marchaud_constant(s), quad)

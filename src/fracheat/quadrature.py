@@ -10,8 +10,10 @@ edges aligned to every time at which the integrand's spatial restriction
 changes shape, plus an analytic head below tau_min where the integrand is
 a pure power.  `_graded_bands` is that band integrator for every kernel
 quadrature of the package (this module, the operator routes and the kernel
-mass), `_richardson_head` their fitted power-law head, and `_refined` the
-fine/coarse error estimate of all but the kernel mass.  The inner
+mass), `_richardson_head` their fitted power-law head, `_refined` the
+fine/coarse error estimate of all but the kernel mass, and `_increment`
+the increment integral of the operator and of its Marchaud reduction, with
+their one tail policy.  The inner
 integral (`_inner`) uses Gauss-Hermite when the admissible region is
 unbounded and mapped Gauss-Legendre panels (with the Gaussian written out
 explicitly) when the region is a union of intervals, so that indicator
@@ -27,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import FracParams, ScalarField, SpaceTimePoint
+from .core import FracParams, ScalarField, SpaceTimePoint, check_slowly_increasing
 from .kernel import _factor_eval
 
 __all__ = [
@@ -472,24 +474,64 @@ def kernel_convolve(
 
 
 # ---------------------------------------------------------------------------
-# Increment-form integral for the operator itself
+# Increment integral of the operator and of its Marchaud reduction
 # ---------------------------------------------------------------------------
 
 
-def _avg_increment(
-    u: ScalarField,
-    pt: SpaceTimePoint,
-    tau: np.ndarray,
-    u_at: float,
-    params: FracParams,
-    quad: QuadratureSpec,
-    band_hi: np.ndarray,
-) -> np.ndarray:
-    """G(tau) = int e^{-w^2} [u(pt) - u(x - 2 sqrt(tau) w, t - tau)] dw."""
-    interval = u.spatial_interval()
-    ints = None if interval is None else [interval]
-    inner = _inner(u, pt.x_array(), pt.t, tau, ints, quad, band_hi, params, None)
-    return math.pi ** (params.n / 2.0) * u_at - inner
+def _increment(
+    u: ScalarField, t: float, s: float, u_at: float, G: Callable, unit: float,
+    scale: float, quad: QuadratureSpec,
+) -> tuple:
+    """(value, err) of scale * int_0^inf tau^(-1-s) G(tau) dtau.
+
+    G(tau, band_hi, spec) = unit * u_at - (directional average of u at
+    t - tau) on the nodes of one band per row.  The working range ends at
+    the field's time floor, or at tau_max if that is nearer; below tau_min
+    a Richardson head fits G = c1 tau + c2 tau^2.  The tail beyond tau_hi,
+    with mass = tau_hi^(-s) / s: for symbol fields unit u_at mass up to
+    e^(-mu tau_hi), mu = lam + |k|^2 (mu = 0: the integral is exactly 0);
+    for a floor inside the working range the same, exactly; for any other
+    field G frozen at tau_hi, with the worst case 2 unit bound mass as its
+    error.  tail_mode "bound_only" makes the error that worst case and
+    leaves the value alone.
+    """
+    if not check_slowly_increasing(u):
+        raise ValueError("field grows too fast backward in time for the history"
+                         " integral")
+    mu = None
+    if u.tail == "exponential_symbol":
+        lam, k = u.symbol_params
+        mu = lam + float(np.dot(k, k))
+        if mu == 0.0:
+            return 0.0, 0.0
+    floor = u.time_floor
+    tau_hi = quad.tau_max
+    if floor is not None and math.isfinite(floor):
+        tau_hi = min(quad.tau_max, max(t - floor, 4.0 * quad.tau_min))
+    breaks = [t - v for v in u.time_window() if math.isfinite(v)]
+
+    def one_pass(spec: QuadratureSpec) -> float:
+        lo = spec.tau_min
+        g1, g2 = G(np.array([[lo], [lo / 2]]), np.array([lo, lo]), spec)[:, 0]
+        head = _richardson_head(g1, g2, lo, 1.0, 2.0, -1.0 - s)
+        return head + _graded_bands(
+            lambda tau, a, b: tau ** (-1.0 - s) * G(tau, b, spec),
+            lo, tau_hi, breaks, spec.graded_nodes,
+        )
+
+    mass = tau_hi ** (-s) / s
+    bound = u.bound if u.bound is not None else abs(u_at)
+    worst = 2.0 * unit * bound * mass
+    tail, tail_err = unit * u_at * mass, worst
+    if mu is not None:
+        tail_err = unit * abs(u_at) * math.exp(-min(mu * tau_hi, 700.0)) * mass
+    elif floor is not None and tau_hi >= t - floor:
+        tail_err = 0.0  # exact: u vanishes beyond the working range
+    else:  # no decay assumption available: freeze G at its tau_hi value
+        tail = G(np.array([[tau_hi]]), np.array([tau_hi]), quad)[0, 0] * mass
+    if quad.tail_mode == "bound_only":
+        tail_err = worst
+    return _refined(one_pass, quad, tail, tail_err, scale)
 
 
 def increment_integral(
@@ -501,62 +543,17 @@ def increment_integral(
     """Backward space-time increment integral of the fractional heat operator.
 
     value = c 2^n int_0^inf tau^(-1-s) G(tau) dtau with G the Gaussian
-    increment average.  Head below tau_min by two-level Richardson in the
-    expansion G = c1 tau + c2 tau^2; tail above the working range handled
-    analytically from the field's tail class.  Returns (value, error).
+    increment average int e^{-w^2} [u(pt) - u(x - 2 sqrt(tau) w, t - tau)] dw,
+    by `_increment`.  Returns (value, error).
     """
-    n, s = params.n, params.s
-    c2n = params.c_ns * 2.0**n
+    interval = u.spatial_interval()
+    ints = None if interval is None else [interval]
+    unit = math.pi ** (params.n / 2.0)
     u_at = u.eval_at(pt)
-    t = pt.t
 
-    mu = None
-    if u.tail == "exponential_symbol":
-        lam, k = u.symbol_params
-        mu = lam + float(np.dot(k, k))
-        if mu == 0.0:
-            return 0.0, 0.0
+    def G(tau, band_hi, spec):
+        inner = _inner(u, pt.x_array(), pt.t, tau, ints, spec, band_hi, params, None)
+        return unit * u_at - inner
 
-    tau_hi = quad.tau_max
-    floor = u.time_floor
-    if floor is not None and math.isfinite(floor):
-        tau_hi = min(quad.tau_max, max(t - floor, 4.0 * quad.tau_min))
-
-    breaks = [t - v for v in u.time_window() if math.isfinite(v)]
-
-    def quad_pass(spec: QuadratureSpec) -> float:
-        def G(tau, band_hi):
-            return _avg_increment(u, pt, tau, u_at, params, spec, band_hi)
-
-        lo = spec.tau_min
-        # Richardson head from G(lo) and G(lo / 2)
-        g1, g2 = G(np.array([[lo], [lo / 2]]), np.array([lo, lo]))[:, 0]
-        head = _richardson_head(g1, g2, lo, 1.0, 2.0, -1.0 - s)
-        bands = _graded_bands(
-            lambda tau, a, b: tau ** (-1.0 - s) * G(tau, b),
-            lo, tau_hi, breaks, spec.graded_nodes,
-        )
-        return c2n * (head + bands)
-
-    # analytic tail beyond the working range
-    tail_mass = tau_hi ** (-s) / (s * params.abs_gamma)
-    tail = u_at * tail_mass
-    tail_err = 0.0
-    if quad.tail_mode == "bound_only":
-        bound = u.bound if u.bound is not None else abs(u_at)
-        tail_err = 2.0 * bound * tail_mass
-    elif u.tail == "exponential_symbol":
-        # G -> pi^{n/2} u(pt) up to e^{-mu tau} corrections
-        tail_err = abs(u_at) * math.exp(-min(mu * tau_hi, 700.0)) * tail_mass
-    elif floor is not None and math.isfinite(floor) and tau_hi >= t - floor:
-        tail_err = 0.0  # exact: the field vanishes beyond the working range
-    elif u.tail == "bounded":
-        # no decay assumption available: freeze G at its tau_hi value
-        g_hi = _avg_increment(
-            u, pt, np.array([[tau_hi]]), u_at, params, quad, np.array([tau_hi])
-        )[0, 0]
-        tail = c2n * g_hi * tau_hi ** (-s) / s
-        bound = u.bound if u.bound is not None else abs(u_at)
-        tail_err = 2.0 * bound * tail_mass
-    return _refined(quad_pass, quad, tail, tail_err)
-
+    scale = params.c_ns * 2.0**params.n
+    return _increment(u, pt.t, params.s, u_at, G, unit, scale, quad)

@@ -12,7 +12,8 @@ logarithmically corrected class.  `estimate_exponent` fits the decay rate
 of nu directly, optionally against a model with an |ln r| factor.
 `extract_jet` reconstructs the Taylor jet of a synthesized solution from
 annulus contributions with closed-form kernel derivatives, following the
-scale-iteration that produces the limit jet.
+scale-iteration that produces the limit jet.  `exponent_recovery` is the
+end-to-end pipeline: synthesize, fit, profile, estimate.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .core import (
     multi_indices,
 )
 from .quadrature import QuadratureSpec, kernel_convolve
-from .synthesis import _piece_sources
+from .synthesis import _piece_sources, synthesized_field
 
 __all__ = [
     "NuProfile",
@@ -45,6 +46,7 @@ __all__ = [
     "extract_jet",
     "target_exponent",
     "integer_threshold_kind",
+    "exponent_recovery",
 ]
 
 
@@ -472,3 +474,44 @@ def extract_jet(
                 lims[mi.sigma] = float(seq[-1])
         limits[j] = lims
     return JetSequence(eta, gamma, polys, diffs, rates, limits, cauchy)
+
+
+def exponent_recovery(
+    f: ScalarField,
+    params: FracParams,
+    k: int,
+    alpha: float,
+    quad: QuadratureSpec = QuadratureSpec(),
+    depth: int = 9,
+    start: int = 3,
+    fit_margin: int = 4,
+    grid: tuple = (48, 48),
+    spatial_only: bool = False,
+) -> dict:
+    """Synthesize, fit a local polynomial, profile the deviation, estimate.
+
+    The fit degree is gamma = k + floor(alpha + 2s); when alpha + 2s is an
+    integer the degree drops to gamma - 1 (threshold case).  The expected
+    exponent of the recovered profile is k + alpha + 2s.  Profile radii run
+    2^-start .. 2^-depth; the polynomial is fitted at 2^-(depth+fit_margin)
+    so the fit residual does not bias the smallest profile radii.
+    """
+    gamma, degree = _jet_degree(k, alpha, params.s)
+    u = synthesized_field(f, params, quad=quad)
+    base = SpaceTimePoint.of([0.0] * params.n, 0.0)
+    radii = [2.0**-i for i in range(start, depth + 1)]
+    fit_r = 2.0 ** -(depth + fit_margin)
+    P = fit_polynomial(u, base, degree, fit_r, grid=grid)
+    prof = nu_profile(u, P, base, radii, grid=grid, spatial_only=spatial_only)
+    est = estimate_exponent(prof)
+    return {
+        "exponent": est["exponent"],
+        "log_correction": est["log_correction"],
+        "expected": target_exponent(k, alpha, params.s),
+        "degree": degree,
+        "integer_threshold": degree != gamma,
+        "radii": [float(r) for r in radii],
+        "nu": [float(v) for v in prof.nu],
+        "raw": [float(v) for v in prof.raw],
+        "poly": P.to_dict(),
+    }

@@ -162,14 +162,13 @@ def jet_source(P: ParabolicPolynomial, cutoff: Optional[ScalarField] = None) -> 
 
 def difference_field(
     f: ScalarField,
-    P: ParabolicPolynomial,
+    J: ScalarField,
     params: FracParams,
     center: Optional[SpaceTimePoint] = None,
-    cutoff: Optional[ScalarField] = None,
 ) -> ScalarField:
-    """f - J with J = P * psi, as a compact field (both pieces are compact)."""
+    """f - J for the jet source J = P * psi (`jet_source`), as a compact field
+    (both pieces are compact)."""
     center = center or SpaceTimePoint.of(np.zeros(params.n), 0.0)
-    J = jet_source(P, cutoff)
 
     def diff_eval(x, t):
         return f.eval(x, t) - J.eval(x, t)
@@ -228,7 +227,7 @@ def _piece_sources(
     """The restricted source every decomposition piece at radius r convolves,
     with J = P * cutoff."""
     J = jet_source(P, cutoff)
-    fmJ = difference_field(f, P, params, center=center, cutoff=cutoff)
+    fmJ = difference_field(f, J, params, center=center)
     past_r = ParabolicCylinder(center, r, sided="past")
     past_1 = ParabolicCylinder(center, 1.0, sided="past")
     two_r = ParabolicCylinder(center, r, sided="two")

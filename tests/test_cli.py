@@ -61,16 +61,6 @@ class TestApply:
         _, data = read_csv(tmp_path / "apply.csv")
         assert len(data) == 2
 
-    def test_thread_count_does_not_change_values(self, tmp_path):
-        argv = ["apply", "--field",
-                json.dumps({"kind": "exp_symbol", "lam": 1.0, "k": [1.0]}),
-                "--points", "0 0;0.2 0.1;0.4 0.3"]
-        main(argv + ["--out-dir", str(tmp_path / "a")])
-        main(argv + ["--out-dir", str(tmp_path / "b"), "--threads", "3"])
-        _, a = read_csv(tmp_path / "a" / "apply.csv")
-        _, b = read_csv(tmp_path / "b" / "apply.csv")
-        assert a == b
-
 
 class TestSynthesize:
     def test_writes_values_and_manifest(self, tmp_path):

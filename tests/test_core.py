@@ -138,10 +138,9 @@ class TestScalarField:
     def test_slowly_increasing_admits_nonnegative_growth(self):
         from fracheat import exp_symbol
 
-        p = FracParams(1, 0.5)
-        assert check_slowly_increasing(exp_symbol(1.0, [0.0], 1), p)
-        assert check_slowly_increasing(exp_symbol(0.0, [2.0], 1), p)
-        assert not check_slowly_increasing(exp_symbol(-1.0, [0.0], 1), p)
+        assert check_slowly_increasing(exp_symbol(1.0, [0.0], 1))
+        assert check_slowly_increasing(exp_symbol(0.0, [2.0], 1))
+        assert not check_slowly_increasing(exp_symbol(-1.0, [0.0], 1))
 
     def test_time_window_infinite_by_default(self):
         f = ScalarField(lambda x, t: np.zeros(len(np.atleast_1d(t))), 1,

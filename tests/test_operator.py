@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,6 +77,12 @@ class TestEigenfunctions:
         f = exp_symbol(-1.0, [0.0], 1)  # blows up backwards in time
         with pytest.raises(ValueError):
             apply_fully_fractional(f, POINTS[0], params, QUAD)
+        # the Marchaud reduction rejects it too, before any quadrature
+        with pytest.raises(ValueError):
+            apply_marchaud(exp_symbol(-0.5, [0.0]), 0.1, 0.5)
+        # and a field that depends on x is no time profile
+        with pytest.raises(ValueError):
+            apply_marchaud(exp_symbol(0.0, [2.0]), 0.1, 0.5)
 
 
 class TestFractionalLaplacian:
@@ -123,6 +130,7 @@ class TestMarchaud:
                             bound=1.0)
         val, err = apply_marchaud(flat, 0.5, 0.4, QUAD)
         assert val == pytest.approx(0.0, abs=1e-10)
+        assert apply_marchaud(exp_symbol(0.0, [0.0]), 0.3, 0.5) == (0.0, 0.0)
 
 
 class TestErrorEstimates:
@@ -136,14 +144,19 @@ class TestErrorEstimates:
             assert abs(val - truth) <= max(5 * err, 1e-9 * abs(truth))
 
     def test_bound_only_tail_mode_inflates_error(self):
-        params = FracParams(1, 0.5)
-        f = gaussian_bump()
-        pt = SpaceTimePoint.of(0.1, 0.05)
-        auto = apply_fully_fractional(f, pt, params, QUAD)
-        crude = apply_fully_fractional(
-            f, pt, params, QuadratureSpec(tail_mode="bound_only")
-        )
-        assert crude[1] >= auto[1]
+        # bound_only moves the estimate only, also for a bounded history
+        lorentz = time_profile(lambda t: 1.0 / (1.0 + t**2), bound=1.0)
+        for f, pt, params, quad in [
+            (gaussian_bump(), SpaceTimePoint.of(0.1, 0.05), FracParams(1, 0.5), QUAD),
+            (lorentz, SpaceTimePoint.of(0.0, 0.5), FracParams(1, 0.7),
+             QuadratureSpec(graded_nodes=8)),
+        ]:
+            auto = apply_fully_fractional(f, pt, params, quad)
+            crude = apply_fully_fractional(
+                f, pt, params, replace(quad, tail_mode="bound_only")
+            )
+            assert crude[0] == auto[0]
+            assert crude[1] >= auto[1]
 
     def test_bound_only_inflates_reduction_estimates(self):
         # bound_only adds the worst-case tail 2 |u| (tail mass) to the

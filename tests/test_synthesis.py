@@ -20,7 +20,7 @@ from fracheat import (
     synthesize_solution,
     synthesized_field,
 )
-from fracheat.synthesis import cylinder_average, difference_field
+from fracheat.synthesis import cylinder_average, difference_field, jet_source
 
 QUAD = QuadratureSpec(graded_nodes=10, spatial_nodes=12)
 CENTER = SpaceTimePoint.of(0.0, 0.0)
@@ -164,7 +164,7 @@ class TestDifferenceField:
         P = ParabolicPolynomial(0, CENTER, {MultiIndex(sigma=(0, 0)): 2.0})
         f = gaussian_bump()
         params = FracParams(1, 0.5)
-        d = difference_field(f, P, params)
+        d = difference_field(f, jet_source(P), params)
         x = np.array([[0.1]])
         t = np.array([-0.05])
         psi = make_cutoff(1)
