@@ -18,6 +18,16 @@ integral (`_inner`) uses Gauss-Hermite when the admissible region is
 unbounded and mapped Gauss-Legendre panels (with the Gaussian written out
 explicitly) when the region is a union of intervals, so that indicator
 boundaries are hit exactly instead of being smeared.
+
+The panel rule (`_inner_intervals`) makes one field call per interval: the
+panels of every node of every band are laid out in one array, and each
+panel-count block is summed one node per row, so that a node's terms add
+in the order of a sum over its (panel, Gauss node) axes.  A convolution
+asks its source for the admissible region once per break segment, since
+the region changes only at the source's time breakpoints, which are band
+edges.  The band layout (`_band_layout`) is cached: consecutive
+quadratures at one time share it.  Cached node tables and layouts are
+read-only.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ __all__ = [
 ]
 
 W_MAX = 8.6  # Gaussian window half-width; exp(-W_MAX^2) ~ 5e-33
+MAX_PANELS = 10  # spatial panels per window, at most
 
 
 @dataclass(frozen=True)
@@ -98,14 +109,21 @@ class QuadratureSpec:
         }
 
 
+def _read_only(*arrays) -> tuple:
+    """The arrays, made read-only: cached tables are shared by every caller."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=128)
 def gauss_legendre(order: int):
-    return np.polynomial.legendre.leggauss(order)
+    return _read_only(*np.polynomial.legendre.leggauss(order))
 
 
 @lru_cache(maxsize=64)
 def gauss_hermite(order: int):
-    return np.polynomial.hermite.hermgauss(order)
+    return _read_only(*np.polynomial.hermite.hermgauss(order))
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +235,18 @@ def _band_edges(tau_lo: float, tau_hi: float, breakpoints: Sequence[float]):
     return sorted(edges)
 
 
+@lru_cache(maxsize=256)
+def _band_layout(lo: float, hi: float, breaks: tuple) -> tuple:
+    """Read-only band ends a, b, midpoints and half-widths of `_graded_bands`.
+
+    Consecutive quadratures at one time share the layout: every convolution
+    at one t, fine and coarse pass alike, has the same range and breaks.
+    """
+    edges = np.array(_band_edges(lo, hi, breaks))
+    a, b = edges[:-1], edges[1:]
+    return _read_only(a, b, 0.5 * (a + b), 0.5 * (b - a))
+
+
 def _graded_bands(integrand: Callable, lo: float, hi: float, breaks, nodes) -> float:
     """int_lo^hi integrand over dyadic bands graded toward lo.
 
@@ -226,12 +256,10 @@ def _graded_bands(integrand: Callable, lo: float, hi: float, breaks, nodes) -> f
     integrand(tau, a, b) gets the nodes tau, shape (bands, order), of the
     bands [a_i, b_i] and returns the integrand there, same shape.
     """
-    edges = _band_edges(lo, hi, breaks)
-    pairs = list(zip(edges[:-1], edges[1:]))
+    a, b, mid, half = _band_layout(lo, hi, tuple(breaks))
+    pairs = zip(a.tolist(), b.tolist())
     orders = np.array([nodes(*p) if callable(nodes) else nodes for p in pairs])
-    a, b = np.array(pairs).reshape(-1, 2).T
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    sums = np.empty(len(pairs))
+    sums = np.empty(len(a))
     for order in dict.fromkeys(orders.tolist()):
         rows = orders == order
         gl_x, gl_w = gauss_legendre(order)
@@ -265,6 +293,14 @@ def _refined(
     return value, scale * (abs(fine - coarse) + tail_err) + 1e-13 * abs(value) + 1e-16
 
 
+# _PANEL_EDGES[p, k]: edge k of a window cut into p panels, as np.linspace
+# places it (k / p to the last bit, and the last edge exactly 1)
+_PANEL_EDGES = np.array([
+    np.pad(np.linspace(0.0, 1.0, p + 1), (0, MAX_PANELS - p)) for p in range(MAX_PANELS + 1)
+])
+_PANEL_EDGES.flags.writeable = False
+
+
 def _inner_intervals(
     field_eval: Callable,
     x: float,
@@ -278,10 +314,14 @@ def _inner_intervals(
     """int e^{-w^2} g(x - 2 sqrt(tau) w, t - tau) [phi] dw over mapped intervals.
 
     tau holds the nodes of one band per row; each band gets as many panels
-    as its widest window needs.  Returns the integral at every node.
+    as its widest window needs.  Per interval, the panels of every node are
+    laid out in one array, the nodes stably ordered by panel count, for one
+    field evaluation; each panel-count block is then summed one node per
+    row.  Returns the integral at every node.
     """
     sq = 2.0 * np.sqrt(tau)
-    inner = np.zeros(tau.shape)
+    inner = np.zeros(tau.size)
+    n_nodes = tau.shape[1]
     gl_x, gl_w = gauss_legendre(spatial_nodes)
     for lo, hi in ints:
         y_lo = np.maximum(lo, x - W_MAX * sq)
@@ -290,27 +330,45 @@ def _inner_intervals(
         w_lo = (x - y_hi) / sq
         w_hi = (x - y_lo) / sq
         max_len = np.max(w_hi - w_lo, axis=1)
-        panels = np.where(max_len > 0, np.clip(np.ceil(max_len / 2.0), 1, 10), 0)
-        for n_panels in np.unique(panels[panels > 0]).astype(int):
-            rows = panels == n_panels
-            r_tau, r_sq, r_lo = tau[rows].ravel(), sq[rows].ravel(), w_lo[rows].ravel()
-            frac = np.linspace(0.0, 1.0, n_panels + 1)
-            edges = r_lo[:, None] + (w_hi[rows].ravel() - r_lo)[:, None] * frac[None, :]
-            mids = 0.5 * (edges[:, 1:] + edges[:, :-1])
-            halfs = 0.5 * (edges[:, 1:] - edges[:, :-1])
-            w = mids[:, :, None] + halfs[:, :, None] * gl_x
-            y = x - r_sq[:, None, None] * w
-            eta = np.repeat(t - r_tau, w[0].size)
-            vals = field_eval(y.reshape(-1, 1), eta).reshape(y.shape)
-            integ = vals * np.exp(-(w * w))
-            if deriv is not None:
-                tau3 = np.broadcast_to(r_tau[:, None, None], y.shape)
-                integ = integ * _factor_eval(
-                    params, deriv, (r_sq[:, None, None] * w)[..., None], tau3
-                )
-            wq = halfs[:, :, None] * gl_w
-            inner[rows] += np.sum(integ * wq, axis=(1, 2)).reshape(-1, tau.shape[1])
-    return inner
+        panels = np.where(max_len > 0, np.clip(np.ceil(max_len / 2.0), 1, MAX_PANELS), 0)
+        panels = panels.astype(int)
+        bands = np.argsort(panels, kind="stable")
+        bands = bands[panels[bands] > 0]
+        if not len(bands):
+            continue
+        # the nodes of those bands, and one row per panel: its node, its
+        # panel count and its index among the node's panels
+        node = (bands[:, None] * n_nodes + np.arange(n_nodes)).ravel()
+        p_node = np.repeat(panels[bands], n_nodes)
+        row_node = np.repeat(node, p_node)
+        p_row = np.repeat(p_node, p_node)
+        k_row = np.arange(len(row_node)) - np.repeat(np.cumsum(p_node) - p_node, p_node)
+        r_tau, r_sq = tau.ravel()[row_node], sq.ravel()[row_node]
+        r_lo = w_lo.ravel()[row_node]
+        span = w_hi.ravel()[row_node] - r_lo
+        e_lo = r_lo + span * _PANEL_EDGES[p_row, k_row]
+        e_hi = r_lo + span * _PANEL_EDGES[p_row, k_row + 1]
+        mids, halfs = 0.5 * (e_hi + e_lo), 0.5 * (e_hi - e_lo)
+        w = mids[:, None] + halfs[:, None] * gl_x
+        y = x - r_sq[:, None] * w
+        eta = np.repeat(t - r_tau, spatial_nodes)
+        vals = field_eval(y.reshape(-1, 1), eta).reshape(y.shape)
+        integ = vals * np.exp(-(w * w))
+        if deriv is not None:
+            tau2 = np.broadcast_to(r_tau[:, None], y.shape)
+            integ *= _factor_eval(params, deriv, (r_sq[:, None] * w)[..., None], tau2)
+        integ *= halfs[:, None] * gl_w
+        # a block's row sum adds in the order of a sum over (panel, node) axes
+        sums = np.empty(len(node))
+        start = row = 0
+        bands_with = np.bincount(panels[bands])
+        for p in np.flatnonzero(bands_with):
+            m = bands_with[p] * n_nodes
+            block = integ[row : row + p * m].reshape(m, p * spatial_nodes)
+            sums[start : start + m] = np.sum(block, axis=1)
+            start, row = start + m, row + p * m
+        inner[node] += sums
+    return inner.reshape(tau.shape)
 
 
 @lru_cache(maxsize=64)
@@ -319,7 +377,7 @@ def _hermite_grid(order: int, n: int):
     gx, gw = gauss_hermite(order)
     wpts = np.stack([g.ravel() for g in np.meshgrid(*[gx] * n, indexing="ij")], axis=-1)
     wq = np.prod(np.meshgrid(*[gw] * n, indexing="ij"), axis=0).ravel()
-    return wpts, wq
+    return _read_only(wpts, wq)
 
 
 def _inner_unbounded(
@@ -431,12 +489,20 @@ def _convolve_once(
     if tau_hi <= tau_lo:
         return total
 
+    breaks = [t - b for b in source.time_breakpoints()]
+    cuts = np.sort(breaks)
+
     def integrand(tau, a, b):
-        # bands with the same admissible region share one inner evaluation
+        # the admissible region changes only at the breaks, which are band
+        # edges: one region per break segment, and one inner evaluation for
+        # the bands of each distinct region
+        mid = 0.5 * (a + b)
+        segment = np.searchsorted(cuts, mid)
         groups = {}
-        for i, mid in enumerate(0.5 * (a + b)):
-            ints = source.intervals(t - mid)
-            groups.setdefault(None if ints is None else tuple(ints), []).append(i)
+        for seg in dict.fromkeys(segment.tolist()):
+            rows = np.flatnonzero(segment == seg)
+            ints = source.intervals(t - mid[rows[0]])
+            groups.setdefault(None if ints is None else tuple(ints), []).extend(rows)
         inner = np.empty(tau.shape)
         for ints, rows in groups.items():
             inner[rows] = _inner(
@@ -444,7 +510,6 @@ def _convolve_once(
             )
         return tau ** (s - 1.0) * inner
 
-    breaks = [t - b for b in source.time_breakpoints()]
     # solution-kernel constant: the convolution inverts the operator exactly
     c2n = params.c_inv * 2.0**params.n
     return total + c2n * _graded_bands(integrand, tau_lo, tau_hi, breaks, quad.graded_nodes)

@@ -29,7 +29,18 @@ from fracheat import (
     time_profile,
 )
 from fracheat.cli import quad_hash
-from fracheat.quadrature import _graded_bands, _richardson_head
+from fracheat.kernel import _factor_eval
+from fracheat.quadrature import (
+    _PANEL_EDGES,
+    W_MAX,
+    _band_layout,
+    _graded_bands,
+    _hermite_grid,
+    _inner_intervals,
+    _richardson_head,
+    gauss_hermite,
+    gauss_legendre,
+)
 
 COARSE = QuadratureSpec(graded_nodes=8, spatial_nodes=10)
 
@@ -192,3 +203,101 @@ def test_richardson_head_exact(p, q, w):
 def test_default_spec_hash():
     """Run manifests of the default settings keep their quadrature hash."""
     assert quad_hash(QuadratureSpec()) == "aefe4660c258b788"
+
+
+@pytest.mark.parametrize("arrays", [
+    lambda: gauss_legendre(8),
+    lambda: gauss_hermite(8),
+    lambda: _hermite_grid(8, 2),
+    lambda: _band_layout(1e-3, 1.0, (0.3,)),
+    lambda: (_PANEL_EDGES,),
+], ids=["gauss_legendre", "gauss_hermite", "hermite_grid", "band_layout", "panel_edges"])
+def test_cached_arrays_are_read_only(arrays):
+    """A write into a cached node table would corrupt every later quadrature."""
+    for arr in arrays():
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def _inner_intervals_per_count(field_eval, x, t, tau, ints, spatial_nodes, params, deriv,
+                               counts):
+    """Reference inner rule: one field evaluation per interval and panel
+    count, each count's bands summed over their (panel, node) axes."""
+    sq = 2.0 * np.sqrt(tau)
+    inner = np.zeros(tau.shape)
+    gl_x, gl_w = gauss_legendre(spatial_nodes)
+    for lo, hi in ints:
+        y_lo = np.maximum(lo, x - W_MAX * sq)
+        y_hi = np.maximum(np.minimum(hi, x + W_MAX * sq), y_lo)
+        w_lo = (x - y_hi) / sq
+        w_hi = (x - y_lo) / sq
+        max_len = np.max(w_hi - w_lo, axis=1)
+        panels = np.where(max_len > 0, np.clip(np.ceil(max_len / 2.0), 1, 10), 0)
+        for n_panels in np.unique(panels[panels > 0]).astype(int):
+            counts.add(int(n_panels))
+            rows = panels == n_panels
+            r_tau, r_sq, r_lo = tau[rows].ravel(), sq[rows].ravel(), w_lo[rows].ravel()
+            frac = np.linspace(0.0, 1.0, n_panels + 1)
+            edges = r_lo[:, None] + (w_hi[rows].ravel() - r_lo)[:, None] * frac[None, :]
+            mids = 0.5 * (edges[:, 1:] + edges[:, :-1])
+            halfs = 0.5 * (edges[:, 1:] - edges[:, :-1])
+            w = mids[:, :, None] + halfs[:, :, None] * gl_x
+            y = x - r_sq[:, None, None] * w
+            eta = np.repeat(t - r_tau, w[0].size)
+            vals = field_eval(y.reshape(-1, 1), eta).reshape(y.shape)
+            integ = vals * np.exp(-(w * w))
+            if deriv is not None:
+                tau3 = np.broadcast_to(r_tau[:, None, None], y.shape)
+                integ = integ * _factor_eval(
+                    params, deriv, (r_sq[:, None, None] * w)[..., None], tau3
+                )
+            wq = halfs[:, :, None] * gl_w
+            inner[rows] += np.sum(integ * wq, axis=(1, 2)).reshape(-1, tau.shape[1])
+    return inner
+
+
+@pytest.mark.parametrize("deriv", [None, (1, 0)])
+def test_inner_intervals_matches_per_count_loop(deriv):
+    """One field evaluation per non-empty interval gives the same bits as a
+    loop over panel counts, on bands whose panel counts run from 1 to 9."""
+    params = FracParams(1, 0.4)
+    field = power_cusp(0.5)
+    calls = []
+
+    def field_eval(y, eta):
+        calls.append(len(eta))
+        return field.eval(y, eta)
+
+    # bands of 4 nodes from tau = 1e-3 to 8, a third of an octave wide: the
+    # windows of the first two intervals span from 1 to 9 panels, and the
+    # third interval lies outside every window
+    edges = 1e-3 * 2.0 ** (np.arange(40) / 3.0)
+    gl_x, _ = gauss_legendre(4)
+    tau = 0.5 * (edges[:-1] + edges[1:])[:, None] + 0.5 * np.diff(edges)[:, None] * gl_x
+    ints = [(-6.0, 9.0), (-40.0, -12.0), (500.0, 600.0)]
+    counts = set()
+    want = _inner_intervals_per_count(field.eval, 0.2, 0.3, tau, ints, 10, params, deriv,
+                                      counts)
+    assert counts == set(range(1, 10))
+    got = _inner_intervals(field_eval, 0.2, 0.3, tau, ints, 10, params, deriv)
+    assert np.array_equal(got, want)
+    assert len(calls) == 2
+
+
+def test_admissible_region_once_per_break_segment():
+    """A restricted convolution asks for the admissible region once per break
+    segment and pass, not once per band; its value stays the golden one."""
+    source = _restricted()
+    asked = []
+
+    class Counting(RestrictedSource):
+        def intervals(self, eta):
+            asked.append(eta)
+            return super().intervals(eta)
+
+    counting = Counting(source.field, source.constraints)
+    value, err = kernel_convolve(counting, SpaceTimePoint.of(0.1, 0.0), FracParams(1, 0.5),
+                                 COARSE)
+    assert (value, err) == pytest.approx(GOLDEN["conv_restricted"], rel=1e-12, abs=0.0)
+    segments = len(source.time_breakpoints()) + 1
+    assert 0 < len(asked) <= 2 * segments
