@@ -300,12 +300,6 @@ class ParabolicPolynomial:
         """sum over parabolic orders j <= k of sum_{|sigma|=j} |D^sigma P(base)|."""
         return sum(abs(a) for a in self.coeffs.values())
 
-    def degree_slice(self, j: int) -> float:
-        """sum_{|sigma|=j} |D^sigma P(base)|."""
-        return sum(
-            abs(a) for mi, a in self.coeffs.items() if mi.parabolic_degree == j
-        )
-
     def to_dict(self) -> dict:
         order = multi_indices(self.base.n, self.k)
         return {

@@ -163,11 +163,12 @@ def kernel_mass(params: FracParams, T: float) -> tuple:
     pi^{n/2} exactly, leaving the time integral of c 2^n pi^{n/2} t^(s-1),
     handled with dyadic bands plus an analytic head where the integrand is
     a pure power.  The accuracy is fixed: the value comes from 12 nodes per
-    band and the estimate from its difference to 6.  Closed form for
-    cross-checking: T^s / Gamma(1-s).
+    band and the estimate from its difference to the coarsened 6, with a
+    relative floor of 1e-14.  Closed form for cross-checking:
+    T^s / Gamma(1-s).
     """
-    # quadrature imports this module, so the band integrator is imported here
-    from .quadrature import _graded_bands
+    # quadrature imports this module, so its integrators are imported here
+    from .quadrature import QuadratureSpec, _graded_bands, _refined
 
     if T <= 0:
         raise ValueError("T must be positive")
@@ -175,13 +176,11 @@ def kernel_mass(params: FracParams, T: float) -> tuple:
     c = params.c_ns * 2.0**params.n * math.pi ** (params.n / 2.0)
     lo = T * 1e-12
 
-    def time_integral(nodes_per_band: int) -> float:
-        bands = _graded_bands(lambda t, a, b: t ** (s - 1.0), lo, T, (), nodes_per_band)
+    def time_integral(spec) -> float:
+        bands = _graded_bands(lambda t, a, b: t ** (s - 1.0), lo, T, (), spec.graded_nodes)
         return c * (lo**s / s + bands)  # exact power head below lo
 
-    fine = time_integral(12)
-    coarse = time_integral(6)
-    return fine, abs(fine - coarse) + abs(fine) * 1e-14
+    return _refined(time_integral, QuadratureSpec(graded_nodes=12), floor=(1e-14, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,15 @@ edges aligned to every time at which the integrand's spatial restriction
 changes shape, plus an analytic head below tau_min where the integrand is
 a pure power.  `_graded_bands` is that band integrator for every kernel
 quadrature of the package (this module, the operator routes and the kernel
-mass), `_richardson_head` their fitted power-law head, `_refined` the
-fine/coarse error estimate of all but the kernel mass, and `_increment`
-the increment integral of the operator and of its Marchaud reduction, with
-their one tail policy.  The inner
-integral (`_inner`) uses Gauss-Hermite when the admissible region is
+mass), `_richardson_head` their fitted power-law head, `_refined` their
+fine/coarse error estimate, and `_increment` the increment integral of the
+operator and of its Marchaud reduction, with their one tail policy.  The
+inner integral (`_inner`) uses Gauss-Hermite when the admissible region is
 unbounded and mapped Gauss-Legendre panels (with the Gaussian written out
 explicitly) when the region is a union of intervals, so that indicator
-boundaries are hit exactly instead of being smeared.
+boundaries are hit exactly instead of being smeared.  The Hermite rule
+(`_inner_unbounded`) takes the bands of one order (`_gh_orders`) together,
+one field call per block of at most BLOCK points.
 
 The panel rule (`_inner_intervals`) makes one field call per interval: the
 panels of every node of every band are laid out in one array, and each
@@ -53,6 +54,7 @@ __all__ = [
 
 W_MAX = 8.6  # Gaussian window half-width; exp(-W_MAX^2) ~ 5e-33
 MAX_PANELS = 10  # spatial panels per window, at most
+BLOCK = 2**16  # Gauss-Hermite points per field call, at most (one node at least)
 
 
 @dataclass(frozen=True)
@@ -282,15 +284,16 @@ def _richardson_head(g1: float, g2: float, lo: float, p: float, q: float, w: flo
 
 def _refined(
     one_pass: Callable, quad: QuadratureSpec, tail: float = 0.0, tail_err: float = 0.0,
-    scale: float = 1.0,
+    scale: float = 1.0, floor: tuple = (1e-13, 1e-16),
 ) -> tuple:
     """(value, err) of scale * (one_pass + tail) from a fine pass at quad and a
     coarse pass at quad.coarsened(); err is their difference plus tail_err,
-    scaled, plus a relative floor."""
+    scaled, plus the floor (relative, absolute)."""
     fine = one_pass(quad)
     coarse = one_pass(quad.coarsened())
     value = scale * (fine + tail)
-    return value, scale * (abs(fine - coarse) + tail_err) + 1e-13 * abs(value) + 1e-16
+    rel, absolute = floor
+    return value, scale * (abs(fine - coarse) + tail_err) + rel * abs(value) + absolute
 
 
 # _PANEL_EDGES[p, k]: edge k of a window cut into p panels, as np.linspace
@@ -389,40 +392,56 @@ def _inner_unbounded(
     params: FracParams,
     deriv: Optional[tuple],
 ) -> np.ndarray:
-    """Tensor Gauss-Hermite inner integral for unrestricted regions, n <= 2."""
+    """Tensor Gauss-Hermite inner integral for unrestricted regions, n <= 2.
+
+    Every node of tau (any shape) gets the rule of one order; the nodes go
+    to the field in chunks of at most BLOCK points (one node at least), and
+    each node's terms are summed in one row.  Returns tau's shape.
+    """
     n = params.n
     if n > 2:
         raise NotImplementedError("unbounded inner integral implemented for n <= 2")
     wpts, wq = _hermite_grid(order, n)
-    sq = 2.0 * np.sqrt(tau)
-    dy = sq[:, None, None] * wpts[None, :, :]  # (len(tau), q, n)
-    eta = np.broadcast_to((t - tau)[:, None], dy.shape[:2])
-    vals = field_eval((x - dy).reshape(-1, n), eta.ravel()).reshape(dy.shape[:2])
-    if deriv is not None:
-        tau2 = np.broadcast_to(tau[:, None], dy.shape[:2])
-        vals = vals * _factor_eval(params, deriv, dy, tau2)
-    return np.sum(vals * wq[None, :], axis=1)
+    q = len(wq)
+    flat = tau.ravel()
+    inner = np.empty(flat.size)
+    step = max(1, BLOCK // q)
+    for start in range(0, flat.size, step):
+        tc = flat[start : start + step]
+        sq = 2.0 * np.sqrt(tc)
+        dy = np.empty((len(tc), q, n))
+        y = np.empty((len(tc) * q, n))
+        for j in range(n):
+            dy[:, :, j] = sq[:, None] * wpts[:, j]
+            y[:, j] = (x[j] - dy[:, :, j]).ravel()
+        vals = field_eval(y, np.repeat(t - tc, q)).reshape(len(tc), q)
+        if deriv is not None:
+            vals = vals * _factor_eval(params, deriv, dy, np.repeat(tc, q).reshape(-1, q))
+        inner[start : start + len(tc)] = np.sum(vals * wq, axis=1)
+    return inner.reshape(tau.shape)
 
 
-def _gh_order_for_band(source_field: ScalarField, tau_hi: float, base: int) -> int:
-    """Raise the Hermite order where an oscillatory symbol field demands it.
+def _gh_orders(field: ScalarField, band_hi: np.ndarray, base: int) -> np.ndarray:
+    """Hermite order per band, raised where an oscillatory symbol field
+    demands it.
 
     For exp(lam t) cos(k.x) the inner integrand oscillates at rate
-    a = 2 |k| sqrt(tau); once exp(-lam tau) is below machine level the
-    values themselves vanish and the base order suffices.
+    a = 2 |k| sqrt(tau) up to the band's upper end: the order is
+    ceil(a^2 / 3) + 24 (at least base), rounded up to a multiple of 8 and
+    capped at 512.  Once exp(-lam tau) is below machine level the values
+    themselves vanish and the base order suffices.
     """
-    if source_field.tail != "exponential_symbol":
-        return base
-    lam, k = source_field.symbol_params
+    orders = np.full(len(band_hi), base)
+    if field.tail != "exponential_symbol":
+        return orders
+    lam, k = field.symbol_params
     kn = float(np.linalg.norm(k))
     if kn == 0.0:
-        return base
-    if lam > 0 and lam * tau_hi > 46.0:
-        return base
-    a = 2.0 * kn * math.sqrt(tau_hi)
-    need = int(math.ceil(a * a / 3.0)) + 24
-    order = max(base, need)
-    return min(8 * math.ceil(order / 8), 512)
+        return orders
+    a = 2.0 * kn * np.sqrt(band_hi)
+    need = np.maximum(base, np.ceil(a * a / 3.0) + 24)
+    raised = np.minimum(8 * np.ceil(need / 8), 512).astype(int)
+    return np.where(lam * band_hi > 46.0, base, raised)
 
 
 def _inner(
@@ -443,17 +462,18 @@ def _inner(
     []: empty).  Bounded regions, and unbounded ones for n = 1 fields that
     do not oscillate, use windowed Gauss-Legendre panels; the rest
     Gauss-Hermite, with the order raised for oscillating symbol fields up
-    to each band's upper end.
+    to each band's upper end; the bands of one order go through one
+    `_inner_unbounded` call.
     """
     if ints is None and params.n == 1 and field.tail != "exponential_symbol":
         # windowed panels beat Gauss-Hermite on generic smooth fields
         ints = [(-math.inf, math.inf)]
     if ints is None:
-        # one band at a time: a raised order makes a large tensor grid
+        orders = _gh_orders(field, band_hi, spec.hermite_order)
         inner = np.empty(tau.shape)
-        for i, b in enumerate(band_hi):
-            order = _gh_order_for_band(field, b, spec.hermite_order)
-            inner[i] = _inner_unbounded(field.eval, x, t, tau[i], order, params, deriv)
+        for order in dict.fromkeys(orders.tolist()):
+            rows = orders == order
+            inner[rows] = _inner_unbounded(field.eval, x, t, tau[rows], order, params, deriv)
         return inner
     if not ints:
         return np.zeros(tau.shape)

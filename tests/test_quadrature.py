@@ -8,6 +8,8 @@ change to the quadrature must reproduce them: values to 1e-12 relative,
 estimates to 1e-14 |value| + 1e-16.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -32,10 +34,13 @@ from fracheat.cli import quad_hash
 from fracheat.kernel import _factor_eval
 from fracheat.quadrature import (
     _PANEL_EDGES,
+    BLOCK,
     W_MAX,
     _band_layout,
+    _gh_orders,
     _graded_bands,
     _hermite_grid,
+    _inner,
     _inner_intervals,
     _richardson_head,
     gauss_hermite,
@@ -301,3 +306,95 @@ def test_admissible_region_once_per_break_segment():
     assert (value, err) == pytest.approx(GOLDEN["conv_restricted"], rel=1e-12, abs=0.0)
     segments = len(source.time_breakpoints()) + 1
     assert 0 < len(asked) <= 2 * segments
+
+
+def _gh_order_scalar(field, tau_hi, base):
+    """Reference Hermite order rule, one band at a time."""
+    if field.tail != "exponential_symbol":
+        return base
+    lam, k = field.symbol_params
+    kn = float(np.linalg.norm(k))
+    if kn == 0.0:
+        return base
+    if lam > 0 and lam * tau_hi > 46.0:
+        return base
+    a = 2.0 * kn * math.sqrt(tau_hi)
+    need = int(math.ceil(a * a / 3.0)) + 24
+    order = max(base, need)
+    return min(8 * math.ceil(order / 8), 512)
+
+
+def _inner_hermite_per_band(field, x, t, tau, band_hi, base, params, deriv):
+    """Reference Gauss-Hermite inner rule: one field evaluation per band."""
+    inner = np.empty(tau.shape)
+    for i, b in enumerate(band_hi):
+        wpts, wq = _hermite_grid(_gh_order_scalar(field, b, base), params.n)
+        sq = 2.0 * np.sqrt(tau[i])
+        dy = sq[:, None, None] * wpts[None, :, :]
+        eta = np.broadcast_to((t - tau[i])[:, None], dy.shape[:2])
+        vals = field.eval((x - dy).reshape(-1, params.n), eta.ravel()).reshape(dy.shape[:2])
+        if deriv is not None:
+            tau2 = np.broadcast_to(tau[i][:, None], dy.shape[:2])
+            vals = vals * _factor_eval(params, deriv, dy, tau2)
+        inner[i] = np.sum(vals * wq[None, :], axis=1)
+    return inner
+
+
+@pytest.mark.parametrize("first_derivative", [False, True])
+@pytest.mark.parametrize("make,x", [
+    (lambda: exp_symbol(0.2, [3.0]), [0.3]),  # orders rise band by band
+    (lambda: exp_symbol(0.5, [0.6, 0.8], n=2), [0.2, -0.1]),
+    (lambda: gaussian_bump([0.0, 0.0], n=2), [0.1, 0.2]),
+], ids=["symbol_n1", "symbol_n2", "bump_n2"])
+def test_hermite_bands_grouped_by_order(make, x, first_derivative):
+    """The Hermite bands of one order share a field call per block of at
+    most BLOCK points, with the bits of one call per band."""
+    field = make()
+    n = field.n
+    params = FracParams(n, 0.4)
+    deriv = (1,) + (0,) * n if first_derivative else None
+    spec = QuadratureSpec()
+    x, t = np.array(x), 0.1
+    a, b, mid, half = _band_layout(spec.tau_min, spec.tau_max, ())
+    gl_x, _ = gauss_legendre(spec.graded_nodes)
+    tau = mid[:, None] + half[:, None] * gl_x
+    want = _inner_hermite_per_band(field, x, t, tau, b, spec.hermite_order, params, deriv)
+
+    calls = []
+
+    def counting(y, eta):
+        calls.append(len(eta))
+        return type(field).eval(field, y, eta)
+
+    field.eval = counting
+    got = _inner(field, x, t, tau, None, spec, b, params, deriv)
+    # orders past ~400 have NaN weights (a known hole): same NaNs, same bits
+    assert np.array_equal(got, want, equal_nan=True)
+
+    orders = [_gh_order_scalar(field, hi, spec.hermite_order) for hi in b]
+    sizes, limits = [], []
+    for order in dict.fromkeys(orders):
+        q = order**n
+        nodes = orders.count(order) * spec.graded_nodes
+        step = max(1, BLOCK // q)
+        for start in range(0, nodes, step):
+            sizes.append(min(step, nodes - start) * q)
+            limits.append(max(BLOCK, q))
+    assert calls == sizes
+    assert all(size <= limit for size, limit in zip(calls, limits))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("base", [16, 24, 40])
+def test_gh_orders_match_scalar_rule(n, base):
+    """The vectorized Hermite order rule gives every band the scalar rule's
+    order; a field that is not a symbol gets the base order."""
+    ends = np.geomspace(1e-8, 1e4, 400)
+    direction = np.array([1.0]) if n == 1 else np.array([0.6, 0.8])
+    for lam in (0.0, 0.2, 1.0, 46.0):
+        for kn in (0.0, 0.5, 3.0, 8.0):
+            field = exp_symbol(lam, kn * direction, n=n)
+            want = [_gh_order_scalar(field, hi, base) for hi in ends]
+            assert _gh_orders(field, ends, base).tolist() == want
+    bump = gaussian_bump(np.zeros(n), n=n)
+    assert _gh_orders(bump, ends, base).tolist() == [base] * len(ends)
