@@ -12,15 +12,20 @@ Subcommands map one-to-one onto the library's entry points:
   exponent-recovery  synthesize -> fit -> profile -> exponent pipeline
   run              dispatch any of the above from a JSON config
 
-Every invocation writes a run manifest (JSON) next to its outputs with the
-exact parameters, a hash of the quadrature settings, and the seed, so runs
-are reproducible bit for bit.  CSV values are printed with 17 significant
+All commands share one loader for --n, --s, --quad and --field
+(`_problem`) and one writer (`_emit`).  The writer puts the outputs and a
+run manifest (JSON) in --out-dir.  Every manifest records `command`, `seed`,
+`outputs` and `wall_time_s`; `n` and `s` when the command takes them;
+`quad` and `quad_hash` (a hash of the quadrature settings) when it takes a
+quadrature spec; and the command's own parameters, so runs are
+reproducible bit for bit.  CSV values are printed with 17 significant
 digits in scientific notation.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -31,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import FracParams, ParabolicPolynomial, ScalarField, SpaceTimePoint
+from .core import FracParams, ParabolicPolynomial, SpaceTimePoint
 from .fields import make_field
 from .kernel import (
     SamplePlan,
@@ -50,20 +55,28 @@ from .regularity import (
     nu_profile,
     target_exponent,
 )
-from .synthesis import decompose_internal, s_decay_probe, synthesize_solution
+from .synthesis import (
+    DecompositionBundle,
+    decompose_internal,
+    s_decay_probe,
+    synthesize_solution,
+)
 
 CONFIG_SCHEMA_VERSION = 1
 
-
-def _fmt(v: float) -> str:
-    return f"{v:.16e}"
+# The nine decomposition pieces: the bundle's fields after r, P and params.
+PIECES = [f.name for f in dataclasses.fields(DecompositionBundle)][3:]
 
 
 def write_csv(path: Path, header: list, rows: list):
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(f"{v:.16e}" if isinstance(v, float) else str(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write_json(path: Path, payload: dict):
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def quad_hash(quad: QuadratureSpec) -> str:
@@ -72,34 +85,67 @@ def quad_hash(quad: QuadratureSpec) -> str:
 
 
 def write_manifest(out_dir: Path, name: str, payload: dict):
-    payload = dict(payload)
-    payload.setdefault("tool", "fracheat")
-    payload.setdefault("version", __version__)
-    payload.setdefault("schema_version", CONFIG_SCHEMA_VERSION)
+    payload = {"tool": "fracheat", "version": __version__,
+               "schema_version": CONFIG_SCHEMA_VERSION, **payload}
     path = out_dir / f"{name}.manifest.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(path, payload)
     return path
 
 
-def _load_quad(args) -> QuadratureSpec:
-    if getattr(args, "quad", None):
-        cfg = json.loads(Path(args.quad).read_text())
-        return QuadratureSpec(**cfg)
-    return QuadratureSpec()
+def _emit(args, t0: float, files: dict, quad: QuadratureSpec | None = None,
+          **record) -> list:
+    """Write each output and then the command's one manifest.
+
+    `files` maps a file name to a `(header, rows)` pair, written as CSV, or
+    to a dict, written as JSON.  `record` holds the command's own manifest
+    keys.  Returns the output paths.
+    """
+    out = Path(args.out_dir or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, content in files.items():
+        paths.append(out / name)
+        if isinstance(content, dict):
+            _write_json(paths[-1], content)
+        else:
+            write_csv(paths[-1], *content)
+    record.update(command=args.cmd, seed=args.seed, outputs=list(files))
+    if hasattr(args, "n"):
+        record.update(n=args.n, s=args.s)
+    if quad is not None:
+        record.update(quad=quad.signature(), quad_hash=quad_hash(quad))
+    record["wall_time_s"] = time.time() - t0
+    write_manifest(out, args.cmd.replace("-", "_"), record)
+    return paths
+
+
+def _problem(args) -> tuple:
+    """(params, quad, field) from --n, --s, --quad and --field (a path, JSON or id)."""
+    params = FracParams(args.n, args.s)
+    quad = QuadratureSpec(**json.loads(Path(args.quad).read_text()) if args.quad else {})
+    spec = args.field
+    if os.path.exists(spec):
+        spec = json.loads(Path(spec).read_text())
+    else:
+        try:
+            spec = json.loads(spec)
+        except json.JSONDecodeError:
+            pass
+    return params, quad, make_field(spec, n=params.n)
 
 
 def _load_points(spec: str, n: int) -> list:
     """Points from 'x1 ... xn t;...' inline syntax or a CSV file path."""
-    pts = []
     if os.path.exists(spec):
-        rows = [r for r in Path(spec).read_text().strip().splitlines() if r]
-        if rows and not _is_number(rows[0].split(",")[0]):
-            rows = rows[1:]
-        for row in rows:
-            vals = [float(v) for v in row.split(",")]
-            pts.append(SpaceTimePoint.of(vals[:-1], vals[-1]))
-        return pts
-    for chunk in spec.split(";"):
+        chunks = [r for r in Path(spec).read_text().strip().splitlines() if r]
+        try:
+            float(chunks[0].split(",")[0])
+        except (IndexError, ValueError):
+            chunks = chunks[1:]  # a header row
+    else:
+        chunks = spec.split(";")
+    pts = []
+    for chunk in chunks:
         vals = [float(v) for v in chunk.replace(",", " ").split()]
         if len(vals) != n + 1:
             raise SystemExit(f"point '{chunk}' must have {n + 1} coordinates")
@@ -107,34 +153,17 @@ def _load_points(spec: str, n: int) -> list:
     return pts
 
 
-def _is_number(tok: str) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
-
-
-def _field_from_args(args, n: int) -> ScalarField:
-    spec = args.field
-    if os.path.exists(spec):
-        return make_field(json.loads(Path(spec).read_text()), n=n)
-    try:
-        return make_field(json.loads(spec), n=n)
-    except json.JSONDecodeError:
-        return make_field(spec, n=n)
+def _point_table(n: int, columns: list, pts: list, values: list) -> tuple:
+    """(header, rows): each point's coordinates, then its values."""
+    header = [f"x{i+1}" for i in range(n)] + ["t"] + columns
+    rows = [list(p.x) + [p.t] + [float(v) for v in vals] for p, vals in zip(pts, values)]
+    return header, rows
 
 
 def _poly_from_args(args, n: int) -> ParabolicPolynomial:
-    if getattr(args, "poly", None):
+    if args.poly:
         return ParabolicPolynomial.from_json(Path(args.poly).read_text())
     return ParabolicPolynomial.zero(n)
-
-
-def _out_dir(args) -> Path:
-    d = Path(getattr(args, "out_dir", None) or ".")
-    d.mkdir(parents=True, exist_ok=True)
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -142,153 +171,91 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def cmd_apply(args) -> int:
-    params = FracParams(args.n, args.s)
-    quad = _load_quad(args)
-    u = _field_from_args(args, params.n)
-    pts = _load_points(args.points, params.n)
+def _cmd_point_values(args, evaluate) -> int:
+    """`evaluate(field, point, params, quad) -> (value, err)` at each point."""
     t0 = time.time()
-    results = [apply_fully_fractional(u, pt, params, quad) for pt in pts]
-    out = _out_dir(args)
-    rows = [
-        list(p.x) + [p.t, float(v), float(e)] for p, (v, e) in zip(pts, results)
-    ]
-    header = [f"x{i+1}" for i in range(params.n)] + ["t", "value", "err_est"]
-    csv_path = out / "apply.csv"
-    write_csv(csv_path, header, rows)
-    write_manifest(out, "apply", {
-        "command": "apply", "n": params.n, "s": params.s,
-        "field": u.name, "quad": quad.signature(), "quad_hash": quad_hash(quad),
-        "seed": args.seed, "outputs": [csv_path.name], "wall_time_s": time.time() - t0,
-    })
-    print(f"wrote {csv_path}")
+    params, quad, f = _problem(args)
+    pts = _load_points(args.points, params.n)
+    values = [evaluate(f, pt, params, quad) for pt in pts]
+    table = _point_table(params.n, ["value", "err_est"], pts, values)
+    path, = _emit(args, t0, {f"{args.cmd}.csv": table}, quad, field=f.name)
+    print(f"wrote {path}")
     return 0
+
+
+def cmd_apply(args) -> int:
+    return _cmd_point_values(args, apply_fully_fractional)
 
 
 def cmd_synthesize(args) -> int:
-    params = FracParams(args.n, args.s)
-    quad = _load_quad(args)
-    f = _field_from_args(args, params.n)
-    pts = _load_points(args.points, params.n)
-    t0 = time.time()
-    results = [synthesize_solution(f, pt, params, quad) for pt in pts]
-    out = _out_dir(args)
-    rows = [list(p.x) + [p.t, float(v), float(e)] for p, (v, e) in zip(pts, results)]
-    header = [f"x{i+1}" for i in range(params.n)] + ["t", "value", "err_est"]
-    csv_path = out / "synthesize.csv"
-    write_csv(csv_path, header, rows)
-    write_manifest(out, "synthesize", {
-        "command": "synthesize", "n": params.n, "s": params.s,
-        "field": f.name, "quad": quad.signature(), "quad_hash": quad_hash(quad),
-        "seed": args.seed, "outputs": [csv_path.name], "wall_time_s": time.time() - t0,
-    })
-    print(f"wrote {csv_path}")
-    return 0
+    return _cmd_point_values(args, synthesize_solution)
 
 
 def cmd_decompose(args) -> int:
-    params = FracParams(args.n, args.s)
-    quad = _load_quad(args)
-    f = _field_from_args(args, params.n)
-    P = _poly_from_args(args, params.n)
-    out = _out_dir(args)
     t0 = time.time()
+    params, quad, f = _problem(args)
+    P = _poly_from_args(args, params.n)
     if args.probe == "s-decay":
         radii = [2.0 ** (-(i + 1)) for i in range(args.depth)]
         probe = s_decay_probe(f, P, radii, params, quad=quad,
                               grid=(args.grid, args.grid))
-        csv_path = out / "s_decay.csv"
-        write_csv(csv_path, ["r", "avg_abs_S_r"],
-                  list(zip(probe["radii"], probe["averages"])))
-        write_manifest(out, "decompose", {
-            "command": "decompose", "probe": "s-decay", "n": params.n, "s": params.s,
-            "field": f.name, "slope": probe["slope"],
-            "quad": quad.signature(), "quad_hash": quad_hash(quad),
-            "seed": args.seed, "outputs": [csv_path.name],
-            "wall_time_s": time.time() - t0,
-        })
-        print(f"slope={probe['slope']:.4f}  wrote {csv_path}")
+        table = (["r", "avg_abs_S_r"], list(zip(probe["radii"], probe["averages"])))
+        path, = _emit(args, t0, {"s_decay.csv": table}, quad, probe="s-decay",
+                      field=f.name, slope=probe["slope"])
+        print(f"slope={probe['slope']:.4f}  wrote {path}")
         return 0
     bundle = decompose_internal(f, P, args.r, params, quad=quad)
     pts = _load_points(args.points, params.n)
-    rows = []
-    for p in pts:
-        vals = {name: getattr(bundle, name)(p) for name in
-                ("u", "v_r", "w_r", "w_1", "S_r", "T_r", "u_P")}
-        rows.append(list(p.x) + [p.t] + [float(vals[k][0]) for k in
-                                         ("u", "v_r", "w_r", "w_1", "S_r", "T_r", "u_P")])
-    header = [f"x{i+1}" for i in range(params.n)] + [
-        "t", "u", "v_r", "w_r", "w_1", "S_r", "T_r", "u_P"]
-    csv_path = out / "decompose.csv"
-    write_csv(csv_path, header, rows)
-    write_manifest(out, "decompose", {
-        "command": "decompose", "r": args.r, "n": params.n, "s": params.s,
-        "field": f.name, "quad": quad.signature(), "quad_hash": quad_hash(quad),
-        "seed": args.seed, "outputs": [csv_path.name], "wall_time_s": time.time() - t0,
-    })
-    print(f"wrote {csv_path}")
+    columns = [c for name in PIECES for c in (name, f"{name}_err")]
+    values = [[v for name in PIECES for v in getattr(bundle, name)(p)] for p in pts]
+    table = _point_table(params.n, columns, pts, values)
+    path, = _emit(args, t0, {"decompose.csv": table}, quad, r=args.r, field=f.name)
+    print(f"wrote {path}")
     return 0
 
 
 def cmd_nu_profile(args) -> int:
-    f = _field_from_args(args, args.n)
-    P = _poly_from_args(args, args.n)
+    t0 = time.time()
+    params, _, f = _problem(args)
+    P = _poly_from_args(args, params.n)
     base = SpaceTimePoint.of([args.x0] if args.n == 1 else [0.0] * args.n, args.t0)
     radii = [args.r0 * args.ratio**i for i in range(args.depth)]
     prof = nu_profile(f, P, base, radii, mode=args.mode,
                       grid=(args.grid, args.grid), spatial_only=args.spatial_only)
-    out = _out_dir(args)
-    csv_path = out / "nu_profile.csv"
-    write_csv(csv_path, ["r", "raw_avg", "nu"],
-              [(float(r), float(a), float(v))
-               for r, a, v in zip(prof.radii, prof.raw, prof.nu)])
-    write_manifest(out, "nu_profile", {
-        "command": "nu-profile", "field": f.name, "mode": args.mode,
-        "base": [args.x0, args.t0], "radii": [float(r) for r in radii],
-        "spatial_only": args.spatial_only, "seed": args.seed,
-        "outputs": [csv_path.name],
-    })
-    print(f"wrote {csv_path}")
+    rows = [(float(r), float(a), float(v))
+            for r, a, v in zip(prof.radii, prof.raw, prof.nu)]
+    path, = _emit(args, t0, {"nu_profile.csv": (["r", "raw_avg", "nu"], rows)},
+                  field=f.name, mode=args.mode, base=[args.x0, args.t0],
+                  radii=[float(r) for r in radii], spatial_only=args.spatial_only)
+    print(f"wrote {path}")
     return 0
 
 
-def _profile_from_csv(path: str) -> NuProfile:
-    """Load (radius, raw[, nu]) rows; the running sup is recomputed."""
-    rows = Path(path).read_text().strip().splitlines()[1:]
-    vals = np.array([[float(v) for v in r.split(",")] for r in rows])
-    base = SpaceTimePoint.of([0.0], 0.0)
-    return NuProfile.from_values(base, vals[:, 0], vals[:, 1])
-
-
 def cmd_classify(args) -> int:
-    prof = _profile_from_csv(args.profile)
+    t0 = time.time()
+    # (radius, raw[, nu]) rows; the running sup is recomputed.
+    rows = Path(args.profile).read_text().strip().splitlines()[1:]
+    vals = np.array([[float(v) for v in r.split(",")] for r in rows])
+    prof = NuProfile.from_values(SpaceTimePoint.of([0.0], 0.0), vals[:, 0], vals[:, 1])
     report = classify_pointwise(prof, args.k, args.alpha)
     est = estimate_exponent(prof)
-    out = _out_dir(args)
     payload = {
         "label": report.label, "k": args.k, "alpha": args.alpha,
         "exponent": est["exponent"], "log_correction": est["log_correction"],
         "diagnostics": {k: (v if isinstance(v, (int, float, str)) else float(v))
                         for k, v in report.diagnostics.items()},
     }
-    path = out / "classify.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    write_manifest(out, "classify", {
-        "command": "classify", "inputs": [args.profile], "outputs": [path.name],
-        "seed": args.seed,
-    })
+    _emit(args, t0, {"classify.json": payload}, inputs=[args.profile])
     print(json.dumps(payload["label"]))
     return 0
 
 
 def cmd_jet(args) -> int:
-    params = FracParams(args.n, args.s)
-    quad = _load_quad(args)
-    f = _field_from_args(args, params.n)
+    t0 = time.time()
+    params, quad, f = _problem(args)
     P = _poly_from_args(args, params.n)
     jets = extract_jet(f, P, params, args.k, args.alpha,
                        eta=args.eta, depth=args.depth, quad=quad)
-    out = _out_dir(args)
     payload = {
         "eta": jets.eta, "gamma": jets.gamma,
         "rates": {str(j): jets.rates[j] for j in jets.rates},
@@ -298,67 +265,42 @@ def cmd_jet(args) -> int:
         "diffs": {str(j): [float(v) for v in jets.diffs[j]] for j in jets.diffs},
         "expected_rate": target_exponent(args.k, args.alpha, args.s),
     }
-    path = out / "jet.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    write_manifest(out, "jet", {
-        "command": "jet", "n": params.n, "s": params.s, "field": f.name,
-        "quad": quad.signature(), "quad_hash": quad_hash(quad),
-        "seed": args.seed, "outputs": [path.name],
-    })
+    path, = _emit(args, t0, {"jet.json": payload}, quad, field=f.name)
     print(f"wrote {path}")
     return 0
 
 
+# verify-kernel --lemma: the bound checked for (args, params, plan).
+_VERIFIERS = {
+    "global": lambda a, params, plan: verify_global_bound(
+        a.a, a.b, a.A, a.r, n=params.n, plan=plan),
+    "local": lambda a, params, plan: verify_local_bound(
+        a.a, a.b, a.A, a.r, n=params.n, plan=plan),
+    "translation": lambda a, params, plan: verify_translation_bound(
+        params, a.m, a.l, a.r, deriv_order=a.deriv_order, plan=plan),
+}
+
+
 def cmd_verify_kernel(args) -> int:
-    plan = SamplePlan(n_samples=args.samples, seed=args.seed or 0)
-    params = FracParams(args.n, args.s)
-    if args.lemma == "global":
-        rep = verify_global_bound(args.a, args.b, args.A, args.r, n=args.n, plan=plan)
-    elif args.lemma == "local":
-        rep = verify_local_bound(args.a, args.b, args.A, args.r, n=args.n, plan=plan)
-    elif args.lemma == "translation":
-        rep = verify_translation_bound(params, args.m, args.l, args.r,
-                                       deriv_order=args.deriv_order, plan=plan)
-    else:
-        raise SystemExit(f"unknown lemma {args.lemma}")
-    out = _out_dir(args)
-    payload = {
-        "lemma": rep.lemma,
-        "empirical_constant": rep.empirical_constant,
-        "worst_point": [list(rep.worst_point[0]), rep.worst_point[1]],
-        "refinement_stable": rep.refinement_stable,
-        "refinement_change": rep.refinement_change,
-        "n_samples": rep.n_samples,
-        "params": rep.params,
-    }
-    path = out / "verify_kernel.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    write_manifest(out, "verify_kernel", {
-        "command": "verify-kernel", "lemma": args.lemma, "seed": args.seed,
-        "outputs": [path.name],
-    })
+    t0 = time.time()
+    plan = SamplePlan(n_samples=args.samples, seed=args.seed)
+    rep = _VERIFIERS[args.lemma](args, FracParams(args.n, args.s), plan)
+    payload = dataclasses.asdict(rep)
+    payload["worst_point"] = [list(rep.worst_point[0]), rep.worst_point[1]]
+    _emit(args, t0, {"verify_kernel.json": payload}, lemma=args.lemma)
     print(str(rep))
     return 0
 
 
 def cmd_exponent_recovery(args) -> int:
-    params = FracParams(args.n, args.s)
-    quad = _load_quad(args)
-    f = _field_from_args(args, params.n)
     t0 = time.time()
+    params, quad, f = _problem(args)
     result = exponent_recovery(
         f, params, args.k, args.alpha, quad=quad,
         depth=args.depth, start=args.start, fit_margin=args.fit_margin,
         grid=(args.grid, args.grid), spatial_only=args.spatial_only,
     )
-    out = _out_dir(args)
-    path = out / "exponent_recovery.json"
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    write_manifest(out, "exponent_recovery", {
-        "command": "exponent-recovery", "n": params.n, "s": params.s,
-        "field": f.name, "quad": quad.signature(), "quad_hash": quad_hash(quad),
-        "seed": args.seed, "outputs": [path.name], "wall_time_s": time.time() - t0,
-    })
+    _emit(args, t0, {"exponent_recovery.json": result}, quad, field=f.name)
     print(f"exponent={result['exponent']:.4f} "
           f"log_correction={result['log_correction']}")
     return 0
@@ -370,11 +312,12 @@ def cmd_run(args) -> int:
         raise SystemExit(
             f"unsupported config schema_version {cfg.get('schema_version')}"
         )
-    experiment = cfg.get("experiment")
-    argv = [experiment]
+    argv = [cfg.get("experiment")]
     for key, val in cfg.get("args", {}).items():
+        if val is False:
+            continue  # a false switch is one left off
         argv.append(f"--{key.replace('_', '-')}")
-        if not isinstance(val, bool):
+        if val is not True:
             argv.append(json.dumps(val) if isinstance(val, (dict, list)) else str(val))
     if args.out_dir:
         argv += ["--out-dir", args.out_dir]
@@ -388,14 +331,15 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, with_field=True):
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--s", type=float, default=0.5)
-    if with_field:
+def _add_common(p: argparse.ArgumentParser, problem=True, seed=None):
+    """--seed and --out-dir; with `problem`, first --n, --s, --field, --quad."""
+    if problem:
+        p.add_argument("--n", type=int, default=1)
+        p.add_argument("--s", type=float, default=0.5)
         p.add_argument("--field", required=True,
                        help="catalog id, inline JSON, or path to a field JSON")
-    p.add_argument("--quad", help="path to a quadrature spec JSON")
-    p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--quad", help="path to a quadrature spec JSON")
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--out-dir", dest="out_dir", default=None)
 
 
@@ -444,8 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out-dir", dest="out_dir", default=None)
+    _add_common(p, problem=False)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("jet", help="scale-iterated jet extraction")
@@ -458,8 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_jet)
 
     p = sub.add_parser("verify-kernel", help="empirical kernel bound checks")
-    p.add_argument("--lemma", choices=["global", "local", "translation"],
-                   required=True)
+    p.add_argument("--lemma", choices=list(_VERIFIERS), required=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--s", type=float, default=0.5)
     p.add_argument("--a", type=float, default=1.0)
@@ -470,8 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=0.5)
     p.add_argument("--deriv-order", dest="deriv_order", type=int, default=None)
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", dest="out_dir", default=None)
+    _add_common(p, problem=False, seed=0)
     p.set_defaults(func=cmd_verify_kernel)
 
     p = sub.add_parser("exponent-recovery",
@@ -488,8 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run an experiment from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out-dir", dest="out_dir", default=None)
+    _add_common(p, problem=False)
     p.set_defaults(func=cmd_run)
 
     return ap

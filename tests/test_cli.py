@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from fracheat.cli import main, quad_hash, write_csv
+from fracheat import FracParams, ParabolicPolynomial, SpaceTimePoint
+from fracheat.cli import exponent_recovery, main, quad_hash, write_csv
+from fracheat.fields import make_field, power_cusp
 from fracheat.quadrature import QuadratureSpec
+from fracheat.synthesis import decompose_internal
 
 
 def read_csv(path):
@@ -132,3 +135,140 @@ class TestRunConfig:
                                    "args": {}}))
         with pytest.raises(SystemExit):
             main(["run", "--config", str(cfg)])
+
+
+TINY_QUAD = {"tau_min": 1e-3, "graded_nodes": 4, "spatial_nodes": 8}
+
+
+@pytest.fixture
+def tiny_quad(tmp_path):
+    path = tmp_path / "quad.json"
+    path.write_text(json.dumps(TINY_QUAD))
+    return str(path)
+
+
+class TestPointsInput:
+    @pytest.mark.parametrize("from_csv", [True, False])
+    def test_points_must_have_n_plus_one_coordinates(self, tmp_path, from_csv):
+        points = "0.1 0.7 0.0"
+        if from_csv:
+            points = tmp_path / "pts.csv"
+            points.write_text("x1,t\n0.1,0.7,0.0\n")
+        with pytest.raises(SystemExit, match="must have 2 coordinates"):
+            main(["apply", "--field", "constant", "--points", str(points),
+                  "--out-dir", str(tmp_path)])
+
+
+class TestDecomposeCommand:
+    def test_every_piece_with_its_error(self, tmp_path, tiny_quad):
+        rc = main(["decompose", "--field", "gaussian_bump", "--r", "0.5",
+                   "--points", "0.1 0.05;0 0.2", "--quad", tiny_quad,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        header, data = read_csv(tmp_path / "decompose.csv")
+        pieces = ["u", "v_r", "w_r", "w_1", "S_r", "T_r", "u_P", "W_P", "V_P"]
+        assert header == ["x1", "t"] + [c for p in pieces for c in (p, f"{p}_err")]
+        bundle = decompose_internal(
+            make_field("gaussian_bump"), ParabolicPolynomial.zero(1), 0.5,
+            FracParams(1, 0.5), quad=QuadratureSpec(**TINY_QUAD))
+        for row in data:
+            pt = SpaceTimePoint.of(row[:1], row[1])
+            for i, p in enumerate(pieces):
+                assert row[2 + 2 * i: 4 + 2 * i] == list(getattr(bundle, p)(pt))
+        manifest = json.loads((tmp_path / "decompose.manifest.json").read_text())
+        assert manifest["r"] == 0.5
+        assert manifest["quad_hash"] == quad_hash(QuadratureSpec(**TINY_QUAD))
+
+    def test_s_decay_probe(self, tmp_path, tiny_quad):
+        rc = main(["decompose", "--field", "gaussian_bump", "--probe", "s-decay",
+                   "--depth", "3", "--grid", "6", "--quad", tiny_quad,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        header, data = read_csv(tmp_path / "s_decay.csv")
+        assert header == ["r", "avg_abs_S_r"]
+        assert [row[0] for row in data] == [0.125, 0.25, 0.5]
+        assert all(row[1] > 0 for row in data)
+        manifest = json.loads((tmp_path / "decompose.manifest.json").read_text())
+        assert manifest["probe"] == "s-decay"
+        assert manifest["outputs"] == ["s_decay.csv"]
+        assert math.isfinite(manifest["slope"])
+
+
+class TestJetCommand:
+    def test_jet_report(self, tmp_path, tiny_quad):
+        rc = main(["jet", "--field", "gaussian_bump", "--s", "0.5", "--alpha", "0.25",
+                   "--depth", "4", "--quad", tiny_quad, "--out-dir", str(tmp_path)])
+        assert rc == 0
+        report = json.loads((tmp_path / "jet.json").read_text())
+        assert report["expected_rate"] == pytest.approx(1.25)  # k + alpha + 2s
+        assert report["eta"] == 0.5
+        assert set(report["limits"]) == set(report["rates"]) == set(report["cauchy"])
+
+
+class TestExponentRecoveryCommand:
+    def test_matches_library_pipeline(self, tmp_path, tiny_quad):
+        rc = main(["exponent-recovery", "--field",
+                   json.dumps({"kind": "power_cusp", "beta": 0.25}), "--s", "0.3",
+                   "--depth", "5", "--start", "1", "--fit-margin", "2", "--grid", "8",
+                   "--quad", tiny_quad, "--out-dir", str(tmp_path)])
+        assert rc == 0
+        result = json.loads((tmp_path / "exponent_recovery.json").read_text())
+        expected = exponent_recovery(
+            power_cusp(0.25), FracParams(1, 0.3), 0, 0.25,
+            quad=QuadratureSpec(**TINY_QUAD), depth=5, start=1, fit_margin=2,
+            grid=(8, 8))
+        assert result["exponent"] == expected["exponent"]
+        assert result["log_correction"] == expected["log_correction"]
+        assert result["expected"] == pytest.approx(0.85)  # k + alpha + 2s
+
+
+def _manifest_cases(tmp_path, quad):
+    profile = tmp_path / "profile.csv"
+    profile.write_text("radius,raw\n" + "".join(
+        f"{2.0**-j},{2.0**(-j / 2)}\n" for j in range(1, 11)))
+    Q = ["--quad", quad]
+    return {
+        "apply": ["--field", "constant", "--points", "0 0", *Q],
+        "synthesize": ["--field", "gaussian_bump", "--points", "0 0.1", *Q],
+        "decompose": ["--field", "gaussian_bump", "--points", "0 0.1", *Q],
+        "nu-profile": ["--field", "gaussian_bump", "--depth", "3", "--grid", "6"],
+        "classify": ["--profile", str(profile)],
+        "jet": ["--field", "gaussian_bump", "--depth", "3", *Q],
+        "verify-kernel": ["--lemma", "global", "--samples", "500"],
+        "exponent-recovery": ["--field", "gaussian_bump", "--depth", "5",
+                              "--start", "1", "--fit-margin", "2", "--grid", "6", *Q],
+    }
+
+
+@pytest.mark.parametrize("cmd", ["apply", "synthesize", "decompose", "nu-profile",
+                                 "classify", "jet", "verify-kernel",
+                                 "exponent-recovery"])
+def test_every_manifest_has_the_common_keys(tmp_path, tiny_quad, cmd):
+    out = tmp_path / "out"
+    assert main([cmd, *_manifest_cases(tmp_path, tiny_quad)[cmd], "--seed", "7",
+                 "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / f"{cmd.replace('-', '_')}.manifest.json").read_text())
+    assert manifest["command"] == cmd
+    assert manifest["seed"] == 7
+    assert manifest["wall_time_s"] >= 0.0
+    assert manifest["tool"] == "fracheat"
+    assert manifest["outputs"] and all((out / o).exists() for o in manifest["outputs"])
+    if cmd != "classify":
+        assert (manifest["n"], manifest["s"]) == (1, 0.5)
+    if cmd in ("apply", "synthesize", "decompose", "jet", "exponent-recovery"):
+        assert manifest["quad"] == QuadratureSpec(**TINY_QUAD).signature()
+        assert manifest["quad_hash"] == quad_hash(QuadratureSpec(**TINY_QUAD))
+
+
+@pytest.mark.parametrize("spatial_only", [False, True])
+def test_run_passes_booleans_as_switches(tmp_path, spatial_only):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1,
+        "experiment": "nu-profile",
+        "args": {"field": "gaussian_bump", "depth": 3, "grid": 6,
+                 "spatial_only": spatial_only},
+    }))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "nu_profile.manifest.json").read_text())
+    assert manifest["spatial_only"] is spatial_only
