@@ -18,6 +18,7 @@ from .core import (
     abs_gamma_neg,
     inverse_normalization_constant,
     check_slowly_increasing,
+    monomial,
     multi_indices,
     normalization_constant,
     parabolic_distance,
@@ -67,7 +68,6 @@ from .regularity import (
 )
 from .synthesis import (
     DecompositionBundle,
-    cylinder_average,
     decompose_internal,
     difference_field,
     jet_source,

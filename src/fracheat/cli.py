@@ -14,7 +14,9 @@ Subcommands map one-to-one onto the library's entry points:
 
 All commands share one loader for --n, --s, --quad and --field
 (`_problem`) and one writer (`_emit`).  The writer puts the outputs and a
-run manifest (JSON) in --out-dir.  Every manifest records `command`, `seed`,
+run manifest (JSON), named after the stem of the first output (so
+`decompose --probe s-decay` writes `s_decay.manifest.json` beside
+`s_decay.csv`), in --out-dir.  Every manifest records `command`, `seed`,
 `outputs` and `wall_time_s`; `n` and `s` when the command takes them;
 `quad` and `quad_hash` (a hash of the quadrature settings) when it takes a
 quadrature spec; and the command's own parameters, so runs are
@@ -98,7 +100,8 @@ def _emit(args, t0: float, files: dict, quad: QuadratureSpec | None = None,
 
     `files` maps a file name to a `(header, rows)` pair, written as CSV, or
     to a dict, written as JSON.  `record` holds the command's own manifest
-    keys.  Returns the output paths.
+    keys.  The manifest is named after the first output's stem.  Returns the
+    output paths.
     """
     out = Path(args.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -115,7 +118,7 @@ def _emit(args, t0: float, files: dict, quad: QuadratureSpec | None = None,
     if quad is not None:
         record.update(quad=quad.signature(), quad_hash=quad_hash(quad))
     record["wall_time_s"] = time.time() - t0
-    write_manifest(out, args.cmd.replace("-", "_"), record)
+    write_manifest(out, Path(next(iter(files))).stem, record)
     return paths
 
 

@@ -5,7 +5,9 @@ space-time points, parabolic cylinders and the parabolic distance,
 multi-indices with parabolic degree counting, and polynomials graded by
 that degree.  The time variable counts twice in all degree bookkeeping,
 matching the natural scaling (x, t) -> (lam*x, lam^2*t) of the heat
-operator.
+operator.  `ParabolicCylinder.midpoints` is the one sample grid of a past
+cylinder and `monomial` the one Taylor monomial; the regularity statistics
+and the polynomial fits are built on both.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "MultiIndex",
     "ParabolicPolynomial",
     "ScalarField",
+    "monomial",
     "abs_gamma_neg",
     "inverse_normalization_constant",
     "normalization_constant",
@@ -162,6 +165,23 @@ class ParabolicCylinder:
             in_time = (t > self.t_lo) & (t < self.t_hi)
         return in_ball & in_time
 
+    def midpoints(self, grid: tuple) -> tuple:
+        """Midpoint tensor grid (x, t) of a past cylinder, n = 1.
+
+        grid = (nx, nt); x has shape (nx*nt, 1) and t shape (nx*nt,), in
+        x-major order, with t = t0 - r^2 (j + 1/2) / nt falling from the apex.
+        """
+        if self.center.n != 1:
+            raise NotImplementedError("cylinder grids implemented for n = 1")
+        if self.sided != "past":
+            raise ValueError("midpoint grids sample past cylinders only")
+        nx, nt = grid
+        r = self.radius
+        xs = self.center.x[0] + r * (2.0 * (np.arange(nx) + 0.5) / nx - 1.0)
+        ts = self.center.t - r**2 * (np.arange(nt) + 0.5) / nt
+        X, T = np.meshgrid(xs, ts, indexing="ij")
+        return X.ravel()[:, None], T.ravel()
+
     def scaled(self, lam: float) -> "ParabolicCylinder":
         c = self.center
         return ParabolicCylinder(
@@ -239,6 +259,17 @@ def _compositions(total: int, parts: int) -> Iterable[tuple]:
             yield (head,) + rest
 
 
+def monomial(mi: MultiIndex, dx: np.ndarray, dt: np.ndarray, a: float = 1.0) -> np.ndarray:
+    """a / sigma! * dx^sigma' * dt^sigma_t; dx has shape (..., n)."""
+    out = np.full(np.broadcast(dx[..., 0], dt).shape, a / mi.factorial())
+    for i, p in enumerate(mi.spatial):
+        if p:
+            out = out * dx[..., i] ** p
+    if mi.time_order:
+        out = out * dt**mi.time_order
+    return out
+
+
 class ParabolicPolynomial:
     """Polynomial P(x,t) = sum_sigma a_sigma / sigma! * (x-x0)^sigma' (t-t0)^sigma_t.
 
@@ -273,23 +304,13 @@ class ParabolicPolynomial:
     def eval(self, x, t):
         """Evaluate at points. x: (m, n) or scalar-like for n=1; t: (m,) or scalar."""
         x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        scalar = x.ndim == 0 or (x.ndim == 1 and self.base.n == 1 and t.ndim == 1)
         if x.ndim <= 1 and self.base.n == 1:
-            x = np.atleast_1d(x)[:, None] if x.ndim <= 1 else x
-        x = np.atleast_2d(x)
-        t = np.atleast_1d(t)
-        dx = x - self.base.x_array()
-        dt = t - self.base.t
+            x = np.atleast_1d(x)[:, None]
+        dx = np.atleast_2d(x) - self.base.x_array()
+        dt = np.atleast_1d(np.asarray(t, dtype=float)) - self.base.t
         out = np.zeros(np.broadcast(dx[..., 0], dt).shape)
         for mi, a in self.coeffs.items():
-            term = np.full_like(out, a / mi.factorial())
-            for i, p in enumerate(mi.spatial):
-                if p:
-                    term = term * dx[..., i] ** p
-            if mi.time_order:
-                term = term * dt**mi.time_order
-            out += term
+            out += monomial(mi, dx, dt, a)
         return out
 
     def derivative_at_base(self, sigma) -> float:

@@ -23,7 +23,6 @@ __all__ = [
     "polynomial_field",
     "time_profile",
     "make_field",
-    "FIELD_CATALOG",
 ]
 
 
@@ -155,14 +154,6 @@ def time_profile(func, time_floor: Optional[float] = None,
 
     return ScalarField(f, 1, tail="bounded", bound=bound, time_floor=time_floor,
                        name="time_profile")
-
-
-FIELD_CATALOG = {
-    "constant": constant,
-    "exp_symbol": exp_symbol,
-    "gaussian_bump": gaussian_bump,
-    "power_cusp": power_cusp,
-}
 
 
 def make_field(spec, n: int = 1) -> ScalarField:

@@ -2,13 +2,18 @@
 
 K(x, t) = c_{n,s} * exp(-|x|^2 / (4t)) / t^(n/2 + 1 - s)  for t > 0,
 
-with c_{n,s} = 1 / ((4 pi)^{n/2} |Gamma(-s)|).  Everything is computed in
-log space so that extreme scale ratios |x|^2 / t do not overflow.  Besides
-evaluation this module provides exact closed-form derivatives (polynomial
-times kernel), the kernel mass over a time slab, and empirical verifiers
-for the pointwise bounds used throughout the decomposition estimates.
-The verifiers report observed constants and a refinement-stability flag;
-they never assert a universal constant.
+with c_{n,s} = 1 / ((4 pi)^{n/2} |Gamma(-s)|).  `eval_kernel` and
+`kernel_mass` carry c_{n,s}, so the mass over (0, T) is T^s / Gamma(1-s).
+The solution kernel of `quadrature.kernel_convolve` carries
+c_inv = 1 / ((4 pi)^{n/2} Gamma(s)) instead; the two differ by the factor
+Gamma(s) s / Gamma(1-s).
+
+Everything is computed in log space so that extreme scale ratios |x|^2 / t
+do not overflow.  Besides evaluation this module provides exact closed-form
+derivatives (polynomial times kernel), the kernel mass over a time slab,
+and empirical verifiers for the pointwise bounds used throughout the
+decomposition estimates.  The verifiers report observed constants and a
+refinement-stability flag; they never assert a universal constant.
 """
 
 from __future__ import annotations
@@ -192,17 +197,15 @@ def kernel_mass(params: FracParams, T: float) -> tuple:
 class SamplePlan:
     """Stratified sampling plan for bound verification.
 
-    Log-uniform in |t| over [r^2*1e-4, r^2*1e4] and in |x| over
-    [r*1e-4, 1e2*r], plus deterministic adversarial sweeps along the first
-    axis and the orthant diagonal.  Seeded, so sample sets are nested:
-    growing n_samples only appends points.
+    Deterministic adversarial sweeps along the first axis and the orthant
+    diagonal, then n_samples random points log-uniform in |t| over
+    [r^2*1e-4, r^2*1e4] and in |x| over [r*1e-4, 1e2*r].  Seeded, so a plan
+    always draws the same points; plans of different sizes are not nested
+    (only the |t| draws share a prefix).
     """
 
     n_samples: int = 10000
     seed: int = 0
-    t_lo_factor: float = 1e-4
-    t_hi_factor: float = 1e4
-    x_hi_factor: float = 1e2
 
 
 @dataclass
@@ -223,43 +226,29 @@ class BoundReport:
         )
 
 
-def _sample_xt(plan: SamplePlan, r: float, n: int, count: int):
-    rng = np.random.default_rng(plan.seed)
-    abs_t = np.exp(
-        rng.uniform(
-            math.log(r**2 * plan.t_lo_factor),
-            math.log(r**2 * plan.t_hi_factor),
-            size=count,
-        )
-    )
-    abs_x = np.exp(
-        rng.uniform(math.log(r * 1e-4), math.log(r * plan.x_hi_factor), size=count)
-    )
-    dirs = rng.standard_normal((count, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    x = dirs * abs_x[:, None]
-    t_sign = rng.choice([-1.0, 1.0], size=count)
-    return x, abs_t * t_sign
-
-
-def _adversarial_xt(r: float, n: int):
-    """Deterministic sweep: axis and diagonal rays crossed with a |t| grid."""
+def _samples(plan: SamplePlan, r: float, n: int):
+    """(x, t, n_det): the adversarial sweep (axis and diagonal rays crossed
+    with a |t| grid, plus the pure-time edge, at both signs of t), then the
+    plan's random draw."""
     abs_x = r * np.geomspace(1e-4, 1e2, 61)
     abs_t = r**2 * np.geomspace(1e-4, 1e4, 81)
     rays = [np.eye(n)[0], np.ones(n) / math.sqrt(n)]
-    xs, ts = [], []
-    for ray in rays:
-        for sx in abs_x:
-            x_row = ray * sx
-            xs.append(np.repeat(x_row[None, :], len(abs_t), axis=0))
-            ts.append(abs_t.copy())
-    # pure-time and pure-space edges
+    xs = [np.repeat((ray * sx)[None, :], len(abs_t), axis=0)
+          for ray in rays for sx in abs_x]
     xs.append(np.zeros((len(abs_t), n)))
-    ts.append(abs_t.copy())
-    x = np.concatenate(xs, axis=0)
-    t = np.concatenate(ts)
-    both = np.concatenate([t, -t])
-    return np.concatenate([x, x], axis=0), both
+    xa = np.concatenate(xs, axis=0)
+    ta = np.tile(abs_t, len(xs))
+    xa, ta = np.concatenate([xa, xa], axis=0), np.concatenate([ta, -ta])
+
+    count = plan.n_samples
+    rng = np.random.default_rng(plan.seed)
+    abs_t = np.exp(rng.uniform(math.log(r**2 * 1e-4), math.log(r**2 * 1e4), size=count))
+    abs_x = np.exp(rng.uniform(math.log(r * 1e-4), math.log(r * 1e2), size=count))
+    dirs = rng.standard_normal((count, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    xr = dirs * abs_x[:, None]
+    tr = abs_t * rng.choice([-1.0, 1.0], size=count)
+    return np.concatenate([xa, xr], axis=0), np.concatenate([ta, tr]), len(ta)
 
 
 def _ratio_report(
@@ -293,6 +282,24 @@ def _ratio_report(
     )
 
 
+def _power_gaussian_report(
+    lemma: str, a: float, b: float, A: float, r: float, n: int, plan: SamplePlan,
+    region,
+) -> BoundReport:
+    """Max of (|x|^{2a}/|t|^b) e^{-A|x|^2/|t|} / r^{2(a-b)} over the samples
+    where region(|x|, |t|) holds."""
+    x, t, n_det = _samples(plan, r, n)
+    abs_x = np.linalg.norm(x, axis=1)
+    abs_t = np.abs(t)
+    with np.errstate(divide="ignore"):
+        log_lhs = 2 * a * np.log(abs_x) - b * np.log(abs_t) - A * abs_x**2 / abs_t
+    log_ratio = np.where(region(abs_x, abs_t), log_lhs - 2 * (a - b) * math.log(r), -np.inf)
+    return _ratio_report(
+        lemma, log_ratio, x, t, plan.n_samples, n_det,
+        {"a": a, "b": b, "A": A, "r": r, "n": n},
+    )
+
+
 def verify_global_bound(
     a: float, b: float, A: float, r: float, n: int = 1, plan: SamplePlan = SamplePlan()
 ) -> BoundReport:
@@ -303,19 +310,9 @@ def verify_global_bound(
     """
     if not (0 <= a <= b) or A <= 0 or r <= 0:
         raise ValueError("need 0 <= a <= b, A > 0, r > 0")
-    xa, ta = _adversarial_xt(r, n)
-    xr, tr = _sample_xt(plan, r, n, plan.n_samples)
-    x = np.concatenate([xa, xr], axis=0)
-    t = np.concatenate([ta, tr])
-    outside = (np.linalg.norm(x, axis=1) >= r) | (np.abs(t) >= r**2)
-    abs_x = np.linalg.norm(x, axis=1)
-    abs_t = np.abs(t)
-    with np.errstate(divide="ignore"):
-        log_lhs = 2 * a * np.log(abs_x) - b * np.log(abs_t) - A * abs_x**2 / abs_t
-    log_ratio = np.where(outside, log_lhs - 2 * (a - b) * math.log(r), -np.inf)
-    return _ratio_report(
-        "global_offsite_bound", log_ratio, x, t, plan.n_samples, len(ta),
-        {"a": a, "b": b, "A": A, "r": r, "n": n},
+    return _power_gaussian_report(
+        "global_offsite_bound", a, b, A, r, n, plan,
+        lambda abs_x, abs_t: (abs_x >= r) | (abs_t >= r**2),
     )
 
 
@@ -325,22 +322,13 @@ def verify_local_bound(
     """Same ratio bound, restricted to the dyadic annulus between radii r and 2r."""
     if a < 0 or b < 0 or A <= 0 or r <= 0:
         raise ValueError("need a, b >= 0, A > 0, r > 0")
-    xa, ta = _adversarial_xt(r, n)
-    xr, tr = _sample_xt(plan, r, n, plan.n_samples)
-    x = np.concatenate([xa, xr], axis=0)
-    t = np.concatenate([ta, tr])
-    abs_x = np.linalg.norm(x, axis=1)
-    abs_t = np.abs(t)
-    inner = (abs_x < r) & (abs_t < r**2)
-    outer = (abs_x < 2 * r) & (abs_t < 4 * r**2)
-    in_annulus = outer & ~inner
-    with np.errstate(divide="ignore"):
-        log_lhs = 2 * a * np.log(abs_x) - b * np.log(abs_t) - A * abs_x**2 / abs_t
-    log_ratio = np.where(in_annulus, log_lhs - 2 * (a - b) * math.log(r), -np.inf)
-    return _ratio_report(
-        "local_annulus_bound", log_ratio, x, t, plan.n_samples, len(ta),
-        {"a": a, "b": b, "A": A, "r": r, "n": n},
-    )
+
+    def in_annulus(abs_x, abs_t):
+        inner = (abs_x < r) & (abs_t < r**2)
+        outer = (abs_x < 2 * r) & (abs_t < 4 * r**2)
+        return outer & ~inner
+
+    return _power_gaussian_report("local_annulus_bound", a, b, A, r, n, plan, in_annulus)
 
 
 def _translation_rhs_log(params: FracParams, x: np.ndarray, abs_t: np.ndarray, r: float):
@@ -385,10 +373,7 @@ def verify_translation_bound(
     if deriv_order is not None and not 0 <= deriv_order <= 4:
         raise ValueError("derivative variant supports order <= 4")
     n = params.n
-    xa, ta = _adversarial_xt(r, n)
-    xr, tr = _sample_xt(plan, r, n, plan.n_samples)
-    x = np.concatenate([xa, xr], axis=0)
-    t = np.concatenate([ta, tr])
+    x, t, n_det = _samples(plan, r, n)
     abs_t = np.abs(t)
     abs_x = np.linalg.norm(x, axis=1)
 
@@ -414,6 +399,6 @@ def verify_translation_bound(
     log_rhs = _translation_rhs_log(params, x, abs_t, r)
     log_ratio = log_lhs - scale - log_rhs
     return _ratio_report(
-        label, log_ratio, x, t, plan.n_samples, len(ta),
+        label, log_ratio, x, t, plan.n_samples, n_det,
         {"m": m, "l": l, "r": r, "deriv_order": deriv_order, "s": params.s, "n": n},
     )

@@ -34,7 +34,7 @@ read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -99,16 +99,7 @@ class QuadratureSpec:
         )
 
     def signature(self) -> dict:
-        return {
-            "tau_min": self.tau_min,
-            "tau_max": self.tau_max,
-            "graded_nodes": self.graded_nodes,
-            "hermite_order": self.hermite_order,
-            "spatial_nodes": self.spatial_nodes,
-            "z_min": self.z_min,
-            "z_max": self.z_max,
-            "tail_mode": self.tail_mode,
-        }
+        return asdict(self)
 
 
 def _read_only(*arrays) -> tuple:

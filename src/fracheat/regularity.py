@@ -26,9 +26,11 @@ import numpy as np
 
 from .core import (
     FracParams,
+    ParabolicCylinder,
     ParabolicPolynomial,
     ScalarField,
     SpaceTimePoint,
+    monomial,
     multi_indices,
 )
 from .quadrature import QuadratureSpec, kernel_convolve
@@ -107,30 +109,6 @@ class NuProfile:
         return NuProfile(base, radii, raw, nu, mode, spatial_only)
 
 
-def _deviation_samples(
-    f: ScalarField,
-    P: ParabolicPolynomial,
-    base: SpaceTimePoint,
-    r: float,
-    grid: tuple,
-    spatial_only: bool,
-):
-    nx, nt = grid
-    x0 = base.x_array()
-    if f.n != 1:
-        raise NotImplementedError("profiles implemented for n = 1")
-    xs = x0[0] + r * (2.0 * (np.arange(nx) + 0.5) / nx - 1.0)
-    if spatial_only:
-        ts = np.full(1, base.t)
-    else:
-        ts = base.t - r**2 * (np.arange(nt) + 0.5) / nt
-    X, T = np.meshgrid(xs, ts, indexing="ij")
-    pts_x = X.ravel()[:, None]
-    pts_t = T.ravel()
-    dev = f.eval(pts_x, pts_t) - P.eval(pts_x, pts_t)
-    return np.abs(dev)
-
-
 def nu_profile(
     f: ScalarField,
     P: ParabolicPolynomial,
@@ -150,7 +128,13 @@ def nu_profile(
         raise ValueError("mode must be 'l1' or 'sup'")
     vals = []
     for r in radii:
-        dev = _deviation_samples(f, P, base, float(r), grid, spatial_only)
+        cyl = ParabolicCylinder(base, float(r))
+        if spatial_only:
+            x, t = cyl.midpoints((grid[0], 1))
+            t = np.full_like(t, base.t)
+        else:
+            x, t = cyl.midpoints(grid)
+        dev = np.abs(f.eval(x, t) - P.eval(x, t))
         vals.append(float(np.max(dev)) if mode == "sup" else float(np.mean(dev)))
     return NuProfile.from_values(base, radii, vals, mode, spatial_only)
 
@@ -169,31 +153,16 @@ def fit_polynomial(
     the smallest sampled scales dominate and the coefficients approach the
     Taylor jet when one exists.  Raises on a rank-deficient design.
     """
-    if f.n != 1:
-        raise NotImplementedError("fitting implemented for n = 1")
-    nx, nt = grid
-    x0, t0 = base.x[0], base.t
-    xs = x0 + fit_radius * (2.0 * (np.arange(nx) + 0.5) / nx - 1.0)
-    ts = t0 - fit_radius**2 * (np.arange(nt) + 0.5) / nt
-    X, T = np.meshgrid(xs, ts, indexing="ij")
-    dx = (X - x0).ravel()
-    dt = (T - t0).ravel()
-    rho = np.sqrt(dx**2 + np.abs(dt))
+    x, t = ParabolicCylinder(base, fit_radius).midpoints(grid)
+    dx = x - base.x_array()
+    dt = t - base.t
+    rho = np.sqrt(dx[:, 0] ** 2 + np.abs(dt))
     power = shell_weight_power if shell_weight_power is not None else (f.n + 4) / 2.0
     w = rho ** (-power)
     w /= np.max(w)
     mis = multi_indices(1, k)
-    cols = []
-    for mi in mis:
-        col = np.ones_like(dx) / mi.factorial()
-        p = mi.spatial[0]
-        if p:
-            col = col * dx**p
-        if mi.time_order:
-            col = col * dt**mi.time_order
-        cols.append(col)
-    A = np.stack(cols, axis=1) * w[:, None]
-    y = f.eval(X.ravel()[:, None], T.ravel()) * w
+    A = np.stack([monomial(mi, dx, dt) for mi in mis], axis=1) * w[:, None]
+    y = f.eval(x, t) * w
     coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
     if rank < len(mis):
         raise ValueError("degenerate fit grid: design matrix is rank deficient")

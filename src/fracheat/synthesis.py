@@ -18,8 +18,10 @@ solution is split along parabolic cylinders about a base point:
   * the polynomial's own global solution V_P = W_{P,1} + u_P, with W_{P,r}
     the contribution of J outside the past cylinder of radius r.
 
-The decay of the cylinder average of |S_r| in r is the quantitative
-regularity transfer from f to u probed by `s_decay_probe`.
+The decay in r of the average of |S_r| over the midpoint grid of the past
+cylinder Q_r (`ParabolicCylinder.midpoints`, the grid the regularity
+profiles sample too) is the quantitative regularity transfer from f to u
+probed by `s_decay_probe`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "DecompositionBundle",
     "decompose_internal",
     "s_decay_probe",
-    "cylinder_average",
 ]
 
 
@@ -268,26 +269,6 @@ def decompose_internal(
     )
 
 
-def cylinder_average(
-    eval_fn: Callable,
-    cyl: ParabolicCylinder,
-    grid: tuple = (64, 64),
-    absolute: bool = True,
-) -> float:
-    """Midpoint tensor average of |g| (or g) over a past cylinder, n = 1."""
-    if cyl.center.n != 1:
-        raise NotImplementedError("cylinder averages implemented for n = 1")
-    nx, nt = grid
-    cx = cyl.center.x[0]
-    xs = cx + cyl.radius * (2.0 * (np.arange(nx) + 0.5) / nx - 1.0)
-    ts = cyl.t_lo + (cyl.t_hi - cyl.t_lo) * (np.arange(nt) + 0.5) / nt
-    vals = np.empty((nt, nx))
-    for i, t in enumerate(ts):
-        for j, x in enumerate(xs):
-            vals[i, j] = eval_fn(SpaceTimePoint.of([x], t))
-    return float(np.mean(np.abs(vals) if absolute else vals))
-
-
 def s_decay_probe(
     f: ScalarField,
     P: ParabolicPolynomial,
@@ -297,7 +278,7 @@ def s_decay_probe(
     quad: QuadratureSpec = QuadratureSpec(),
     grid: tuple = (64, 64),
 ) -> dict:
-    """Average of |S_r| over the past cylinder Q_r for each radius.
+    """Average of |S_r| over the midpoint grid of the past cylinder Q_r, per radius.
 
     Returns {"radii", "averages", "slope"}: the slope is the least-squares
     fit of log average against log r, the decay exponent of the internal
@@ -309,12 +290,12 @@ def s_decay_probe(
     avgs = []
     for r in radii:
         src = _piece_sources(f, P, r, params, center)["S_r"]
-        cyl = ParabolicCylinder(center, r, sided="past")
-
-        def val(pt):
-            return kernel_convolve(src, pt, params, quad, with_error=False)[0]
-
-        avgs.append(cylinder_average(val, cyl, grid=grid))
+        x, t = ParabolicCylinder(center, r).midpoints(grid)
+        vals = [
+            kernel_convolve(src, SpaceTimePoint.of(xi, ti), params, quad, with_error=False)[0]
+            for xi, ti in zip(x, t)
+        ]
+        avgs.append(float(np.mean(np.abs(vals))))
     lr = np.log(np.asarray(radii))
     la = np.log(np.maximum(np.asarray(avgs), 1e-300))
     slope = float(np.polyfit(lr, la, 1)[0])

@@ -188,10 +188,20 @@ class TestDecomposeCommand:
         assert header == ["r", "avg_abs_S_r"]
         assert [row[0] for row in data] == [0.125, 0.25, 0.5]
         assert all(row[1] > 0 for row in data)
-        manifest = json.loads((tmp_path / "decompose.manifest.json").read_text())
+        manifest = json.loads((tmp_path / "s_decay.manifest.json").read_text())
         assert manifest["probe"] == "s-decay"
         assert manifest["outputs"] == ["s_decay.csv"]
         assert math.isfinite(manifest["slope"])
+
+    def test_both_modes_keep_their_own_manifest(self, tmp_path, tiny_quad):
+        common = ["--field", "gaussian_bump", "--quad", tiny_quad, "--out-dir", str(tmp_path)]
+        assert main(["decompose", "--points", "0.1 0.05", *common]) == 0
+        assert main(["decompose", "--probe", "s-decay", "--depth", "2", "--grid", "2",
+                     *common]) == 0
+        values = json.loads((tmp_path / "decompose.manifest.json").read_text())
+        probe = json.loads((tmp_path / "s_decay.manifest.json").read_text())
+        assert values["outputs"] == ["decompose.csv"] and "probe" not in values
+        assert probe["outputs"] == ["s_decay.csv"] and probe["probe"] == "s-decay"
 
 
 class TestJetCommand:

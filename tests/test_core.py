@@ -65,6 +65,22 @@ class TestPointsAndCylinders:
         t = np.array([0.1, 0.26, -0.26])
         assert list(cyl.contains(x, t)) == [True, False, False]
 
+    def test_midpoints_grid(self):
+        cyl = ParabolicCylinder(SpaceTimePoint.of(0.3, 0.2), 0.5)
+        x, t = cyl.midpoints((8, 4))
+        assert x.shape == (32, 1) and t.shape == (32,)
+        # x-major: the four times of one x, falling from the apex, come first
+        assert np.all(x[:4, 0] == x[0, 0]) and np.all(np.diff(t[:4]) < 0)
+        assert np.all(np.diff(x[::4, 0]) > 0)
+        assert np.mean(np.abs(x[:, 0] - 0.3)) == pytest.approx(0.25, rel=1e-12)
+        assert np.all((t > 0.2 - 0.25) & (t < 0.2))
+
+    def test_midpoints_reject_two_sided_and_higher_dimensions(self):
+        with pytest.raises(ValueError):
+            ParabolicCylinder(SpaceTimePoint.of(0.0, 0.0), 0.5, sided="two").midpoints((4, 4))
+        with pytest.raises(NotImplementedError):
+            ParabolicCylinder(SpaceTimePoint.of([0.0, 0.0], 0.0), 0.5).midpoints((4, 4))
+
     def test_scaled(self):
         # parabolic scaling x -> lam x, t -> lam^2 t
         cyl = ParabolicCylinder(SpaceTimePoint.of(1.0, 0.5), 1.0, sided="past")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracheat import (
     FracParams,
@@ -11,6 +13,7 @@ from fracheat import (
     ScalarField,
     SpaceTimePoint,
     gaussian_bump,
+    multi_indices,
     power_cusp,
 )
 from fracheat.regularity import (
@@ -68,6 +71,16 @@ class TestTargetExponent:
 
 
 class TestNuProfile:
+    def test_average_of_constant(self):
+        f = ScalarField(lambda x, t: np.full(len(t), 3.0), 1, tail="bounded")
+        prof = nu_profile(f, ParabolicPolynomial.zero(1), BASE, [0.5], grid=(8, 8))
+        assert prof.raw[0] == pytest.approx(3.0)
+
+    def test_average_of_abs_x_is_half_radius(self):
+        f = ScalarField(lambda x, t: np.atleast_2d(x)[:, 0], 1, tail="bounded")
+        prof = nu_profile(f, ParabolicPolynomial.zero(1), BASE, [0.5], grid=(16, 4))
+        assert prof.raw[0] == pytest.approx(0.25, rel=1e-12)  # mean |x| on [-1/2, 1/2]
+
     def test_running_sup_is_monotone(self):
         radii = [0.5, 0.25, 0.125, 0.0625]
         raw = [1.0, 3.0, 0.5, 0.25]
@@ -110,6 +123,24 @@ class TestFitPolynomial:
         Q = fit_polynomial(f, BASE, 2, 0.25, grid=(24, 24))
         for mi, c in P.coeffs.items():
             assert Q.derivative_at_base(mi) == pytest.approx(c, rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        coeffs=st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4),
+        x0=st.floats(-1.0, 1.0),
+        t0=st.floats(-1.0, 1.0),
+        radius=st.floats(0.05, 1.0),
+    )
+    def test_recovers_random_quadratic(self, coeffs, x0, t0, radius):
+        # the shared monomial builds both P.eval and the fit's design columns
+        base = SpaceTimePoint.of(x0, t0)
+        mis = multi_indices(1, 2)
+        P = ParabolicPolynomial(2, base, dict(zip(mis, coeffs)))
+        Q = fit_polynomial(ScalarField(P.eval, 1, tail="bounded"), base, 2, radius,
+                           grid=(12, 12))
+        for mi in mis:
+            assert Q.derivative_at_base(mi) == pytest.approx(
+                P.derivative_at_base(mi), rel=1e-8, abs=1e-8)
 
     def test_degree_zero_is_weighted_mean(self):
         f = ScalarField(lambda x, t: np.full(len(np.atleast_1d(t)), 7.0), 1,

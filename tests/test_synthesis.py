@@ -6,7 +6,6 @@ import pytest
 from fracheat import (
     FracParams,
     MultiIndex,
-    ParabolicCylinder,
     ParabolicPolynomial,
     QuadratureSpec,
     SpaceTimePoint,
@@ -20,7 +19,7 @@ from fracheat import (
     synthesize_solution,
     synthesized_field,
 )
-from fracheat.synthesis import cylinder_average, difference_field, jet_source
+from fracheat.synthesis import difference_field, jet_source
 
 QUAD = QuadratureSpec(graded_nodes=10, spatial_nodes=12)
 CENTER = SpaceTimePoint.of(0.0, 0.0)
@@ -171,18 +170,6 @@ class TestDifferenceField:
         expect = f.eval(x, t) - 2.0 * psi.eval(x, t)
         assert d.eval(x, t)[0] == pytest.approx(expect[0], rel=1e-12)
         assert d.tail == "compact"
-
-
-class TestCylinderAverage:
-    def test_average_of_constant(self):
-        cyl = ParabolicCylinder(CENTER, 0.5, sided="past")
-        avg = cylinder_average(lambda pt: 3.0, cyl, grid=(8, 8))
-        assert avg == pytest.approx(3.0)
-
-    def test_absolute_value_default(self):
-        cyl = ParabolicCylinder(CENTER, 0.5, sided="past")
-        avg = cylinder_average(lambda pt: pt.x[0], cyl, grid=(16, 4))
-        assert avg == pytest.approx(0.25, rel=0.05)  # mean |x| on [-1/2, 1/2]
 
 
 class TestSDecay:
