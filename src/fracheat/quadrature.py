@@ -12,7 +12,13 @@ a pure power.  `_graded_bands` is that band integrator for every kernel
 quadrature of the package (this module, the operator routes and the kernel
 mass), `_richardson_head` their fitted power-law head, `_refined` their
 fine/coarse error estimate, and `_increment` the increment integral of the
-operator and of its Marchaud reduction, with their one tail policy.  The
+operator and of its Marchaud reduction, with their one tail policy.
+Symbol fields exp(lam t) cos(k.x) have one time range in both routes
+(`_symbol_range`): their Gaussian average at lag tau is
+pi^(n/2) f(x, t) e^(-mu tau), mu = lam + |k|^2, so the range ends at
+TAU_MU / mu, where that factor is e^(-40) ~ 4e-18, and the dropped tail
+goes into the estimate.  `_refined` and the estimate-free convolution raise
+FloatingPointError on a value or estimate that is not finite.  The
 inner integral (`_inner`) uses Gauss-Hermite when the admissible region is
 unbounded and mapped Gauss-Legendre panels (with the Gaussian written out
 explicitly) when the region is a union of intervals, so that indicator
@@ -39,6 +45,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.special import gammaincc
 
 from .core import FracParams, ScalarField, SpaceTimePoint, check_slowly_increasing
 from .kernel import _factor_eval
@@ -53,6 +60,7 @@ __all__ = [
 ]
 
 W_MAX = 8.6  # Gaussian window half-width; exp(-W_MAX^2) ~ 5e-33
+TAU_MU = 40.0  # symbol fields end at tau = TAU_MU / mu; exp(-TAU_MU) ~ 4e-18
 MAX_PANELS = 10  # spatial panels per window, at most
 BLOCK = 2**16  # Gauss-Hermite points per field call, at most (one node at least)
 
@@ -273,18 +281,50 @@ def _richardson_head(g1: float, g2: float, lo: float, p: float, q: float, w: flo
     return lo ** (w + 1.0) * (a / (p + w + 1.0) + b / (q + w + 1.0))
 
 
+def _finite(value: float, err: float = 0.0) -> tuple:
+    """(value, err), or FloatingPointError if either is not finite."""
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise FloatingPointError(f"quadrature gave value {value}, error {err}: not finite")
+    return value, err
+
+
 def _refined(
     one_pass: Callable, quad: QuadratureSpec, tail: float = 0.0, tail_err: float = 0.0,
     scale: float = 1.0, floor: tuple = (1e-13, 1e-16),
 ) -> tuple:
     """(value, err) of scale * (one_pass + tail) from a fine pass at quad and a
     coarse pass at quad.coarsened(); err is their difference plus tail_err,
-    scaled, plus the floor (relative, absolute)."""
+    scaled, plus the floor (relative, absolute).  Raises FloatingPointError
+    if the value or err is not finite."""
     fine = one_pass(quad)
     coarse = one_pass(quad.coarsened())
     value = scale * (fine + tail)
     rel, absolute = floor
-    return value, scale * (abs(fine - coarse) + tail_err) + rel * abs(value) + absolute
+    return _finite(value, scale * (abs(fine - coarse) + tail_err) + rel * abs(value) + absolute)
+
+
+def _symbol_mu(field: ScalarField) -> Optional[float]:
+    """mu = lam + |k|^2 of a symbol field exp(lam t) cos(k.x); None for any
+    other field."""
+    if field.tail != "exponential_symbol":
+        return None
+    lam, k = field.symbol_params
+    return lam + float(np.dot(k, k))
+
+
+def _symbol_range(field: ScalarField, tau_hi: float, breaks: Sequence[float]) -> float:
+    """The end of a time range ending at tau_hi, cut at TAU_MU / mu for a
+    symbol field with mu > 0.
+
+    The Gaussian average of exp(lam t) cos(k.x) at lag tau is
+    pi^(n/2) f(x, t) e^(-mu tau): past TAU_MU / mu it is below
+    e^(-TAU_MU) ~ 4e-18 of f(x, t).  The cut stays past every break, beyond
+    which a restricted symbol source is the symbol field itself.
+    """
+    mu = _symbol_mu(field)
+    if mu is None or mu <= 0.0:
+        return tau_hi
+    return min(tau_hi, max([TAU_MU / mu, *breaks]))
 
 
 # _PANEL_EDGES[p, k]: edge k of a window cut into p panels, as np.linspace
@@ -482,6 +522,15 @@ def _convolve_once(
     quad: QuadratureSpec,
     deriv: Optional[tuple],
 ) -> float:
+    """c 2^n int_0^tau_hi tau^(s-1) int e^(-w^2) g(x - 2 sqrt(tau) w, t - tau)
+    [phi] dw dtau, one pass at quad.
+
+    The range ends at the source's time window, at tau_max if that is
+    nearer, and for a symbol source (deriv None) at `_symbol_range`'s cut,
+    whose dropped tail `kernel_convolve` puts into the estimate.  Below
+    tau_min (deriv None) an analytic head takes the inner integral at its
+    limit pi^(n/2) g(x, t).
+    """
     x = pt.x_array()
     t = pt.t
     s = params.s
@@ -492,6 +541,9 @@ def _convolve_once(
     if win_hi < t:
         tau_lo = max(tau_lo, t - win_hi)
     tau_hi = quad.tau_max if not math.isfinite(win_lo) else min(quad.tau_max, t - win_lo)
+    breaks = [t - b for b in source.time_breakpoints()]
+    if deriv is None:
+        tau_hi = _symbol_range(source.field, tau_hi, breaks)
     total = 0.0
     if deriv is None and tau_lo == quad.tau_min:
         # analytic head: the inner integral tends to pi^{n/2} g(x, t)
@@ -500,7 +552,6 @@ def _convolve_once(
     if tau_hi <= tau_lo:
         return total
 
-    breaks = [t - b for b in source.time_breakpoints()]
     cuts = np.sort(breaks)
 
     def integrand(tau, a, b):
@@ -540,13 +591,27 @@ def kernel_convolve(
     With deriv=None this is the kernel convolution itself; a multi-index
     deriv differentiates the kernel in closed form under the integral.
     Returns (value, error_estimate); the estimate comes from a node-count
-    refinement plus the analytic head remainder.
+    refinement plus, for a symbol source exp(lam t) cos(k.x), what the cut at
+    TAU_MU / mu drops: c 2^n pi^(n/2) int_{TAU_MU/mu}^inf tau^(s-1)
+    f(x, t) e^(-mu tau) dtau, at most e^(lam t) mu^(-s) Gamma(s, TAU_MU) /
+    Gamma(s).  With with_error=False the estimate is NaN.  Raises
+    FloatingPointError when the value (or the estimate) is not finite.
     """
     if isinstance(source, ScalarField):
         source = RestrictedSource(source)
     if not with_error:
-        return _convolve_once(source, pt, params, quad, deriv), math.nan
-    return _refined(lambda spec: _convolve_once(source, pt, params, spec, deriv), quad)
+        value, _ = _finite(_convolve_once(source, pt, params, quad, deriv))
+        return value, math.nan
+    tail_err = 0.0
+    mu = _symbol_mu(source.field) if deriv is None else None
+    if mu is not None and mu > 0.0:
+        # the cut drops the share Gamma(s, TAU_MU) / Gamma(s) of the solution
+        # mu^(-s) f(x, t), and |f(x, t)| <= e^(lam t)
+        lam = source.field.symbol_params[0]
+        tail_err = math.exp(lam * pt.t) * mu ** (-params.s) * gammaincc(params.s, TAU_MU)
+    return _refined(
+        lambda spec: _convolve_once(source, pt, params, spec, deriv), quad, tail_err=tail_err
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -562,29 +627,28 @@ def _increment(
 
     G(tau, band_hi, spec) = unit * u_at - (directional average of u at
     t - tau) on the nodes of one band per row.  The working range ends at
-    the field's time floor, or at tau_max if that is nearer; below tau_min
-    a Richardson head fits G = c1 tau + c2 tau^2.  The tail beyond tau_hi,
-    with mass = tau_hi^(-s) / s: for symbol fields unit u_at mass up to
-    e^(-mu tau_hi), mu = lam + |k|^2 (mu = 0: the integral is exactly 0);
-    for a floor inside the working range the same, exactly; for any other
-    field G frozen at tau_hi, with the worst case 2 unit bound mass as its
-    error.  tail_mode "bound_only" makes the error that worst case and
+    the field's time floor, or at tau_max if that is nearer, and for a
+    symbol field at `_symbol_range`'s cut TAU_MU / mu, mu = lam + |k|^2;
+    below tau_min a Richardson head fits G = c1 tau + c2 tau^2.  The tail
+    beyond tau_hi, with mass = tau_hi^(-s) / s: for symbol fields unit u_at
+    mass up to e^(-mu tau_hi), which is e^(-TAU_MU) at the cut (mu = 0: the
+    integral is exactly 0); for a floor inside the working range the same,
+    exactly; for any other field G frozen at tau_hi, with the worst case
+    2 unit bound mass as its error.  tail_mode "bound_only" makes the error that worst case and
     leaves the value alone.
     """
     if not check_slowly_increasing(u):
         raise ValueError("field grows too fast backward in time for the history"
                          " integral")
-    mu = None
-    if u.tail == "exponential_symbol":
-        lam, k = u.symbol_params
-        mu = lam + float(np.dot(k, k))
-        if mu == 0.0:
-            return 0.0, 0.0
+    mu = _symbol_mu(u)
+    if mu == 0.0:
+        return 0.0, 0.0
     floor = u.time_floor
     tau_hi = quad.tau_max
     if floor is not None and math.isfinite(floor):
         tau_hi = min(quad.tau_max, max(t - floor, 4.0 * quad.tau_min))
     breaks = [t - v for v in u.time_window() if math.isfinite(v)]
+    tau_hi = _symbol_range(u, tau_hi, breaks)
 
     def one_pass(spec: QuadratureSpec) -> float:
         lo = spec.tau_min
@@ -600,7 +664,7 @@ def _increment(
     worst = 2.0 * unit * bound * mass
     tail, tail_err = unit * u_at * mass, worst
     if mu is not None:
-        tail_err = unit * abs(u_at) * math.exp(-min(mu * tau_hi, 700.0)) * mass
+        tail_err = unit * abs(u_at) * math.exp(-mu * tau_hi) * mass
     elif floor is not None and tau_hi >= t - floor:
         tail_err = 0.0  # exact: u vanishes beyond the working range
     else:  # no decay assumption available: freeze G at its tau_hi value

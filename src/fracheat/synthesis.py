@@ -106,8 +106,7 @@ class _ErrTracker:
         self.max_err = 0.0
 
     def update(self, e: float):
-        if math.isfinite(e):
-            self.max_err = max(self.max_err, e)
+        self.max_err = max(self.max_err, e)
 
 
 def synthesized_field(

@@ -67,11 +67,13 @@ def test_criterion_01_symbol_suite():
             if abs(truth) < 1e-10:
                 continue
             val, _ = apply_fully_fractional(f, pt, params, QUAD)
+            assert math.isfinite(val), (lam, kk, s, pt)  # max() would drop a NaN
             worst = max(worst, abs(val - truth) / abs(truth))
     params = FracParams(1, 0.5)
     cos_field = exp_symbol(0.0, [1.0], 1)
     for x in (0.0, 0.5, 1.2):
         val, _ = apply_fractional_laplacian(cos_field, x, params, QUAD)
+        assert math.isfinite(val), x
         worst = max(worst, abs(val - math.cos(x)) / max(abs(math.cos(x)), 1e-9))
     report(1, worst < 1e-3, f"symbol suite worst relative error {worst:.2e}")
 
