@@ -125,7 +125,12 @@ def _emit(args, t0: float, files: dict, quad: QuadratureSpec | None = None,
 def _problem(args) -> tuple:
     """(params, quad, field) from --n, --s, --quad and --field (a path, JSON or id)."""
     params = FracParams(args.n, args.s)
-    quad = QuadratureSpec(**json.loads(Path(args.quad).read_text()) if args.quad else {})
+    settings = json.loads(Path(args.quad).read_text()) if args.quad else {}
+    accepted = [f.name for f in dataclasses.fields(QuadratureSpec)]
+    unknown = sorted(set(settings) - set(accepted))
+    if unknown:
+        raise SystemExit(f"--quad: unknown keys {unknown}; accepted keys: {accepted}")
+    quad = QuadratureSpec(**settings)
     spec = args.field
     if os.path.exists(spec):
         spec = json.loads(Path(spec).read_text())
@@ -341,7 +346,8 @@ def _add_common(p: argparse.ArgumentParser, problem=True, seed=None):
         p.add_argument("--s", type=float, default=0.5)
         p.add_argument("--field", required=True,
                        help="catalog id, inline JSON, or path to a field JSON")
-        p.add_argument("--quad", help="path to a quadrature spec JSON")
+        p.add_argument("--quad", help="path to a quadrature spec JSON (keys tau_min,"
+                       " graded_nodes, hermite_order, spatial_nodes)")
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--out-dir", dest="out_dir", default=None)
 

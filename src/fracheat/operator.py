@@ -39,6 +39,8 @@ __all__ = [
     "marchaud_constant",
 ]
 
+Z_MIN, Z_MAX = 1e-7, 1e6  # the direct Laplacian route's range of |y - x|
+
 
 def symbol_oracle(lam: float, k, s: float) -> float:
     """Fourier-side action on exp(lam t) cos(k.x): (lam + |k|^2)^s."""
@@ -118,7 +120,7 @@ def apply_fractional_laplacian(
         return 2.0 * u_at - uval(x + z) - uval(x - z)
 
     # working range
-    z_lo = quad.z_min
+    z_lo = Z_MIN
     interval = u_space.spatial_interval()
     osc_k = 0.0
     if u_space.tail == "exponential_symbol":
@@ -129,7 +131,7 @@ def apply_fractional_laplacian(
     elif osc_k > 0:
         z_hi = max(128.0, 40.0 / osc_k)
     else:
-        z_hi = quad.z_max
+        z_hi = Z_MAX
 
     def one_pass(spec: QuadratureSpec) -> float:
         # Richardson head: incr(z) ~ c2 z^2 + c4 z^4 for smooth u
@@ -147,7 +149,6 @@ def apply_fractional_laplacian(
     # tail beyond z_hi: the 2u(x) part is an exact power integral
     tail = 2.0 * u_at * z_hi ** (-2.0 * s) / (2.0 * s)
     tail_err = 0.0
-    worst_case = quad.tail_mode == "bound_only"
     if interval is not None:
         pass  # u vanishes beyond z_hi: exact
     elif osc_k > 0:
@@ -155,9 +156,7 @@ def apply_fractional_laplacian(
         osc, rem = _osc_tail(osc_k, z_hi, 1.0 + 2.0 * s)
         tail -= 2.0 * math.cos(osc_k * x) * osc
         tail_err = 2.0 * rem
-    else:
-        worst_case = True  # no decay assumption available
-    if worst_case:
+    else:  # no decay assumption available: the worst case
         bound = u_space.bound if u_space.bound is not None else abs(u_at)
         tail_err = 2.0 * bound * z_hi ** (-2.0 * s) / (2.0 * s)
     return _refined(one_pass, quad, tail, tail_err, C)

@@ -61,6 +61,7 @@ __all__ = [
 
 W_MAX = 8.6  # Gaussian window half-width; exp(-W_MAX^2) ~ 5e-33
 TAU_MU = 40.0  # symbol fields end at tau = TAU_MU / mu; exp(-TAU_MU) ~ 4e-18
+TAU_MAX = 1e4  # every time range ends here at the latest
 MAX_PANELS = 10  # spatial panels per window, at most
 BLOCK = 2**16  # Gauss-Hermite points per field call, at most (one node at least)
 
@@ -69,34 +70,23 @@ BLOCK = 2**16  # Gauss-Hermite points per field call, at most (one node at least
 class QuadratureSpec:
     """Knobs for the kernel quadratures.
 
-    tau_min/tau_max bound the numerically integrated time range (analytic
-    head and tail outside).  graded_nodes is the Gauss-Legendre order per
-    dyadic band, hermite_order the base Gauss-Hermite order for unbounded
-    spatial integrals, spatial_nodes the Gauss-Legendre order per mapped
-    spatial panel.  z_min/z_max play the role of tau_min/tau_max for the
-    purely spatial (time-independent) operator route.  tail_mode "auto"
-    derives the tail treatment from field metadata; "bound_only" forces a
-    worst-case error bound.
+    tau_min bounds the numerically integrated time range from below
+    (analytic head under it; the range ends at TAU_MAX at the latest).
+    graded_nodes is the Gauss-Legendre order per dyadic band, hermite_order
+    the base Gauss-Hermite order for unbounded spatial integrals,
+    spatial_nodes the Gauss-Legendre order per mapped spatial panel.
     """
 
     tau_min: float = 1e-8
-    tau_max: float = 1e4
     graded_nodes: int = 16
     hermite_order: int = 40
     spatial_nodes: int = 16
-    z_min: float = 1e-7
-    z_max: float = 1e6
-    tail_mode: str = "auto"
 
     def __post_init__(self):
-        if not 0 < self.tau_min < self.tau_max:
-            raise ValueError("need 0 < tau_min < tau_max")
-        if not 0 < self.z_min < self.z_max:
-            raise ValueError("need 0 < z_min < z_max")
+        if not 0 < self.tau_min < TAU_MAX:
+            raise ValueError("need 0 < tau_min < TAU_MAX")
         if min(self.graded_nodes, self.hermite_order, self.spatial_nodes) < 2:
             raise ValueError("quadrature orders must be >= 2")
-        if self.tail_mode not in ("auto", "bound_only"):
-            raise ValueError("tail_mode must be 'auto' or 'bound_only'")
 
     def coarsened(self) -> "QuadratureSpec":
         return replace(
@@ -525,7 +515,7 @@ def _convolve_once(
     """c 2^n int_0^tau_hi tau^(s-1) int e^(-w^2) g(x - 2 sqrt(tau) w, t - tau)
     [phi] dw dtau, one pass at quad.
 
-    The range ends at the source's time window, at tau_max if that is
+    The range ends at the source's time window, at TAU_MAX if that is
     nearer, and for a symbol source (deriv None) at `_symbol_range`'s cut,
     whose dropped tail `kernel_convolve` puts into the estimate.  Below
     tau_min (deriv None) an analytic head takes the inner integral at its
@@ -540,7 +530,7 @@ def _convolve_once(
     tau_lo = quad.tau_min
     if win_hi < t:
         tau_lo = max(tau_lo, t - win_hi)
-    tau_hi = quad.tau_max if not math.isfinite(win_lo) else min(quad.tau_max, t - win_lo)
+    tau_hi = TAU_MAX if not math.isfinite(win_lo) else min(TAU_MAX, t - win_lo)
     breaks = [t - b for b in source.time_breakpoints()]
     if deriv is None:
         tau_hi = _symbol_range(source.field, tau_hi, breaks)
@@ -627,15 +617,14 @@ def _increment(
 
     G(tau, band_hi, spec) = unit * u_at - (directional average of u at
     t - tau) on the nodes of one band per row.  The working range ends at
-    the field's time floor, or at tau_max if that is nearer, and for a
+    the field's time floor, or at TAU_MAX if that is nearer, and for a
     symbol field at `_symbol_range`'s cut TAU_MU / mu, mu = lam + |k|^2;
     below tau_min a Richardson head fits G = c1 tau + c2 tau^2.  The tail
     beyond tau_hi, with mass = tau_hi^(-s) / s: for symbol fields unit u_at
     mass up to e^(-mu tau_hi), which is e^(-TAU_MU) at the cut (mu = 0: the
     integral is exactly 0); for a floor inside the working range the same,
     exactly; for any other field G frozen at tau_hi, with the worst case
-    2 unit bound mass as its error.  tail_mode "bound_only" makes the error that worst case and
-    leaves the value alone.
+    2 unit bound mass as its error.
     """
     if not check_slowly_increasing(u):
         raise ValueError("field grows too fast backward in time for the history"
@@ -644,9 +633,9 @@ def _increment(
     if mu == 0.0:
         return 0.0, 0.0
     floor = u.time_floor
-    tau_hi = quad.tau_max
+    tau_hi = TAU_MAX
     if floor is not None and math.isfinite(floor):
-        tau_hi = min(quad.tau_max, max(t - floor, 4.0 * quad.tau_min))
+        tau_hi = min(TAU_MAX, max(t - floor, 4.0 * quad.tau_min))
     breaks = [t - v for v in u.time_window() if math.isfinite(v)]
     tau_hi = _symbol_range(u, tau_hi, breaks)
 
@@ -660,17 +649,15 @@ def _increment(
         )
 
     mass = tau_hi ** (-s) / s
-    bound = u.bound if u.bound is not None else abs(u_at)
-    worst = 2.0 * unit * bound * mass
-    tail, tail_err = unit * u_at * mass, worst
+    tail = unit * u_at * mass
     if mu is not None:
         tail_err = unit * abs(u_at) * math.exp(-mu * tau_hi) * mass
     elif floor is not None and tau_hi >= t - floor:
         tail_err = 0.0  # exact: u vanishes beyond the working range
     else:  # no decay assumption available: freeze G at its tau_hi value
         tail = G(np.array([[tau_hi]]), np.array([tau_hi]), quad)[0, 0] * mass
-    if quad.tail_mode == "bound_only":
-        tail_err = worst
+        bound = u.bound if u.bound is not None else abs(u_at)
+        tail_err = 2.0 * unit * bound * mass
     return _refined(one_pass, quad, tail, tail_err, scale)
 
 

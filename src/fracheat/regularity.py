@@ -145,20 +145,18 @@ def fit_polynomial(
     k: int,
     fit_radius: float,
     grid: tuple = (48, 48),
-    shell_weight_power: Optional[float] = None,
 ) -> ParabolicPolynomial:
     """Weighted least-squares parabolic polynomial of degree k at base.
 
-    Rows are weighted by an inverse power of the parabolic distance so that
-    the smallest sampled scales dominate and the coefficients approach the
-    Taylor jet when one exists.  Raises on a rank-deficient design.
+    Rows are weighted by the parabolic distance to the power -(n + 4) / 2 so
+    that the smallest sampled scales dominate and the coefficients approach
+    the Taylor jet when one exists.  Raises on a rank-deficient design.
     """
     x, t = ParabolicCylinder(base, fit_radius).midpoints(grid)
     dx = x - base.x_array()
     dt = t - base.t
     rho = np.sqrt(dx[:, 0] ** 2 + np.abs(dt))
-    power = shell_weight_power if shell_weight_power is not None else (f.n + 4) / 2.0
-    w = rho ** (-power)
+    w = rho ** (-(f.n + 4) / 2.0)
     w /= np.max(w)
     mis = multi_indices(1, k)
     A = np.stack([monomial(mi, dx, dt) for mi in mis], axis=1) * w[:, None]
@@ -191,7 +189,6 @@ def classify_pointwise(
     profile: NuProfile,
     k: int,
     alpha: float,
-    r: Optional[float] = None,
 ) -> RegularityReport:
     """Classify the modulus behind a deviation profile at exponent k+alpha.
 
@@ -205,8 +202,6 @@ def classify_pointwise(
     within 10% break toward the weaker label.
     """
     ratio = profile.ratio()
-    if r is not None and abs(ratio - r) > 1e-8 * max(1.0, r):
-        raise ValueError(f"profile ratio {ratio} does not match declared r {r}")
     rad = np.asarray(profile.radii, dtype=float)
     nu = np.asarray(profile.nu, dtype=float)
     raw = np.asarray(profile.raw, dtype=float)
@@ -263,7 +258,8 @@ def estimate_exponent(profile: NuProfile, try_log_factor: bool = True) -> dict:
 
     With try_log_factor, also fits log nu = beta log r + log|log r| + c and
     reports log_correction=True when that model reduces the residual sum of
-    squares by at least 25%.
+    squares by at least 25%.  That model needs every radius below 1, since
+    log|log r| is undefined at r = 1; a radius >= 1 raises ValueError.
     """
     r = np.asarray(profile.radii, dtype=float)
     nu = np.asarray(profile.nu, dtype=float)
@@ -271,6 +267,8 @@ def estimate_exponent(profile: NuProfile, try_log_factor: bool = True) -> dict:
     r, nu = r[keep], nu[keep]
     if len(r) < 3:
         raise ValueError("need at least 3 positive profile rows")
+    if try_log_factor and np.any(r >= 1.0):
+        raise ValueError(f"the log model needs radii below 1, got radius {r.max()}")
     lr, ln = np.log(r), np.log(nu)
     A = np.stack([lr, np.ones_like(lr)], axis=1)
     coef, res_a = _lstsq_rss(A, ln)
@@ -362,7 +360,6 @@ def extract_jet(
     depth: int = 8,
     quad: QuadratureSpec = QuadratureSpec(),
     center: Optional[SpaceTimePoint] = None,
-    cutoff: Optional[ScalarField] = None,
 ) -> JetSequence:
     """Iterated jets of the annulus contribution T_r at shrinking scales.
 
@@ -385,7 +382,7 @@ def extract_jet(
     polys = [ParabolicPolynomial.zero(params.n, top, center)]
     for i in range(2, depth + 1):
         r_i = eta ** (i - 1)
-        src = _piece_sources(f, P, r_i, params, center, cutoff)["T_r"]
+        src = _piece_sources(f, P, r_i, params, center)["T_r"]
         coeffs = {}
         for mi in mis:
             val, _ = kernel_convolve(

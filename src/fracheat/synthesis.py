@@ -148,9 +148,10 @@ def synthesized_field(
     return u
 
 
-def jet_source(P: ParabolicPolynomial, cutoff: Optional[ScalarField] = None) -> ScalarField:
-    """J = P * psi: the polynomial jet localized by the cutoff."""
-    cutoff = cutoff or make_cutoff(P.base.n)
+def jet_source(P: ParabolicPolynomial) -> ScalarField:
+    """J = P * psi: the polynomial jet localized by the cutoff
+    psi = make_cutoff(n)."""
+    cutoff = make_cutoff(P.base.n)
 
     def func(x, t):
         return P.eval(x, t) * cutoff.eval(x, t)
@@ -222,11 +223,10 @@ def _piece_sources(
     r: float,
     params: FracParams,
     center: SpaceTimePoint,
-    cutoff: Optional[ScalarField] = None,
 ) -> dict:
     """The restricted source every decomposition piece at radius r convolves,
-    with J = P * cutoff."""
-    J = jet_source(P, cutoff)
+    with J = `jet_source(P)`."""
+    J = jet_source(P)
     fmJ = difference_field(f, J, params, center=center)
     past_r = ParabolicCylinder(center, r, sided="past")
     past_1 = ParabolicCylinder(center, 1.0, sided="past")
@@ -252,7 +252,6 @@ def decompose_internal(
     params: FracParams,
     center: Optional[SpaceTimePoint] = None,
     quad: QuadratureSpec = QuadratureSpec(),
-    cutoff: Optional[ScalarField] = None,
 ) -> DecompositionBundle:
     """Build the full internal/external decomposition at radius r."""
     if not 0 < r <= 1:
@@ -262,7 +261,7 @@ def decompose_internal(
     def piece(src):
         return lambda pt: kernel_convolve(src, pt, params, quad)
 
-    pieces = _piece_sources(f, P, r, params, center, cutoff)
+    pieces = _piece_sources(f, P, r, params, center)
     return DecompositionBundle(
         r=r, P=P, params=params, **{name: piece(src) for name, src in pieces.items()}
     )

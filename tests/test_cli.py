@@ -159,6 +159,17 @@ class TestPointsInput:
                   "--out-dir", str(tmp_path)])
 
 
+class TestQuadInput:
+    @pytest.mark.parametrize("key", ["graded_node", "tail_mode"])
+    def test_unknown_key_is_named(self, tmp_path, key):
+        # a typo, and a key that older manifests recorded
+        quad = tmp_path / "quad.json"
+        quad.write_text(json.dumps({**TINY_QUAD, key: 4}))
+        with pytest.raises(SystemExit, match=rf"unknown keys \['{key}'\].*spatial_nodes"):
+            main(["synthesize", "--field", "gaussian_bump", "--points", "0 0.1",
+                  "--quad", str(quad), "--out-dir", str(tmp_path)])
+
+
 class TestDecomposeCommand:
     def test_every_piece_with_its_error(self, tmp_path, tiny_quad):
         rc = main(["decompose", "--field", "gaussian_bump", "--r", "0.5",

@@ -7,6 +7,7 @@ from fracheat import FracParams, QuadratureSpec, SpaceTimePoint
 from fracheat.kernel import (
     BoundReport,
     SamplePlan,
+    _samples,
     eval_kernel,
     eval_kernel_derivative,
     kernel_mass,
@@ -139,12 +140,23 @@ class TestBoundVerifiers:
         assert math.isfinite(rep.refinement_change)
 
     def test_global_bound_seeded_samples_are_nested(self):
-        small = verify_global_bound(1.0, 1.5, 0.5, r=0.5,
-                                    plan=SamplePlan(n_samples=2000, seed=3))
-        large = verify_global_bound(1.0, 1.5, 0.5, r=0.5,
-                                    plan=SamplePlan(n_samples=20000, seed=3))
-        # growing the sample can only push the sup up
-        assert large.empirical_constant >= small.empirical_constant - 1e-15
+        """Every plan's samples start with the one deterministic sweep, so
+        each report's constant is at least the sweep's own sup; a plan
+        always gives the same report.  The random draws of plans of
+        different sizes are not nested, so no order between them is
+        asserted."""
+        r = 0.5
+        sweep = SamplePlan(n_samples=0)
+        x0, t0, n_det = _samples(sweep, r, 1)
+        assert len(t0) == n_det
+        sweep_sup = verify_global_bound(1.0, 1.5, 0.5, r=r, plan=sweep).empirical_constant
+        for plan in (SamplePlan(2000, 3), SamplePlan(20000, 3), SamplePlan(2000, 4)):
+            x, t, n = _samples(plan, r, 1)
+            assert n == n_det and len(t) == n_det + plan.n_samples
+            assert np.array_equal(x[:n_det], x0) and np.array_equal(t[:n_det], t0)
+            rep = verify_global_bound(1.0, 1.5, 0.5, r=r, plan=plan)
+            assert rep.empirical_constant >= sweep_sup
+            assert rep == verify_global_bound(1.0, 1.5, 0.5, r=r, plan=plan)
 
     def test_local_bound_within_global(self):
         plan = SamplePlan(n_samples=5000, seed=1)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from fracheat import (
     SpaceTimePoint,
     apply_fully_fractional,
     exp_symbol,
-    gaussian_bump,
     time_profile,
 )
 from fracheat.operator import (
@@ -142,34 +140,3 @@ class TestErrorEstimates:
             val, err = apply_fully_fractional(f, pt, params, QUAD)
             truth = sym * f.eval_at(pt)
             assert abs(val - truth) <= max(5 * err, 1e-9 * abs(truth))
-
-    def test_bound_only_tail_mode_inflates_error(self):
-        # bound_only moves the estimate only, also for a bounded history
-        lorentz = time_profile(lambda t: 1.0 / (1.0 + t**2), bound=1.0)
-        for f, pt, params, quad in [
-            (gaussian_bump(), SpaceTimePoint.of(0.1, 0.05), FracParams(1, 0.5), QUAD),
-            (lorentz, SpaceTimePoint.of(0.0, 0.5), FracParams(1, 0.7),
-             QuadratureSpec(graded_nodes=8)),
-        ]:
-            auto = apply_fully_fractional(f, pt, params, quad)
-            crude = apply_fully_fractional(
-                f, pt, params, replace(quad, tail_mode="bound_only")
-            )
-            assert crude[0] == auto[0]
-            assert crude[1] >= auto[1]
-
-    def test_bound_only_inflates_reduction_estimates(self):
-        # bound_only adds the worst-case tail 2 |u| (tail mass) to the
-        # estimates of both reductions and leaves their values alone
-        crude = QuadratureSpec(tail_mode="bound_only")
-        f = exp_symbol(1.0, [0.0])
-        auto_v, auto_e = apply_marchaud(f, 0.2, 0.5)
-        v, e = apply_marchaud(f, 0.2, 0.5, crude)
-        tail = marchaud_constant(0.5) * 2.0 * math.exp(0.2) * crude.tau_max**-0.5 / 0.5
-        assert v == auto_v
-        assert e >= tail > 1e6 * auto_e
-        params = FracParams(1, 0.5)
-        auto_v, auto_e = apply_fractional_laplacian(gaussian_bump(), 0.3, params)
-        v, e = apply_fractional_laplacian(gaussian_bump(), 0.3, params, crude)
-        assert v == auto_v
-        assert e > 1e4 * auto_e

@@ -4,9 +4,8 @@ GOLDEN holds (value, error_estimate) for each of the five kernel
 quadratures (kernel mass, increment integral, fractional Laplacian,
 Marchaud derivative, kernel convolution) on a fixed set of inputs.  The
 values are as computed before these integrals shared one band integrator;
-the estimates too, except those of the four symbol cases and of
-op_bound_only, re-grounded when symbol fields got their own time range
-(TAU_MU / mu).  Any later change to the quadrature must reproduce them:
+the estimates too, except those of the five symbol cases, re-grounded
+when symbol fields got their own time range (TAU_MU / mu).  Any later change to the quadrature must reproduce them:
 values to 1e-12 relative, estimates to 1e-14 |value| + 1e-16.
 """
 
@@ -39,6 +38,7 @@ from fracheat.kernel import _factor_eval
 from fracheat.quadrature import (
     _PANEL_EDGES,
     BLOCK,
+    TAU_MAX,
     TAU_MU,
     W_MAX,
     _band_layout,
@@ -89,9 +89,9 @@ CASES = {
     "op_bounded": lambda: apply_fully_fractional(
         time_profile(lambda t: 1.0 / (1.0 + t**2), bound=1.0), SpaceTimePoint.of(0.0, 0.5),
         FracParams(1, 0.7), COARSE),
-    "op_bound_only": lambda: apply_fully_fractional(
+    "op_symbol_k0": lambda: apply_fully_fractional(
         exp_symbol(1.0, [0.0]), SpaceTimePoint.of(0.0, 0.0), FracParams(1, 0.3),
-        QuadratureSpec(graded_nodes=8, tail_mode="bound_only")),
+        QuadratureSpec(graded_nodes=8)),
     # fractional Laplacian: compact, oscillating and slowly decaying profiles
     "lap_bump": lambda: apply_fractional_laplacian(
         gaussian_bump(), 0.3, FracParams(1, 0.5)),
@@ -137,10 +137,10 @@ GOLDEN = {
     'marchaud_ramp': (1.1191749540700615, 1.4034726610611406e-13),
     'mass_n1': (0.5641895835477564, 6.933096515559673e-11),
     'mass_n2': (1.0141187137602978, 3.0841366612724163e-10),
-    'op_bound_only': (0.9999999999992598, 0.5094706427351533),
     'op_bounded': (-0.2342763154289113, 0.0011806423879647478),
     'op_bump_n1': (1.2048174181481182, 2.2648427909892382e-06),
     'op_bump_n2': (2.461657630346506, 4.663889901325877e-05),
+    'op_symbol_k0': (0.9999999999992598, 4.3532826514684997e-07),
     'op_symbol_n1': (1.4931409694398485, 9.285798807795388e-13),
     'op_symbol_n2': (1.2508787635694067, 7.988939867313355e-07),
 }
@@ -158,6 +158,7 @@ def test_golden(name):
 SYMBOL_TRUTH = {
     "op_symbol_n1": 2.0**0.5 * math.exp(0.1) * math.cos(0.3),
     "op_symbol_n2": 1.75**0.4,  # k . x = 0
+    "op_symbol_k0": 1.0,  # e^(lam t) at t = 0
     "marchaud_exp": math.exp(0.2),
     "conv_symbol_n1": 5.0**-0.4 * math.cos(0.6),
 }
@@ -309,7 +310,7 @@ def test_richardson_head_exact(p, q, w):
 
 def test_default_spec_hash():
     """Run manifests of the default settings keep their quadrature hash."""
-    assert quad_hash(QuadratureSpec()) == "aefe4660c258b788"
+    assert quad_hash(QuadratureSpec()) == "6d57277572e206f9"
 
 
 @pytest.mark.parametrize("arrays", [
@@ -457,7 +458,7 @@ def test_hermite_bands_grouped_by_order(make, x, first_derivative):
     deriv = (1,) + (0,) * n if first_derivative else None
     spec = QuadratureSpec()
     x, t = np.array(x), 0.1
-    a, b, mid, half = _band_layout(spec.tau_min, spec.tau_max, ())
+    a, b, mid, half = _band_layout(spec.tau_min, TAU_MAX, ())
     gl_x, _ = gauss_legendre(spec.graded_nodes)
     tau = mid[:, None] + half[:, None] * gl_x
     want = _inner_hermite_per_band(field, x, t, tau, b, spec.hermite_order, params, deriv)

@@ -165,6 +165,15 @@ class TestEstimateExponent:
         assert est["log_correction"]
         assert est["exponent"] == pytest.approx(1.0, abs=0.05)
 
+    def test_log_model_rejects_radius_one(self):
+        # log|log r| is undefined at r = 1; the power model alone still fits
+        radii = [2.0**-j for j in range(0, 5)]
+        prof = NuProfile.from_values(BASE, radii, [r**1.3 for r in radii])
+        with pytest.raises(ValueError, match="radius 1.0"):
+            estimate_exponent(prof)
+        est = estimate_exponent(prof, try_log_factor=False)
+        assert est["exponent"] == pytest.approx(1.3, abs=1e-9)
+
     def test_log_model_can_be_disabled(self):
         radii = [2.0**-j for j in range(1, 11)]
         vals = [r * abs(math.log(r)) for r in radii]
