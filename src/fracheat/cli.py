@@ -130,7 +130,10 @@ def _problem(args) -> tuple:
     unknown = sorted(set(settings) - set(accepted))
     if unknown:
         raise SystemExit(f"--quad: unknown keys {unknown}; accepted keys: {accepted}")
-    quad = QuadratureSpec(**settings)
+    try:
+        quad = QuadratureSpec(**settings)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"--quad: {exc}") from None
     spec = args.field
     if os.path.exists(spec):
         spec = json.loads(Path(spec).read_text())

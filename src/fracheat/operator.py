@@ -11,7 +11,10 @@ space-independent functions to the one-sided (Marchaud-type) fractional
 time derivative with constant s / Gamma(1-s), normalized so that
 exp(lam t) maps to lam^s exp(lam t) exactly.  The operator and that time
 derivative are one increment integral (`quadrature._increment`), with the
-Gaussian average and with the point value u(t - tau) as the average.
+Gaussian average and with the point value u(t - tau) as the average.  The
+fractional Laplacian of a cosine profile is the operator on the
+time-independent symbol field exp_symbol(0, k); compact and bounded
+profiles keep a direct quadrature in |y - x|.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 import numpy as np
 
 from .core import FracParams, ScalarField, SpaceTimePoint
+from .fields import exp_symbol
 from .quadrature import (
     QuadratureSpec,
     _graded_bands,
@@ -84,30 +88,28 @@ def apply_fully_fractional(
 # ---------------------------------------------------------------------------
 
 
-def _osc_tail(k: float, Z: float, nu: float) -> tuple:
-    """Two-term asymptotics of int_Z^inf cos(k z) z^{-nu} dz, with a bound
-    on the dropped remainder.  Requires k > 0."""
-    t1 = -math.sin(k * Z) * Z ** (-nu) / k
-    t2 = math.cos(k * Z) * nu * Z ** (-nu - 1.0) / k**2
-    rem = nu * Z ** (-nu - 1.0) / k**2
-    return t1 + t2, abs(rem)
-
-
 def apply_fractional_laplacian(
     u_space: ScalarField,
     x: float,
     params: FracParams,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> tuple:
-    """(-Lap)^s of a time-independent profile at x, n = 1 direct quadrature.
+    """(-Lap)^s of a time-independent profile at x, n = 1.  Returns (value, err).
 
-    Symmetrized principal value:
+    A cosine profile cos(k x) (a symbol field, read at t = 0) goes through
+    the operator: on the time-independent exp_symbol(0, k) at (x, 0) the
+    operator is (-Lap)^s, and its symbol tail is closed form.  Compact and
+    bounded profiles take the direct route, the symmetrized principal value
       C int_0^inf (2u(x) - u(x+z) - u(x-z)) / z^(1+2s) dz,
-    dyadic bands with an analytic head (the integrand opens like z^(1-2s))
-    and tail treatment from the field's tail class.  Returns (value, err).
+    on dyadic bands with an analytic head (the integrand opens like
+    z^(1-2s)); past the support the tail is exact, and a bounded profile
+    gets the worst case.
     """
     if params.n != 1:
         raise NotImplementedError("direct spatial route implemented for n = 1")
+    if u_space.tail == "exponential_symbol":
+        cosine = exp_symbol(0.0, u_space.symbol_params[1])
+        return increment_integral(cosine, SpaceTimePoint.of(x, 0.0), params, quad)
     s = params.s
     C = fractional_laplacian_constant(1, s)
 
@@ -119,44 +121,26 @@ def apply_fractional_laplacian(
     def incr(z: np.ndarray) -> np.ndarray:
         return 2.0 * u_at - uval(x + z) - uval(x - z)
 
-    # working range
-    z_lo = Z_MIN
     interval = u_space.spatial_interval()
-    osc_k = 0.0
-    if u_space.tail == "exponential_symbol":
-        _, k = u_space.symbol_params
-        osc_k = abs(float(np.atleast_1d(k)[0]))
     if interval is not None:
-        z_hi = max(abs(x - interval[0]), abs(x - interval[1]), 4 * z_lo)
-    elif osc_k > 0:
-        z_hi = max(128.0, 40.0 / osc_k)
+        z_hi = max(abs(x - interval[0]), abs(x - interval[1]), 4 * Z_MIN)
     else:
         z_hi = Z_MAX
 
     def one_pass(spec: QuadratureSpec) -> float:
         # Richardson head: incr(z) ~ c2 z^2 + c4 z^4 for smooth u
-        g1 = float(incr(np.array([z_lo]))[0])
-        g2 = float(incr(np.array([z_lo / 2.0]))[0])
-        head = _richardson_head(g1, g2, z_lo, 2.0, 4.0, -1.0 - 2.0 * s)
-        nodes = order = spec.graded_nodes
-        if osc_k > 0:  # enough nodes on every band to resolve cos(k z)
-            def order(a, b):
-                return min(max(nodes, math.ceil(1.5 * osc_k * (b - a)) + 4), 200)
+        g1 = float(incr(np.array([Z_MIN]))[0])
+        g2 = float(incr(np.array([Z_MIN / 2.0]))[0])
+        head = _richardson_head(g1, g2, Z_MIN, 2.0, 4.0, -1.0 - 2.0 * s)
         return head + _graded_bands(
-            lambda z, a, b: incr(z) * z ** (-1.0 - 2.0 * s), z_lo, z_hi, (), order
+            lambda z, a, b: incr(z) * z ** (-1.0 - 2.0 * s), Z_MIN, z_hi, (), spec.graded_nodes
         )
 
-    # tail beyond z_hi: the 2u(x) part is an exact power integral
+    # tail beyond z_hi: the 2u(x) part is an exact power integral, and u
+    # vanishes past a support
     tail = 2.0 * u_at * z_hi ** (-2.0 * s) / (2.0 * s)
     tail_err = 0.0
-    if interval is not None:
-        pass  # u vanishes beyond z_hi: exact
-    elif osc_k > 0:
-        # u(x+z) + u(x-z) = 2 cos(k x) cos(k z) for the symbol field
-        osc, rem = _osc_tail(osc_k, z_hi, 1.0 + 2.0 * s)
-        tail -= 2.0 * math.cos(osc_k * x) * osc
-        tail_err = 2.0 * rem
-    else:  # no decay assumption available: the worst case
+    if interval is None:  # no decay assumption available: the worst case
         bound = u_space.bound if u_space.bound is not None else abs(u_at)
         tail_err = 2.0 * bound * z_hi ** (-2.0 * s) / (2.0 * s)
     return _refined(one_pass, quad, tail, tail_err, C)

@@ -13,11 +13,13 @@ quadrature of the package (this module, the operator routes and the kernel
 mass), `_richardson_head` their fitted power-law head, `_refined` their
 fine/coarse error estimate, and `_increment` the increment integral of the
 operator and of its Marchaud reduction, with their one tail policy.
-Symbol fields exp(lam t) cos(k.x) have one time range in both routes
-(`_symbol_range`): their Gaussian average at lag tau is
-pi^(n/2) f(x, t) e^(-mu tau), mu = lam + |k|^2, so the range ends at
-TAU_MU / mu, where that factor is e^(-40) ~ 4e-18, and the dropped tail
-goes into the estimate.  `_refined` and the estimate-free convolution raise
+Symbol fields exp(lam t) cos(k.x) have one time range and one tail in both
+routes: their Gaussian average at lag tau is pi^(n/2) f(x, t) e^(-mu tau),
+mu = lam + |k|^2, so the range ends at TAU_MU / mu (`_symbol_range`),
+where that factor is e^(-40) ~ 4e-18, or at TAU_MAX if that is nearer, and
+the integral past the end is added in closed form (an incomplete gamma
+function), for every mu > 0.  A convolution with mu <= 0 diverges and
+raises ValueError.  `_refined` and the estimate-free convolution raise
 FloatingPointError on a value or estimate that is not finite.  The
 inner integral (`_inner`) uses Gauss-Hermite when the admissible region is
 unbounded and mapped Gauss-Legendre panels (with the Gaussian written out
@@ -40,6 +42,7 @@ read-only.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -83,6 +86,16 @@ class QuadratureSpec:
     spatial_nodes: int = 16
 
     def __post_init__(self):
+        # numpy scalars are stored as Python numbers, so that specs that are
+        # equal have one signature
+        for name in ("graded_nodes", "hermite_order", "spatial_nodes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if isinstance(self.tau_min, bool) or not isinstance(self.tau_min, numbers.Real):
+            raise TypeError(f"tau_min must be a real number, got {self.tau_min!r}")
+        object.__setattr__(self, "tau_min", float(self.tau_min))
         if not 0 < self.tau_min < TAU_MAX:
             raise ValueError("need 0 < tau_min < TAU_MAX")
         if min(self.graded_nodes, self.hermite_order, self.spatial_nodes) < 2:
@@ -238,24 +251,18 @@ def _band_layout(lo: float, hi: float, breaks: tuple) -> tuple:
     return _read_only(a, b, 0.5 * (a + b), 0.5 * (b - a))
 
 
-def _graded_bands(integrand: Callable, lo: float, hi: float, breaks, nodes) -> float:
+def _graded_bands(integrand: Callable, lo: float, hi: float, breaks, nodes: int) -> float:
     """int_lo^hi integrand over dyadic bands graded toward lo.
 
-    The bands double from lo and are split at every break inside (lo, hi).
-    nodes is the Gauss-Legendre order per band, or a function
-    (a, b) -> order.  Bands of one order are evaluated together:
-    integrand(tau, a, b) gets the nodes tau, shape (bands, order), of the
-    bands [a_i, b_i] and returns the integrand there, same shape.
+    The bands double from lo and are split at every break inside (lo, hi);
+    each gets the Gauss-Legendre rule of order nodes.  All bands are
+    evaluated together: integrand(tau, a, b) gets the nodes tau, shape
+    (bands, nodes), of the bands [a_i, b_i] and returns the integrand there,
+    same shape.
     """
     a, b, mid, half = _band_layout(lo, hi, tuple(breaks))
-    pairs = zip(a.tolist(), b.tolist())
-    orders = np.array([nodes(*p) if callable(nodes) else nodes for p in pairs])
-    sums = np.empty(len(a))
-    for order in dict.fromkeys(orders.tolist()):
-        rows = orders == order
-        gl_x, gl_w = gauss_legendre(order)
-        vals = integrand(mid[rows, None] + half[rows, None] * gl_x, a[rows], b[rows])
-        sums[rows] = np.sum(gl_w * vals, axis=1)
+    gl_x, gl_w = gauss_legendre(nodes)
+    sums = np.sum(gl_w * integrand(mid[:, None] + half[:, None] * gl_x, a, b), axis=1)
     total = 0.0
     for h, v in zip(half, sums):
         total += h * v
@@ -512,14 +519,19 @@ def _convolve_once(
     quad: QuadratureSpec,
     deriv: Optional[tuple],
 ) -> float:
-    """c 2^n int_0^tau_hi tau^(s-1) int e^(-w^2) g(x - 2 sqrt(tau) w, t - tau)
+    """c 2^n int_0^inf tau^(s-1) int e^(-w^2) g(x - 2 sqrt(tau) w, t - tau)
     [phi] dw dtau, one pass at quad.
 
     The range ends at the source's time window, at TAU_MAX if that is
-    nearer, and for a symbol source (deriv None) at `_symbol_range`'s cut,
-    whose dropped tail `kernel_convolve` puts into the estimate.  Below
-    tau_min (deriv None) an analytic head takes the inner integral at its
-    limit pi^(n/2) g(x, t).
+    nearer, and for a symbol source (deriv None) at `_symbol_range`'s cut.
+    Below tau_min (deriv None) an analytic head takes the inner integral at
+    its limit pi^(n/2) g(x, t).  A symbol source exp(lam t) cos(k.x)
+    (deriv None) that reaches past the range's end tau_hi is there the
+    unrestricted field f (the cut lies past every break short of TAU_MAX),
+    whose Gaussian average is pi^(n/2) f(x, t) e^(-mu tau),
+    mu = lam + |k|^2: its tail is mu^(-s) f(x, t) Q(s, mu tau_hi), with Q
+    the regularized upper incomplete gamma function.  With mu <= 0 that
+    tail diverges, and a source reaching past TAU_MAX raises ValueError.
     """
     x = pt.x_array()
     t = pt.t
@@ -530,11 +542,17 @@ def _convolve_once(
     tau_lo = quad.tau_min
     if win_hi < t:
         tau_lo = max(tau_lo, t - win_hi)
-    tau_hi = TAU_MAX if not math.isfinite(win_lo) else min(TAU_MAX, t - win_lo)
+    tau_hi = min(TAU_MAX, t - win_lo)
     breaks = [t - b for b in source.time_breakpoints()]
-    if deriv is None:
-        tau_hi = _symbol_range(source.field, tau_hi, breaks)
+    mu = _symbol_mu(source.field) if deriv is None else None
     total = 0.0
+    if mu is not None:
+        if mu <= 0.0 and t - win_lo > TAU_MAX:
+            raise ValueError(f"the convolution of {source.field.name} diverges:"
+                             f" lam + |k|^2 = {mu} <= 0")
+        tau_hi = _symbol_range(source.field, tau_hi, breaks)
+        if t - win_lo > tau_hi:
+            total += source.field.eval_at(pt) * mu ** (-s) * float(gammaincc(s, mu * tau_hi))
     if deriv is None and tau_lo == quad.tau_min:
         # analytic head: the inner integral tends to pi^{n/2} g(x, t)
         g0 = source.value_at(x, t)
@@ -581,27 +599,18 @@ def kernel_convolve(
     With deriv=None this is the kernel convolution itself; a multi-index
     deriv differentiates the kernel in closed form under the integral.
     Returns (value, error_estimate); the estimate comes from a node-count
-    refinement plus, for a symbol source exp(lam t) cos(k.x), what the cut at
-    TAU_MU / mu drops: c 2^n pi^(n/2) int_{TAU_MU/mu}^inf tau^(s-1)
-    f(x, t) e^(-mu tau) dtau, at most e^(lam t) mu^(-s) Gamma(s, TAU_MU) /
-    Gamma(s).  With with_error=False the estimate is NaN.  Raises
-    FloatingPointError when the value (or the estimate) is not finite.
+    refinement, and a symbol source's tail past the time range is closed
+    form (`_convolve_once`).  With with_error=False the estimate is NaN.
+    Raises FloatingPointError when the value (or the estimate) is not
+    finite, and ValueError when the convolution of a symbol source
+    diverges.
     """
     if isinstance(source, ScalarField):
         source = RestrictedSource(source)
     if not with_error:
         value, _ = _finite(_convolve_once(source, pt, params, quad, deriv))
         return value, math.nan
-    tail_err = 0.0
-    mu = _symbol_mu(source.field) if deriv is None else None
-    if mu is not None and mu > 0.0:
-        # the cut drops the share Gamma(s, TAU_MU) / Gamma(s) of the solution
-        # mu^(-s) f(x, t), and |f(x, t)| <= e^(lam t)
-        lam = source.field.symbol_params[0]
-        tail_err = math.exp(lam * pt.t) * mu ** (-params.s) * gammaincc(params.s, TAU_MU)
-    return _refined(
-        lambda spec: _convolve_once(source, pt, params, spec, deriv), quad, tail_err=tail_err
-    )
+    return _refined(lambda spec: _convolve_once(source, pt, params, spec, deriv), quad)
 
 
 # ---------------------------------------------------------------------------
@@ -620,11 +629,13 @@ def _increment(
     the field's time floor, or at TAU_MAX if that is nearer, and for a
     symbol field at `_symbol_range`'s cut TAU_MU / mu, mu = lam + |k|^2;
     below tau_min a Richardson head fits G = c1 tau + c2 tau^2.  The tail
-    beyond tau_hi, with mass = tau_hi^(-s) / s: for symbol fields unit u_at
-    mass up to e^(-mu tau_hi), which is e^(-TAU_MU) at the cut (mu = 0: the
-    integral is exactly 0); for a floor inside the working range the same,
-    exactly; for any other field G frozen at tau_hi, with the worst case
-    2 unit bound mass as its error.
+    beyond tau_hi, with mass = tau_hi^(-s) / s: for a symbol field, whose
+    G is unit u_at (1 - e^(-mu tau)), the closed form
+    unit u_at (tau_hi^(-s) (1 - e^(-mu tau_hi)) + mu^s Gamma(1-s)
+    Q(1-s, mu tau_hi)) / s, with Q the regularized upper incomplete gamma
+    function (mu = 0: the integral is exactly 0); for a floor inside the
+    working range unit u_at mass, exactly; for any other field G frozen at
+    tau_hi, with the worst case 2 unit bound mass as its error.
     """
     if not check_slowly_increasing(u):
         raise ValueError("field grows too fast backward in time for the history"
@@ -649,12 +660,13 @@ def _increment(
         )
 
     mass = tau_hi ** (-s) / s
-    tail = unit * u_at * mass
+    tail, tail_err = unit * u_at * mass, 0.0  # exact if u vanishes past tau_hi
     if mu is not None:
-        tail_err = unit * abs(u_at) * math.exp(-mu * tau_hi) * mass
-    elif floor is not None and tau_hi >= t - floor:
-        tail_err = 0.0  # exact: u vanishes beyond the working range
-    else:  # no decay assumption available: freeze G at its tau_hi value
+        z = mu * tau_hi
+        upper = mu**s * math.gamma(1.0 - s) * float(gammaincc(1.0 - s, z))
+        tail = unit * u_at * (-math.expm1(-z) * tau_hi ** (-s) + upper) / s
+    elif floor is None or tau_hi < t - floor:
+        # no decay assumption available: freeze G at its tau_hi value
         tail = G(np.array([[tau_hi]]), np.array([tau_hi]), quad)[0, 0] * mass
         bound = u.bound if u.bound is not None else abs(u_at)
         tail_err = 2.0 * unit * bound * mass

@@ -93,12 +93,11 @@ def synthesize_solution(
     pt: SpaceTimePoint,
     params: FracParams,
     quad: QuadratureSpec = QuadratureSpec(),
-    with_error: bool = True,
 ) -> tuple:
     """u(pt) = (f * K)(pt); returns (value, error_estimate)."""
     if f.n != params.n:
         raise ValueError("field dimension mismatch")
-    return kernel_convolve(f, pt, params, quad, with_error=with_error)
+    return kernel_convolve(f, pt, params, quad)
 
 
 class _ErrTracker:

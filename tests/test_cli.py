@@ -160,12 +160,22 @@ class TestPointsInput:
 
 
 class TestQuadInput:
-    @pytest.mark.parametrize("key", ["graded_node", "tail_mode"])
-    def test_unknown_key_is_named(self, tmp_path, key):
+    @pytest.mark.parametrize("key,value,match", [
         # a typo, and a key that older manifests recorded
+        pytest.param("graded_node", 4, r"unknown keys \['graded_node'\].*spatial_nodes",
+                     id="graded_node"),
+        pytest.param("tail_mode", 4, r"unknown keys \['tail_mode'\].*spatial_nodes",
+                     id="tail_mode"),
+        # a known key with a value of the wrong type
+        pytest.param("graded_nodes", "8", r"graded_nodes must be an integer, got '8'",
+                     id="graded_nodes_str"),
+        pytest.param("graded_nodes", 8.5, r"graded_nodes must be an integer, got 8\.5",
+                     id="graded_nodes_float"),
+    ])
+    def test_unknown_key_is_named(self, tmp_path, key, value, match):
         quad = tmp_path / "quad.json"
-        quad.write_text(json.dumps({**TINY_QUAD, key: 4}))
-        with pytest.raises(SystemExit, match=rf"unknown keys \['{key}'\].*spatial_nodes"):
+        quad.write_text(json.dumps({**TINY_QUAD, key: value}))
+        with pytest.raises(SystemExit, match=rf"^--quad: {match}"):
             main(["synthesize", "--field", "gaussian_bump", "--points", "0 0.1",
                   "--quad", str(quad), "--out-dir", str(tmp_path)])
 

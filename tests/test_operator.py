@@ -103,6 +103,19 @@ class TestFractionalLaplacian:
         val, err = apply_fractional_laplacian(f, 0.3, params, QUAD)
         assert val == pytest.approx(2.0 * math.cos(0.6), rel=1e-4)
 
+    @pytest.mark.parametrize("k", [0.01, 0.5, 1.0, 3.0, 20.0])
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    def test_cosine_goes_through_the_operator(self, k, s):
+        # cos(k x) is the time-independent symbol field exp_symbol(0, k),
+        # on which the operator is (-Lap)^s, with eigenvalue |k|^(2s);
+        # from |k|^2 = 1e-4 (range cut at TAU_MAX) to 400 (cut at 0.1)
+        params = FracParams(1, s)
+        for x in (0.0, 0.7):
+            val, err = apply_fractional_laplacian(exp_symbol(0.0, [k]), x, params)
+            assert abs(val - k ** (2 * s) * math.cos(k * x)) <= 1e-5 * k ** (2 * s)
+            pt = SpaceTimePoint.of(x, 0.0)
+            assert (val, err) == apply_fully_fractional(exp_symbol(0.0, [k]), pt, params)
+
 
 class TestMarchaud:
     def test_constant_prefactor(self):

@@ -41,6 +41,13 @@ class TestSynthesizeSolution:
                 continue
             assert val == pytest.approx(truth, rel=1e-6)
 
+    @pytest.mark.parametrize("lam,kk", [(0.0, 0.0), (-0.5, 0.5)], ids=["mu0", "mu_neg"])
+    def test_divergent_symbol_source_raises(self, lam, kk):
+        # lam + |k|^2 <= 0: int_0^inf tau^(s-1) e^(-mu tau) dtau diverges
+        with pytest.raises(ValueError, match="diverges"):
+            synthesize_solution(exp_symbol(lam, [kk]), SpaceTimePoint.of(0.3, 0.0),
+                                FracParams(1, 0.3))
+
     def test_vanishes_before_source_window(self):
         params = FracParams(1, 0.5)
         f = gaussian_bump()
