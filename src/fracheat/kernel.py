@@ -182,7 +182,7 @@ def kernel_mass(params: FracParams, T: float) -> tuple:
     lo = T * 1e-12
 
     def time_integral(spec) -> float:
-        bands = _graded_bands(lambda t, a, b: t ** (s - 1.0), lo, T, (), spec.graded_nodes)
+        bands = _graded_bands(lambda t: t ** (s - 1.0), lo, T, (), spec.graded_nodes)
         return c * (lo**s / s + bands)  # exact power head below lo
 
     return _refined(time_integral, QuadratureSpec(graded_nodes=12), floor=(1e-14, 0.0))

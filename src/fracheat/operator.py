@@ -133,7 +133,7 @@ def apply_fractional_laplacian(
         g2 = float(incr(np.array([Z_MIN / 2.0]))[0])
         head = _richardson_head(g1, g2, Z_MIN, 2.0, 4.0, -1.0 - 2.0 * s)
         return head + _graded_bands(
-            lambda z, a, b: incr(z) * z ** (-1.0 - 2.0 * s), Z_MIN, z_hi, (), spec.graded_nodes
+            lambda z: incr(z) * z ** (-1.0 - 2.0 * s), Z_MIN, z_hi, (), spec.graded_nodes
         )
 
     # tail beyond z_hi: the 2u(x) part is an exact power integral, and u
@@ -176,7 +176,7 @@ def apply_marchaud(
 
     u_at = float(uval(np.array([t]))[0])
 
-    def G(tau, band_hi, spec):
+    def G(tau, spec):
         return u_at - uval(t - tau)
 
     return _increment(u_time, t, s, u_at, G, 1.0, marchaud_constant(s), quad)

@@ -15,18 +15,21 @@ fine/coarse error estimate, and `_increment` the increment integral of the
 operator and of its Marchaud reduction, with their one tail policy.
 Symbol fields exp(lam t) cos(k.x) have one time range and one tail in both
 routes: their Gaussian average at lag tau is pi^(n/2) f(x, t) e^(-mu tau),
-mu = lam + |k|^2, so the range ends at TAU_MU / mu (`_symbol_range`),
-where that factor is e^(-40) ~ 4e-18, or at TAU_MAX if that is nearer, and
-the integral past the end is added in closed form (an incomplete gamma
-function), for every mu > 0.  A convolution with mu <= 0 diverges and
-raises ValueError.  `_refined` and the estimate-free convolution raise
-FloatingPointError on a value or estimate that is not finite.  The
-inner integral (`_inner`) uses Gauss-Hermite when the admissible region is
-unbounded and mapped Gauss-Legendre panels (with the Gaussian written out
-explicitly) when the region is a union of intervals, so that indicator
+mu = lam + |k|^2, so the numeric range ends at
+TAU_MU / (|k|^2 + max(lam, 0)) (`_symbol_range`), where one Gauss-Hermite
+order still resolves the oscillation of cos(k.x), or at TAU_MAX if that is
+nearer, and the integral past the end is added in closed form (an
+incomplete gamma function), for every mu > 0.  A convolution with mu <= 0
+diverges and raises ValueError; a kernel derivative of an unrestricted
+oscillating symbol source has no such tail and raises NotImplementedError.
+`_refined` and the estimate-free convolution raise FloatingPointError on a
+value or estimate that is not finite.  The inner integral (`_inner`) uses
+Gauss-Hermite of the order spec.hermite_order when the admissible region
+is unbounded and mapped Gauss-Legendre panels (with the Gaussian written
+out explicitly) when the region is a union of intervals, so that indicator
 boundaries are hit exactly instead of being smeared.  The Hermite rule
-(`_inner_unbounded`) takes the bands of one order (`_gh_orders`) together,
-one field call per block of at most BLOCK points.
+(`_inner_unbounded`) takes all bands together, one field call per block of
+at most BLOCK points.
 
 The panel rule (`_inner_intervals`) makes one field call per interval: the
 panels of every node of every band are laid out in one array, and each
@@ -63,7 +66,7 @@ __all__ = [
 ]
 
 W_MAX = 8.6  # Gaussian window half-width; exp(-W_MAX^2) ~ 5e-33
-TAU_MU = 40.0  # symbol fields end at tau = TAU_MU / mu; exp(-TAU_MU) ~ 4e-18
+TAU_MU = 12.0  # symbol fields end at tau = TAU_MU / (|k|^2 + max(lam, 0))
 TAU_MAX = 1e4  # every time range ends here at the latest
 MAX_PANELS = 10  # spatial panels per window, at most
 BLOCK = 2**16  # Gauss-Hermite points per field call, at most (one node at least)
@@ -76,8 +79,9 @@ class QuadratureSpec:
     tau_min bounds the numerically integrated time range from below
     (analytic head under it; the range ends at TAU_MAX at the latest).
     graded_nodes is the Gauss-Legendre order per dyadic band, hermite_order
-    the base Gauss-Hermite order for unbounded spatial integrals,
-    spatial_nodes the Gauss-Legendre order per mapped spatial panel.
+    the Gauss-Hermite order of every unbounded spatial integral (symbol
+    fields end their range where it resolves them), spatial_nodes the
+    Gauss-Legendre order per mapped spatial panel.
     """
 
     tau_min: float = 1e-8
@@ -241,14 +245,14 @@ def _band_edges(tau_lo: float, tau_hi: float, breakpoints: Sequence[float]):
 
 @lru_cache(maxsize=256)
 def _band_layout(lo: float, hi: float, breaks: tuple) -> tuple:
-    """Read-only band ends a, b, midpoints and half-widths of `_graded_bands`.
+    """Read-only band midpoints and half-widths of `_graded_bands`.
 
     Consecutive quadratures at one time share the layout: every convolution
     at one t, fine and coarse pass alike, has the same range and breaks.
     """
     edges = np.array(_band_edges(lo, hi, breaks))
     a, b = edges[:-1], edges[1:]
-    return _read_only(a, b, 0.5 * (a + b), 0.5 * (b - a))
+    return _read_only(0.5 * (a + b), 0.5 * (b - a))
 
 
 def _graded_bands(integrand: Callable, lo: float, hi: float, breaks, nodes: int) -> float:
@@ -256,13 +260,13 @@ def _graded_bands(integrand: Callable, lo: float, hi: float, breaks, nodes: int)
 
     The bands double from lo and are split at every break inside (lo, hi);
     each gets the Gauss-Legendre rule of order nodes.  All bands are
-    evaluated together: integrand(tau, a, b) gets the nodes tau, shape
-    (bands, nodes), of the bands [a_i, b_i] and returns the integrand there,
+    evaluated together: integrand(tau) gets the nodes tau, shape
+    (bands, nodes), one band per row, and returns the integrand there,
     same shape.
     """
-    a, b, mid, half = _band_layout(lo, hi, tuple(breaks))
+    mid, half = _band_layout(lo, hi, tuple(breaks))
     gl_x, gl_w = gauss_legendre(nodes)
-    sums = np.sum(gl_w * integrand(mid[:, None] + half[:, None] * gl_x, a, b), axis=1)
+    sums = np.sum(gl_w * integrand(mid[:, None] + half[:, None] * gl_x), axis=1)
     total = 0.0
     for h, v in zip(half, sums):
         total += h * v
@@ -310,18 +314,24 @@ def _symbol_mu(field: ScalarField) -> Optional[float]:
 
 
 def _symbol_range(field: ScalarField, tau_hi: float, breaks: Sequence[float]) -> float:
-    """The end of a time range ending at tau_hi, cut at TAU_MU / mu for a
-    symbol field with mu > 0.
+    """The end of a time range ending at tau_hi, cut at
+    TAU_MU / (|k|^2 + max(lam, 0)) for a symbol field with
+    mu = lam + |k|^2 > 0.
 
-    The Gaussian average of exp(lam t) cos(k.x) at lag tau is
-    pi^(n/2) f(x, t) e^(-mu tau): past TAU_MU / mu it is below
-    e^(-TAU_MU) ~ 4e-18 of f(x, t).  The cut stays past every break, beyond
-    which a restricted symbol source is the symbol field itself.
+    At lag tau the inner integrand of exp(lam t) cos(k.x) oscillates at
+    rate 2 |k| sqrt(tau) in w: up to the cut that rate squared is at most
+    4 TAU_MU = 48, where 40 Gauss-Hermite nodes are exact to round-off and
+    24 (the coarse pass) to about 2e-7, and for lam < 0 the values grow by
+    less than e^TAU_MU.  Past the cut both routes add the integral in closed
+    form, since the Gaussian average there is pi^(n/2) f(x, t) e^(-mu tau).
+    The cut stays past every break, beyond which a restricted symbol source
+    is the symbol field itself.
     """
     mu = _symbol_mu(field)
     if mu is None or mu <= 0.0:
         return tau_hi
-    return min(tau_hi, max([TAU_MU / mu, *breaks]))
+    lam, k = field.symbol_params
+    return min(tau_hi, max([TAU_MU / (float(np.dot(k, k)) + max(lam, 0.0)), *breaks]))
 
 
 # _PANEL_EDGES[p, k]: edge k of a window cut into p panels, as np.linspace
@@ -449,29 +459,6 @@ def _inner_unbounded(
     return inner.reshape(tau.shape)
 
 
-def _gh_orders(field: ScalarField, band_hi: np.ndarray, base: int) -> np.ndarray:
-    """Hermite order per band, raised where an oscillatory symbol field
-    demands it.
-
-    For exp(lam t) cos(k.x) the inner integrand oscillates at rate
-    a = 2 |k| sqrt(tau) up to the band's upper end: the order is
-    ceil(a^2 / 3) + 24 (at least base), rounded up to a multiple of 8 and
-    capped at 512.  Once exp(-lam tau) is below machine level the values
-    themselves vanish and the base order suffices.
-    """
-    orders = np.full(len(band_hi), base)
-    if field.tail != "exponential_symbol":
-        return orders
-    lam, k = field.symbol_params
-    kn = float(np.linalg.norm(k))
-    if kn == 0.0:
-        return orders
-    a = 2.0 * kn * np.sqrt(band_hi)
-    need = np.maximum(base, np.ceil(a * a / 3.0) + 24)
-    raised = np.minimum(8 * np.ceil(need / 8), 512).astype(int)
-    return np.where(lam * band_hi > 46.0, base, raised)
-
-
 def _inner(
     field: ScalarField,
     x: np.ndarray,
@@ -479,30 +466,23 @@ def _inner(
     tau: np.ndarray,
     ints,
     spec: QuadratureSpec,
-    band_hi: np.ndarray,
     params: FracParams,
     deriv: Optional[tuple],
 ) -> np.ndarray:
     """int e^{-w^2} g(x - 2 sqrt(tau) w, t - tau) [phi] dw at the tau nodes.
 
-    tau holds the nodes of one band per row and band_hi the bands' upper
-    ends.  ints is the admissible region of the bands (None: unbounded,
-    []: empty).  Bounded regions, and unbounded ones for n = 1 fields that
-    do not oscillate, use windowed Gauss-Legendre panels; the rest
-    Gauss-Hermite, with the order raised for oscillating symbol fields up
-    to each band's upper end; the bands of one order go through one
-    `_inner_unbounded` call.
+    tau holds the nodes of one band per row.  ints is the admissible region
+    of the bands (None: unbounded, []: empty).  Bounded regions, and
+    unbounded ones for n = 1 fields that do not oscillate, use windowed
+    Gauss-Legendre panels; the rest Gauss-Hermite of order
+    spec.hermite_order.  A symbol field's range ends where that order
+    resolves its oscillation (`_symbol_range`).
     """
     if ints is None and params.n == 1 and field.tail != "exponential_symbol":
         # windowed panels beat Gauss-Hermite on generic smooth fields
         ints = [(-math.inf, math.inf)]
     if ints is None:
-        orders = _gh_orders(field, band_hi, spec.hermite_order)
-        inner = np.empty(tau.shape)
-        for order in dict.fromkeys(orders.tolist()):
-            rows = orders == order
-            inner[rows] = _inner_unbounded(field.eval, x, t, tau[rows], order, params, deriv)
-        return inner
+        return _inner_unbounded(field.eval, x, t, tau, spec.hermite_order, params, deriv)
     if not ints:
         return np.zeros(tau.shape)
     if params.n != 1:
@@ -562,22 +542,20 @@ def _convolve_once(
 
     cuts = np.sort(breaks)
 
-    def integrand(tau, a, b):
+    def integrand(tau):
         # the admissible region changes only at the breaks, which are band
-        # edges: one region per break segment, and one inner evaluation for
-        # the bands of each distinct region
-        mid = 0.5 * (a + b)
-        segment = np.searchsorted(cuts, mid)
+        # edges: one region per break segment, found from each band's first
+        # node, and one inner evaluation for the bands of each distinct region
+        first = tau[:, 0]
+        segment = np.searchsorted(cuts, first)
         groups = {}
         for seg in dict.fromkeys(segment.tolist()):
             rows = np.flatnonzero(segment == seg)
-            ints = source.intervals(t - mid[rows[0]])
+            ints = source.intervals(t - first[rows[0]])
             groups.setdefault(None if ints is None else tuple(ints), []).extend(rows)
         inner = np.empty(tau.shape)
         for ints, rows in groups.items():
-            inner[rows] = _inner(
-                source.field, x, t, tau[rows], ints, quad, b[rows], params, deriv
-            )
+            inner[rows] = _inner(source.field, x, t, tau[rows], ints, quad, params, deriv)
         return tau ** (s - 1.0) * inner
 
     # solution-kernel constant: the convolution inverts the operator exactly
@@ -602,11 +580,17 @@ def kernel_convolve(
     refinement, and a symbol source's tail past the time range is closed
     form (`_convolve_once`).  With with_error=False the estimate is NaN.
     Raises FloatingPointError when the value (or the estimate) is not
-    finite, and ValueError when the convolution of a symbol source
-    diverges.
+    finite, ValueError when the convolution of a symbol source diverges,
+    and NotImplementedError for a kernel derivative of an unrestricted
+    symbol source with k != 0 (no closed-form tail ends its range).
     """
     if isinstance(source, ScalarField):
         source = RestrictedSource(source)
+    field = source.field
+    if (deriv is not None and not source.constraints and field.tail == "exponential_symbol"
+            and any(field.symbol_params[1])):
+        raise NotImplementedError("kernel derivative of an unrestricted oscillating symbol"
+                                  " source")
     if not with_error:
         value, _ = _finite(_convolve_once(source, pt, params, quad, deriv))
         return value, math.nan
@@ -624,11 +608,13 @@ def _increment(
 ) -> tuple:
     """(value, err) of scale * int_0^inf tau^(-1-s) G(tau) dtau.
 
-    G(tau, band_hi, spec) = unit * u_at - (directional average of u at
-    t - tau) on the nodes of one band per row.  The working range ends at
-    the field's time floor, or at TAU_MAX if that is nearer, and for a
-    symbol field at `_symbol_range`'s cut TAU_MU / mu, mu = lam + |k|^2;
-    below tau_min a Richardson head fits G = c1 tau + c2 tau^2.  The tail
+    G(tau, spec) = unit * u_at - (directional average of u at t - tau) on
+    the nodes of one band per row.  The working range ends at the field's
+    time floor, or at TAU_MAX if that is nearer, and for a symbol field at
+    `_symbol_range`'s cut TAU_MU / (|k|^2 + lam); below tau_min a
+    Richardson head fits G = c1 tau + c2 tau^2.  G cancels near tau_min,
+    so the error takes in one ulp of unit u_at there, magnified by the
+    weight and by the head's fit coefficients 5 and 6.  The tail
     beyond tau_hi, with mass = tau_hi^(-s) / s: for a symbol field, whose
     G is unit u_at (1 - e^(-mu tau)), the closed form
     unit u_at (tau_hi^(-s) (1 - e^(-mu tau_hi)) + mu^s Gamma(1-s)
@@ -652,25 +638,26 @@ def _increment(
 
     def one_pass(spec: QuadratureSpec) -> float:
         lo = spec.tau_min
-        g1, g2 = G(np.array([[lo], [lo / 2]]), np.array([lo, lo]), spec)[:, 0]
+        g1, g2 = G(np.array([[lo], [lo / 2]]), spec)[:, 0]
         head = _richardson_head(g1, g2, lo, 1.0, 2.0, -1.0 - s)
         return head + _graded_bands(
-            lambda tau, a, b: tau ** (-1.0 - s) * G(tau, b, spec),
-            lo, tau_hi, breaks, spec.graded_nodes,
+            lambda tau: tau ** (-1.0 - s) * G(tau, spec), lo, tau_hi, breaks, spec.graded_nodes
         )
 
     mass = tau_hi ** (-s) / s
     tail, tail_err = unit * u_at * mass, 0.0  # exact if u vanishes past tau_hi
+    roundoff = float(np.finfo(float).eps) * unit * abs(u_at) * quad.tau_min ** (-s) * (
+        1.0 / s + 5.0 / (1.0 - s) + 6.0 / (2.0 - s))
     if mu is not None:
         z = mu * tau_hi
         upper = mu**s * math.gamma(1.0 - s) * float(gammaincc(1.0 - s, z))
         tail = unit * u_at * (-math.expm1(-z) * tau_hi ** (-s) + upper) / s
     elif floor is None or tau_hi < t - floor:
         # no decay assumption available: freeze G at its tau_hi value
-        tail = G(np.array([[tau_hi]]), np.array([tau_hi]), quad)[0, 0] * mass
+        tail = G(np.array([[tau_hi]]), quad)[0, 0] * mass
         bound = u.bound if u.bound is not None else abs(u_at)
         tail_err = 2.0 * unit * bound * mass
-    return _refined(one_pass, quad, tail, tail_err, scale)
+    return _refined(one_pass, quad, tail, tail_err + roundoff, scale)
 
 
 def increment_integral(
@@ -690,8 +677,8 @@ def increment_integral(
     unit = math.pi ** (params.n / 2.0)
     u_at = u.eval_at(pt)
 
-    def G(tau, band_hi, spec):
-        inner = _inner(u, pt.x_array(), pt.t, tau, ints, spec, band_hi, params, None)
+    def G(tau, spec):
+        inner = _inner(u, pt.x_array(), pt.t, tau, ints, spec, params, None)
         return unit * u_at - inner
 
     scale = params.c_ns * 2.0**params.n
