@@ -8,11 +8,13 @@ the substitution y = x - 2 sqrt(tau) w:
 The time integral runs over dyadic bands graded toward tau = 0, with band
 edges aligned to every time at which the integrand's spatial restriction
 changes shape, plus an analytic head below tau_min where the integrand is
-a pure power.  `_graded_bands` is that band integrator for every kernel
-quadrature of the package (this module, the operator routes and the kernel
-mass), `_richardson_head` their fitted power-law head, `_refined` their
-fine/coarse error estimate, and `_increment` the increment integral of the
-operator and of its Marchaud reduction, with their one tail policy.
+a pure power (exact for an unrestricted symbol source, whose integrand
+there is a power times e^(-mu tau)).  `_graded_bands` is that band
+integrator for every kernel quadrature of the package (this module, the
+operator routes and the kernel mass), `_richardson_head` their fitted
+power-law head, `_refined` their fine/coarse error estimate, and
+`_increment` the increment integral of the operator and of its Marchaud
+reduction, with their one tail policy.
 Symbol fields exp(lam t) cos(k.x) have one time range and one tail in both
 routes: their Gaussian average at lag tau is pi^(n/2) f(x, t) e^(-mu tau),
 mu = lam + |k|^2, so the numeric range ends at
@@ -27,19 +29,19 @@ value or estimate that is not finite.  The inner integral (`_inner`) uses
 Gauss-Hermite of the order spec.hermite_order when the admissible region
 is unbounded and mapped Gauss-Legendre panels (with the Gaussian written
 out explicitly) when the region is a union of intervals, so that indicator
-boundaries are hit exactly instead of being smeared.  The Hermite rule
-(`_inner_unbounded`) takes all bands together, one field call per block of
-at most BLOCK points.
+boundaries are hit exactly instead of being smeared.  Both inner rules
+take all bands of a call together and hand the field at most BLOCK points
+at once (one node at least), so that their temporaries stay cache-sized.
 
-The panel rule (`_inner_intervals`) makes one field call per interval: the
-panels of every node of every band are laid out in one array, and each
-panel-count block is summed one node per row, so that a node's terms add
-in the order of a sum over its (panel, Gauss node) axes.  A convolution
-asks its source for the admissible region once per break segment, since
-the region changes only at the source's time breakpoints, which are band
-edges.  The band layout (`_band_layout`) is cached: consecutive
-quadratures at one time share it.  Cached node tables and layouts are
-read-only.
+The panel rule (`_inner_intervals`) lays out the panels of every node of
+every band of an interval in one array and fills their integrand a block
+of rows at a time; each panel-count group is then summed one node per row,
+so that a node's terms add in the order of a sum over its (panel, Gauss
+node) axes, wherever the block edges fall.  A convolution asks its source
+for the admissible region once per break segment, since the region changes
+only at the source's time breakpoints, which are band edges.  The band
+layout (`_band_layout`) is cached: consecutive quadratures at one time
+share it.  Cached node tables and layouts are read-only.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import gammainc, gammaincc
 
 from .core import FracParams, ScalarField, SpaceTimePoint, check_slowly_increasing
 from .kernel import _factor_eval
@@ -69,7 +71,7 @@ W_MAX = 8.6  # Gaussian window half-width; exp(-W_MAX^2) ~ 5e-33
 TAU_MU = 12.0  # symbol fields end at tau = TAU_MU / (|k|^2 + max(lam, 0))
 TAU_MAX = 1e4  # every time range ends here at the latest
 MAX_PANELS = 10  # spatial panels per window, at most
-BLOCK = 2**16  # Gauss-Hermite points per field call, at most (one node at least)
+BLOCK = 2**13  # points per field call of either inner rule, at most (one node at least)
 
 
 @dataclass(frozen=True)
@@ -356,14 +358,16 @@ def _inner_intervals(
 
     tau holds the nodes of one band per row; each band gets as many panels
     as its widest window needs.  Per interval, the panels of every node are
-    laid out in one array, the nodes stably ordered by panel count, for one
-    field evaluation; each panel-count block is then summed one node per
-    row.  Returns the integral at every node.
+    laid out one per row, the nodes stably ordered by panel count, and the
+    integrand is filled BLOCK // spatial_nodes rows (one field call) at a
+    time; each panel-count group is then summed one node per row.  Returns
+    the integral at every node.
     """
     sq = 2.0 * np.sqrt(tau)
     inner = np.zeros(tau.size)
     n_nodes = tau.shape[1]
     gl_x, gl_w = gauss_legendre(spatial_nodes)
+    step = max(1, BLOCK // spatial_nodes)
     for lo, hi in ints:
         y_lo = np.maximum(lo, x - W_MAX * sq)
         y_hi = np.minimum(hi, x + W_MAX * sq)
@@ -390,23 +394,27 @@ def _inner_intervals(
         e_lo = r_lo + span * _PANEL_EDGES[p_row, k_row]
         e_hi = r_lo + span * _PANEL_EDGES[p_row, k_row + 1]
         mids, halfs = 0.5 * (e_hi + e_lo), 0.5 * (e_hi - e_lo)
-        w = mids[:, None] + halfs[:, None] * gl_x
-        y = x - r_sq[:, None] * w
-        eta = np.repeat(t - r_tau, spatial_nodes)
-        vals = field_eval(y.reshape(-1, 1), eta).reshape(y.shape)
-        integ = vals * np.exp(-(w * w))
-        if deriv is not None:
-            tau2 = np.broadcast_to(r_tau[:, None], y.shape)
-            integ *= _factor_eval(params, deriv, (r_sq[:, None] * w)[..., None], tau2)
-        integ *= halfs[:, None] * gl_w
-        # a block's row sum adds in the order of a sum over (panel, node) axes
+        integ = np.empty((len(row_node), spatial_nodes))
+        for a in range(0, len(row_node), step):
+            b = a + step
+            w = mids[a:b, None] + halfs[a:b, None] * gl_x
+            y = x - r_sq[a:b, None] * w
+            eta = np.repeat(t - r_tau[a:b], spatial_nodes)
+            vals = field_eval(y.reshape(-1, 1), eta).reshape(y.shape)
+            block = integ[a:b]
+            np.multiply(vals, np.exp(-(w * w)), out=block)
+            if deriv is not None:
+                tau2 = np.broadcast_to(r_tau[a:b, None], y.shape)
+                block *= _factor_eval(params, deriv, (r_sq[a:b, None] * w)[..., None], tau2)
+            block *= halfs[a:b, None] * gl_w
+        # a group's row sum adds in the order of a sum over (panel, node) axes
         sums = np.empty(len(node))
         start = row = 0
         bands_with = np.bincount(panels[bands])
         for p in np.flatnonzero(bands_with):
             m = bands_with[p] * n_nodes
-            block = integ[row : row + p * m].reshape(m, p * spatial_nodes)
-            sums[start : start + m] = np.sum(block, axis=1)
+            group = integ[row : row + p * m].reshape(m, p * spatial_nodes)
+            sums[start : start + m] = np.sum(group, axis=1)
             start, row = start + m, row + p * m
         inner[node] += sums
     return inner.reshape(tau.shape)
@@ -502,16 +510,18 @@ def _convolve_once(
     """c 2^n int_0^inf tau^(s-1) int e^(-w^2) g(x - 2 sqrt(tau) w, t - tau)
     [phi] dw dtau, one pass at quad.
 
-    The range ends at the source's time window, at TAU_MAX if that is
-    nearer, and for a symbol source (deriv None) at `_symbol_range`'s cut.
-    Below tau_min (deriv None) an analytic head takes the inner integral at
-    its limit pi^(n/2) g(x, t).  A symbol source exp(lam t) cos(k.x)
-    (deriv None) that reaches past the range's end tau_hi is there the
-    unrestricted field f (the cut lies past every break short of TAU_MAX),
-    whose Gaussian average is pi^(n/2) f(x, t) e^(-mu tau),
-    mu = lam + |k|^2: its tail is mu^(-s) f(x, t) Q(s, mu tau_hi), with Q
-    the regularized upper incomplete gamma function.  With mu <= 0 that
-    tail diverges, and a source reaching past TAU_MAX raises ValueError.
+    The range ends at the source's time window, at TAU_MAX if that is nearer,
+    and for a symbol source (deriv None) at `_symbol_range`'s cut.  Below
+    tau_min (deriv None) an analytic head takes the inner integral at its
+    limit pi^(n/2) g(x, t); for an unrestricted symbol source with mu > 0 it
+    is exact, g(x, t) mu^(-s) P(s, mu tau_min), with P the regularized lower
+    incomplete gamma function.  A symbol source exp(lam t) cos(k.x) (deriv
+    None) that reaches past the range's end tau_hi is there the unrestricted
+    field f (the cut lies past every break short of TAU_MAX), whose Gaussian
+    average is pi^(n/2) f(x, t) e^(-mu tau), mu = lam + |k|^2: its tail is
+    mu^(-s) f(x, t) Q(s, mu tau_hi), with Q the regularized upper incomplete
+    gamma function.  With mu <= 0 that tail diverges, and a source reaching
+    past TAU_MAX raises ValueError.
     """
     x = pt.x_array()
     t = pt.t
@@ -534,9 +544,13 @@ def _convolve_once(
         if t - win_lo > tau_hi:
             total += source.field.eval_at(pt) * mu ** (-s) * float(gammaincc(s, mu * tau_hi))
     if deriv is None and tau_lo == quad.tau_min:
-        # analytic head: the inner integral tends to pi^{n/2} g(x, t)
         g0 = source.value_at(x, t)
-        total += g0 * tau_lo**s / (s * math.gamma(s))
+        if mu is not None and mu > 0.0 and not source.constraints:
+            # the inner integral is pi^{n/2} g(x, t) e^(-mu tau) exactly
+            total += g0 * mu ** (-s) * float(gammainc(s, mu * tau_lo))
+        else:
+            # analytic head: the inner integral tends to pi^{n/2} g(x, t)
+            total += g0 * tau_lo**s / (s * math.gamma(s))
     if tau_hi <= tau_lo:
         return total
 
