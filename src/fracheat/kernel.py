@@ -24,7 +24,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import FracParams, MultiIndex
 
@@ -348,7 +347,19 @@ def _translation_rhs_log(params: FracParams, x: np.ndarray, abs_t: np.ndarray, r
         log_kernel(params, x + eta[None, :], abs_t) for eta in etas
     ]
     logs.append(log_kernel(params, x, abs_t + r**2 / n))
-    return logsumexp(np.stack(logs, axis=0), axis=0)
+    return _logsumexp(np.stack(logs, axis=0))
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum_i exp(a[i]) over axis 0, as scipy.special.logsumexp takes it:
+    the m largest terms, all equal, are taken out of the sum, and the rest
+    goes through log1p, which keeps its bits when the largest dominate."""
+    a_max = np.max(a, axis=0)
+    top = a == a_max
+    m = np.sum(top, axis=0)
+    terms = np.exp(a - np.where(np.isfinite(a_max), a_max, 0.0))
+    terms[top] = 0.0
+    return np.log1p(np.sum(terms, axis=0) / m) + np.log(m) + a_max
 
 
 def verify_translation_bound(

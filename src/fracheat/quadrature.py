@@ -37,11 +37,16 @@ The panel rule (`_inner_intervals`) lays out the panels of every node of
 every band of an interval in one array and fills their integrand a block
 of rows at a time; each panel-count group is then summed one node per row,
 so that a node's terms add in the order of a sum over its (panel, Gauss
-node) axes, wherever the block edges fall.  A convolution asks its source
-for the admissible region once per break segment, since the region changes
-only at the source's time breakpoints, which are band edges.  The band
-layout (`_band_layout`) is cached: consecutive quadratures at one time
-share it.  Cached node tables and layouts are read-only.
+node) axes, wherever the block edges fall.  A panel that lies wholly
+past +-W_CUT, where e^(-w^2) <= 2^-64, never goes to the field and its row
+stays zero: the window's two outer panels when it is not clipped, 2 of 9.
+The layout is still that of the whole window, so each node's terms keep
+their order, and a value moves only where the dropped terms, each under
+2^-64 times the field there, reach its last bit.  A convolution asks its
+source for the admissible region once per break segment, since the region
+changes only at the source's time breakpoints, which are band edges.  The
+band layout (`_band_layout`) is cached: consecutive quadratures at one
+time share it.  Cached node tables and layouts are read-only.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ __all__ = [
 ]
 
 W_MAX = 8.6  # Gaussian window half-width; exp(-W_MAX^2) ~ 5e-33
+W_CUT = math.sqrt(64.0 * math.log(2.0))  # exp(-W_CUT^2) = 2^-64: panels past it are skipped
 TAU_MU = 12.0  # symbol fields end at tau = TAU_MU / (|k|^2 + max(lam, 0))
 TAU_MAX = 1e4  # every time range ends here at the latest
 MAX_PANELS = 10  # spatial panels per window, at most
@@ -358,10 +364,11 @@ def _inner_intervals(
 
     tau holds the nodes of one band per row; each band gets as many panels
     as its widest window needs.  Per interval, the panels of every node are
-    laid out one per row, the nodes stably ordered by panel count, and the
-    integrand is filled BLOCK // spatial_nodes rows (one field call) at a
-    time; each panel-count group is then summed one node per row.  Returns
-    the integral at every node.
+    laid out one per row, the nodes stably ordered by panel count.  The
+    live panels, those that reach inside (-W_CUT, W_CUT), are filled
+    BLOCK // spatial_nodes rows (one field call) at a time; the rows of the
+    others stay zero.  Each panel-count group is then summed one node per
+    row.  Returns the integral at every node.
     """
     sq = 2.0 * np.sqrt(tau)
     inner = np.zeros(tau.size)
@@ -388,25 +395,28 @@ def _inner_intervals(
         row_node = np.repeat(node, p_node)
         p_row = np.repeat(p_node, p_node)
         k_row = np.arange(len(row_node)) - np.repeat(np.cumsum(p_node) - p_node, p_node)
-        r_tau, r_sq = tau.ravel()[row_node], sq.ravel()[row_node]
         r_lo = w_lo.ravel()[row_node]
         span = w_hi.ravel()[row_node] - r_lo
         e_lo = r_lo + span * _PANEL_EDGES[p_row, k_row]
         e_hi = r_lo + span * _PANEL_EDGES[p_row, k_row + 1]
+        # the live rows and their nodes' lags
+        live = np.flatnonzero((e_hi > -W_CUT) & (e_lo < W_CUT))
+        e_lo, e_hi, l_node = e_lo[live], e_hi[live], row_node[live]
         mids, halfs = 0.5 * (e_hi + e_lo), 0.5 * (e_hi - e_lo)
-        integ = np.empty((len(row_node), spatial_nodes))
-        for a in range(0, len(row_node), step):
+        r_tau, r_sq = tau.ravel()[l_node], sq.ravel()[l_node]
+        integ = np.zeros((len(row_node), spatial_nodes))
+        for a in range(0, len(live), step):
             b = a + step
             w = mids[a:b, None] + halfs[a:b, None] * gl_x
             y = x - r_sq[a:b, None] * w
             eta = np.repeat(t - r_tau[a:b], spatial_nodes)
-            vals = field_eval(y.reshape(-1, 1), eta).reshape(y.shape)
-            block = integ[a:b]
-            np.multiply(vals, np.exp(-(w * w)), out=block)
+            block = np.exp(-(w * w))  # ours to scale: a field's values may be read-only
+            block *= field_eval(y.reshape(-1, 1), eta).reshape(y.shape)
             if deriv is not None:
                 tau2 = np.broadcast_to(r_tau[a:b, None], y.shape)
                 block *= _factor_eval(params, deriv, (r_sq[a:b, None] * w)[..., None], tau2)
             block *= halfs[a:b, None] * gl_w
+            integ[live[a:b]] = block
         # a group's row sum adds in the order of a sum over (panel, node) axes
         sums = np.empty(len(node))
         start = row = 0

@@ -7,6 +7,7 @@ from fracheat import FracParams, QuadratureSpec, SpaceTimePoint
 from fracheat.kernel import (
     BoundReport,
     SamplePlan,
+    _logsumexp,
     _samples,
     eval_kernel,
     eval_kernel_derivative,
@@ -181,3 +182,20 @@ class TestBoundVerifiers:
                                        plan=SamplePlan(n_samples=5000, seed=2))
         assert rep.empirical_constant > 0
         assert rep.refinement_stable
+
+    def test_logsumexp_matches_scipy(self):
+        """The translation bound's log-sum-exp agrees with scipy's, on tied
+        maxima and on columns with infinite entries too."""
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(3)
+        a = rng.normal(scale=30.0, size=(3, 1000))
+        a[:, :100] = rng.normal(-math.log(3.0), 1e-3, size=(3, 100))  # sums near 0
+        a[1, 100:200] = a[0, 100:200]  # two equal maxima
+        a[:, 200:210] = -np.inf
+        a[2, 210:220] = -np.inf
+        a[0, 220:230] = np.inf
+        got, want = _logsumexp(a), logsumexp(a, axis=0)
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], want[~finite])
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-15, atol=0.0)

@@ -49,6 +49,7 @@ from fracheat.quadrature import (
     BLOCK,
     TAU_MAX,
     TAU_MU,
+    W_CUT,
     W_MAX,
     _band_layout,
     _graded_bands,
@@ -399,9 +400,11 @@ def test_cached_arrays_are_read_only(arrays):
 
 
 def _inner_intervals_per_count(field_eval, x, t, tau, ints, spatial_nodes, params, deriv,
-                               counts):
+                               counts, live):
     """Reference inner rule: one field evaluation per interval and panel
-    count, each count's bands summed over their (panel, node) axes."""
+    count, each count's bands summed over their (panel, node) axes.  Every
+    panel is evaluated; live gets the number of those that reach inside
+    (-W_CUT, W_CUT)."""
     sq = 2.0 * np.sqrt(tau)
     inner = np.zeros(tau.shape)
     gl_x, gl_w = gauss_legendre(spatial_nodes)
@@ -418,6 +421,7 @@ def _inner_intervals_per_count(field_eval, x, t, tau, ints, spatial_nodes, param
             r_tau, r_sq, r_lo = tau[rows].ravel(), sq[rows].ravel(), w_lo[rows].ravel()
             frac = np.linspace(0.0, 1.0, n_panels + 1)
             edges = r_lo[:, None] + (w_hi[rows].ravel() - r_lo)[:, None] * frac[None, :]
+            live.append(int(np.sum((edges[:, 1:] > -W_CUT) & (edges[:, :-1] < W_CUT))))
             mids = 0.5 * (edges[:, 1:] + edges[:, :-1])
             halfs = 0.5 * (edges[:, 1:] - edges[:, :-1])
             w = mids[:, :, None] + halfs[:, :, None] * gl_x
@@ -437,8 +441,9 @@ def _inner_intervals_per_count(field_eval, x, t, tau, ints, spatial_nodes, param
 
 @pytest.mark.parametrize("deriv", [None, (1, 0)])
 def test_inner_intervals_matches_per_count_loop(deriv):
-    """Field calls of at most BLOCK points give the same bits as a loop over
-    panel counts, on bands whose panel counts run from 1 to 9."""
+    """Field calls of at most BLOCK points, on the live panels only, give the
+    same bits as a loop over panel counts that evaluates every panel, on
+    bands whose panel counts run from 1 to 9."""
     params = FracParams(1, 0.4)
     field = power_cusp(0.5)
     calls = []
@@ -454,16 +459,53 @@ def test_inner_intervals_matches_per_count_loop(deriv):
     gl_x, _ = gauss_legendre(4)
     tau = 0.5 * (edges[:-1] + edges[1:])[:, None] + 0.5 * np.diff(edges)[:, None] * gl_x
     ints = [(-6.0, 9.0), (-40.0, -12.0), (500.0, 600.0)]
-    counts = set()
+    counts, live = set(), []
     want = _inner_intervals_per_count(field.eval, 0.2, 0.3, tau, ints, 10, params, deriv,
-                                      counts)
+                                      counts, live)
     assert counts == set(range(1, 10))
     got = _inner_intervals(field_eval, 0.2, 0.3, tau, ints, 10, params, deriv)
     assert np.array_equal(got, want)
-    # 819 rows of 10 points per block: the first interval's 1,112 rows take
-    # two blocks, split inside the 9-panel group (rows 284 to 1,111), and the
-    # second interval's 120 rows one block
-    assert calls == [8190, 2930, 1200]
+    # the field sees the live panels and no others: 930 of the first
+    # interval's 1,112 panels (rows) and 76 of the second's 120
+    assert sum(calls) == 10 * sum(live) == 10 * (930 + 76)
+    # 819 live rows of 10 points per call: the first interval's 930 take two
+    # calls, the second interval's 76 one
+    assert calls == [8190, 1110, 760]
+
+
+def test_panels_past_cut_skipped_on_synthesized_field(monkeypatch):
+    """The operator on a synthesized field, whose every outer node has an
+    unclipped window of 9 panels, convolves on the 7 live panels only, with
+    the value and estimate of a run that evaluates all 9."""
+    from fracheat import quadrature, synthesis
+
+    params = FracParams(1, 0.5)
+    inner_spec = QuadratureSpec(tau_min=1e-2, graded_nodes=2, spatial_nodes=2)
+    outer_spec = QuadratureSpec(tau_min=1.0, graded_nodes=2, spatial_nodes=8)
+    pt = SpaceTimePoint.of(0.1, 0.0)
+    plain = synthesis.kernel_convolve
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "kernel_convolve", counting)
+
+    def run():
+        calls.clear()
+        u = synthesized_field(gaussian_bump(), params, inner_spec)
+        return apply_fully_fractional(u, pt, params, outer_spec), len(calls)
+
+    cut, n_cut = run()
+    monkeypatch.setattr(quadrature, "W_CUT", math.inf)
+    full, n_full = run()
+    assert cut == full
+    # one convolution for u(pt), then 8 points per panel of every outer node
+    # (both passes): 2 of each node's 9 panels lie past the cut
+    nodes, rest = divmod(n_full - 1, 9 * 8)
+    assert rest == 0 and nodes > 0
+    assert n_full - n_cut == 2 * 8 * nodes
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
