@@ -145,16 +145,20 @@ def _problem(args) -> tuple:
     return params, quad, make_field(spec, n=params.n)
 
 
+def _csv_rows(path) -> list:
+    """The non-empty lines of a CSV file, less a header row (a first line
+    whose first cell is not a number)."""
+    rows = [r for r in Path(path).read_text().strip().splitlines() if r]
+    try:
+        float(rows[0].split(",")[0])
+    except (IndexError, ValueError):
+        rows = rows[1:]
+    return rows
+
+
 def _load_points(spec: str, n: int) -> list:
     """Points from 'x1 ... xn t;...' inline syntax or a CSV file path."""
-    if os.path.exists(spec):
-        chunks = [r for r in Path(spec).read_text().strip().splitlines() if r]
-        try:
-            float(chunks[0].split(",")[0])
-        except (IndexError, ValueError):
-            chunks = chunks[1:]  # a header row
-    else:
-        chunks = spec.split(";")
+    chunks = _csv_rows(spec) if os.path.exists(spec) else spec.split(";")
     pts = []
     for chunk in chunks:
         vals = [float(v) for v in chunk.replace(",", " ").split()]
@@ -244,9 +248,8 @@ def cmd_nu_profile(args) -> int:
 
 def cmd_classify(args) -> int:
     t0 = time.time()
-    # (radius, raw[, nu]) rows; the running sup is recomputed.
-    rows = Path(args.profile).read_text().strip().splitlines()[1:]
-    vals = np.array([[float(v) for v in r.split(",")] for r in rows])
+    # (radius, raw[, nu]) rows, a header or none; the running sup is recomputed.
+    vals = np.array([[float(v) for v in r.split(",")] for r in _csv_rows(args.profile)])
     prof = NuProfile.from_values(SpaceTimePoint.of([0.0], 0.0), vals[:, 0], vals[:, 1])
     report = classify_pointwise(prof, args.k, args.alpha)
     est = estimate_exponent(prof)

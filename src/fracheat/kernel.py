@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FracParams, MultiIndex
+from .core import FracParams, MultiIndex, multi_indices
 
 __all__ = [
     "log_kernel",
@@ -396,8 +396,6 @@ def verify_translation_bound(
         scale = (m - 2 * l) * math.log(r)
         label = "translation_bound"
     else:
-        from .core import multi_indices
-
         total = np.zeros(len(abs_t))
         for mi in multi_indices(n, deriv_order):
             if mi.parabolic_degree == deriv_order:

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .core import FracParams, ScalarField, SpaceTimePoint
+from .core import FracParams, ScalarField, SpaceTimePoint, abs_gamma_neg
 from .fields import exp_symbol
 from .quadrature import (
     QuadratureSpec,
@@ -61,8 +61,6 @@ def fractional_laplacian_constant(n: int, s: float) -> float:
     This is the time-integrated form of the space-time normalization: the
     pure spatial reduction of the operator carries exactly this constant.
     """
-    from .core import abs_gamma_neg
-
     return 4.0**s * math.gamma(n / 2.0 + s) / (math.pi ** (n / 2.0) * abs_gamma_neg(s))
 
 

@@ -100,26 +100,16 @@ def synthesize_solution(
     return kernel_convolve(f, pt, params, quad)
 
 
-class _ErrTracker:
-    def __init__(self):
-        self.max_err = 0.0
-
-    def update(self, e: float):
-        self.max_err = max(self.max_err, e)
-
-
 def synthesized_field(
     f: ScalarField,
     params: FracParams,
     quad: QuadratureSpec = QuadratureSpec(),
-    with_error: bool = False,
 ) -> ScalarField:
     """The solution u = f * K wrapped as a lazily evaluated ScalarField.
 
-    The wrapper is bounded, vanishes before the source's time window, and
-    records the largest per-point error estimate seen in `.err_tracker`.
+    The wrapper is bounded and vanishes before the source's time window;
+    each point is one convolution, without an error estimate.
     """
-    tracker = _ErrTracker()
     floor, _ = f.time_window()
 
     def func(x, t):
@@ -127,15 +117,12 @@ def synthesized_field(
         t = np.atleast_1d(t)
         out = np.empty(len(t))
         for i in range(len(t)):
-            v, e = kernel_convolve(
-                f, SpaceTimePoint.of(x[i], t[i]), params, quad, with_error=with_error
-            )
-            out[i] = v
-            if with_error:
-                tracker.update(e)
+            out[i] = kernel_convolve(
+                f, SpaceTimePoint.of(x[i], t[i]), params, quad, with_error=False
+            )[0]
         return out
 
-    u = ScalarField(
+    return ScalarField(
         func,
         f.n,
         tail="bounded",
@@ -143,8 +130,6 @@ def synthesized_field(
         time_floor=floor if math.isfinite(floor) else None,
         name=f"solution[{f.name}]",
     )
-    u.err_tracker = tracker
-    return u
 
 
 def jet_source(P: ParabolicPolynomial) -> ScalarField:

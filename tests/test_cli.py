@@ -115,6 +115,24 @@ class TestClassifyCommand:
         report = json.loads((tmp_path / "classify.json").read_text())
         assert report["label"] == "holder"
 
+    def test_header_is_optional(self, tmp_path):
+        """A profile reads the same with a header row and without one: the
+        first radius of a headerless file is data, not a header."""
+        rows = [f"{r},{r**0.5}" for r in (2.0**-j for j in range(2, 9))]
+        reports = []
+        for name, lines in (("headed", ["radius,raw"] + rows), ("bare", rows)):
+            out = tmp_path / name
+            prof = tmp_path / f"{name}.csv"
+            prof.write_text("\n".join(lines) + "\n")
+            rc = main(["classify", "--profile", str(prof), "--k", "0",
+                       "--alpha", "0.5", "--out-dir", str(out)])
+            assert rc == 0
+            reports.append(json.loads((out / "classify.json").read_text()))
+        headed, bare = reports
+        assert headed["label"] == bare["label"] == "holder"
+        assert headed["diagnostics"] == bare["diagnostics"]
+        assert headed["diagnostics"]["r0"] == 0.25
+
 
 class TestRunConfig:
     def test_dispatches_from_json(self, tmp_path):

@@ -14,8 +14,10 @@ closed-form symbol tail.  The operator and Marchaud estimates were
 re-grounded when they took in the round-off of G near tau_min.  The value
 of conv_symbol_n1 was re-grounded when a symbol source's head below
 tau_min became closed form: its distance to mu^(-s) f fell from 8e-12 to
-2e-13.  Any later change to the quadrature must reproduce them: values to
-1e-12 relative, estimates to 1e-14 |value| + 1e-16.
+2e-13.  op_after_window was recorded before the operator took its region
+from `RestrictedSource.intervals`, which left it unchanged.  Any later
+change to the quadrature must reproduce them: values to 1e-12 relative,
+estimates to 1e-14 |value| + 1e-16.
 """
 
 import math
@@ -51,10 +53,10 @@ from fracheat.quadrature import (
     TAU_MU,
     W_CUT,
     W_MAX,
+    _average,
     _band_layout,
     _graded_bands,
     _hermite_grid,
-    _inner,
     _inner_intervals,
     _richardson_head,
     _symbol_range,
@@ -129,6 +131,8 @@ CASES = {
         deriv=(1, 0)),
     "conv_before_window": lambda: kernel_convolve(
         gaussian_bump(), SpaceTimePoint.of(0.0, -1.5), FracParams(1, 0.5), COARSE),
+    "op_after_window": lambda: apply_fully_fractional(
+        gaussian_bump(), SpaceTimePoint.of(0.0, 1.5), FracParams(1, 0.5), COARSE),
 }
 
 GOLDEN = {
@@ -146,6 +150,7 @@ GOLDEN = {
     'marchaud_ramp': (1.1191749540700615, 1.518785980075709e-12),
     'mass_n1': (0.5641895835477564, 6.933096515559673e-11),
     'mass_n2': (1.0141187137602978, 3.0841366612724163e-10),
+    'op_after_window': (-0.0536352533549248, 6.915380201780412e-05),
     'op_bounded': (-0.2342763154289113, 0.001180642763766023),
     'op_bump_n1': (1.2048174181481182, 2.264851421641439e-06),
     'op_bump_n2': (2.461657630346506, 4.6638964617075984e-05),
@@ -544,6 +549,25 @@ def test_admissible_region_once_per_break_segment():
     assert 0 < len(asked) <= 2 * segments
 
 
+def test_operator_reads_field_only_inside_its_window(monkeypatch):
+    """After the bump's time window the operator takes the bump's region from
+    `RestrictedSource.intervals`, as a convolution does: apart from u(pt)
+    itself, the field is read only at times inside its window (-1, 1)."""
+    times = []
+    plain = ScalarField.eval
+
+    def recording(self, x, t):
+        times.append(np.array(t, dtype=float).ravel())
+        return plain(self, x, t)
+
+    monkeypatch.setattr(ScalarField, "eval", recording)
+    value, err = CASES["op_after_window"]()
+    assert (value, err) == pytest.approx(GOLDEN["op_after_window"], rel=1e-12, abs=0.0)
+    at_pt, rest = times[0], np.concatenate(times[1:])
+    assert at_pt.tolist() == [1.5]
+    assert rest.size > 0 and np.all(np.abs(rest) < 1.0)
+
+
 def _inner_hermite_per_band(field, x, t, tau, order, params, deriv):
     """Reference Gauss-Hermite inner rule: one field evaluation per band."""
     inner = np.empty(tau.shape)
@@ -587,7 +611,7 @@ def test_hermite_bands_grouped_by_order(make, x, first_derivative):
         return type(field).eval(field, y, eta)
 
     field.eval = counting
-    got = _inner(field, x, t, tau, None, spec, params, deriv)
+    got = _average(RestrictedSource(field), x, t, tau, spec, params, deriv)
     assert np.array_equal(got, want)
 
     q = spec.hermite_order**n

@@ -95,6 +95,17 @@ class TestNuProfile:
         slopes = np.log2(np.asarray(prof.nu[:-1]) / np.asarray(prof.nu[1:]))
         np.testing.assert_allclose(slopes, 0.75, atol=0.01)
 
+    def test_sup_mode_bounds_the_average(self):
+        """The grid maximum of |x|^(1/2) lies above its average at every
+        radius, and both profiles recover the Holder exponent 1/2."""
+        radii = [2.0**-j for j in range(2, 9)]
+        l1, sup = (nu_profile(power_cusp(0.5), ParabolicPolynomial.zero(1), BASE, radii,
+                              mode=mode, grid=(24, 8)) for mode in ("l1", "sup"))
+        assert np.all(np.asarray(sup.nu) >= np.asarray(l1.nu))
+        for prof in (l1, sup):
+            assert classify_pointwise(prof, 0, 0.5).label == "holder"
+            assert estimate_exponent(prof)["exponent"] == pytest.approx(0.5, abs=0.05)
+
     def test_spatial_only_restricts_to_time_slice(self):
         def func(x, t):
             return np.abs(np.atleast_2d(x)[:, 0]) + 100.0 * np.abs(np.asarray(t))
