@@ -22,7 +22,8 @@ TAU_MU / (|k|^2 + max(lam, 0)) (`_symbol_range`), where one Gauss-Hermite
 order still resolves the oscillation of cos(k.x), or at TAU_MAX if that is
 nearer, and the integral past the end is added in closed form (an
 incomplete gamma function), for every mu > 0.  A convolution with mu <= 0
-diverges and raises ValueError; a kernel derivative of an unrestricted
+diverges and raises ValueError, and so does that of any other source with
+no time floor within TAU_MAX; a kernel derivative of an unrestricted
 oscillating symbol source has no such tail and raises NotImplementedError.
 `_refined` and the estimate-free convolution raise FloatingPointError on a
 value or estimate that is not finite.
@@ -31,11 +32,12 @@ The convolution integrates tau^(s-1) A(tau) and the operator
 tau^(-1-s) (pi^(n/2) u(x, t) - A(tau)), with one Gaussian average
 A(tau) = int e^(-w^2) g(x - 2 sqrt(tau) w, t - tau) dw (`_average`).
 `RestrictedSource.intervals` alone decides where A is taken and how:
-Gauss-Hermite of order spec.hermite_order (None), or mapped Gauss-Legendre
-panels with the Gaussian written out on a union of intervals, so that
-indicator boundaries are hit exactly; an empty region never reaches the
-field.  Both inner rules take all bands of a call together and hand the
-field at most BLOCK points at once (one node at least).
+Gauss-Hermite of order spec.hermite_order (None) on a region without an
+edge, or mapped Gauss-Legendre panels with the Gaussian written out on a
+union of intervals, so that indicator boundaries are hit exactly; an empty
+region never reaches the field.  Both inner rules take all bands of a call
+together and hand the field at most BLOCK points at once (one node at
+least).
 
 The panel rule (`_inner_intervals`) lays out the panels of every node of
 every band of an interval in one array and fills their integrand a block
@@ -80,7 +82,6 @@ W_MAX = 8.6  # Gaussian window half-width; exp(-W_MAX^2) ~ 5e-33
 W_CUT = math.sqrt(64.0 * math.log(2.0))  # exp(-W_CUT^2) = 2^-64: panels past it are skipped
 TAU_MU = 12.0  # symbol fields end at tau = TAU_MU / (|k|^2 + max(lam, 0))
 TAU_MAX = 1e4  # every time range ends here at the latest
-MAX_PANELS = 10  # spatial panels per window, at most
 BLOCK = 2**13  # points per field call of either inner rule, at most (one node at least)
 
 
@@ -215,14 +216,12 @@ class RestrictedSource:
         """The admissible spatial region at time eta, and with it the inner
         rule: intervals for windowed panels ([] where the source vanishes),
         or None for Gauss-Hermite.  An unconstrained field with no bounding
-        interval is None if n > 1 or it is a symbol field, else the whole
-        line at every eta; any other source is its interval (or the line)
+        interval has a region without an edge: None at every eta, whatever
+        its n or tail.  Any other source is its interval (or the line)
         inside its time window, cut by the constraints active at eta."""
         base = self.field.spatial_interval()
         if base is None and not self.constraints:
-            if self.n > 1 or self.field.tail == "exponential_symbol":
-                return None
-            return [(-math.inf, math.inf)]
+            return None
         lo, hi = self.field.time_window()
         if not lo < eta < hi:
             return []
@@ -353,9 +352,11 @@ def _symbol_range(field: ScalarField, tau_hi: float, breaks: Sequence[float]) ->
 
 
 # _PANEL_EDGES[p, k]: edge k of a window cut into p panels, as np.linspace
-# places it (k / p to the last bit, and the last edge exactly 1)
+# places it (k / p to the last bit, and the last edge exactly 1).  A window
+# spans at most 2 W_MAX in w, one panel per 2, so it has at most ceil(W_MAX).
+_MAX_PANELS = math.ceil(W_MAX)
 _PANEL_EDGES = np.array([
-    np.pad(np.linspace(0.0, 1.0, p + 1), (0, MAX_PANELS - p)) for p in range(MAX_PANELS + 1)
+    np.pad(np.linspace(0.0, 1.0, p + 1), (0, _MAX_PANELS - p)) for p in range(_MAX_PANELS + 1)
 ])
 _PANEL_EDGES.flags.writeable = False
 
@@ -392,8 +393,7 @@ def _inner_intervals(
         w_lo = (x - y_hi) / sq
         w_hi = (x - y_lo) / sq
         max_len = np.max(w_hi - w_lo, axis=1)
-        panels = np.where(max_len > 0, np.clip(np.ceil(max_len / 2.0), 1, MAX_PANELS), 0)
-        panels = panels.astype(int)
+        panels = np.where(max_len > 0, np.ceil(max_len / 2.0), 0).astype(int)
         bands = np.argsort(panels, kind="stable")
         bands = bands[panels[bands] > 0]
         if not len(bands):
@@ -558,7 +558,8 @@ def _convolve_once(
     average is pi^(n/2) f(x, t) e^(-mu tau), mu = lam + |k|^2: its tail is
     mu^(-s) f(x, t) Q(s, mu tau_hi), with Q the regularized upper incomplete
     gamma function.  With mu <= 0 that tail diverges, and a source reaching
-    past TAU_MAX raises ValueError.
+    past TAU_MAX raises ValueError, as does any non-symbol source reaching
+    past TAU_MAX, whose tail is not known (K * 1 diverges).
     """
     x = pt.x_array()
     t = pt.t
@@ -572,11 +573,15 @@ def _convolve_once(
     tau_hi = min(TAU_MAX, t - win_lo)
     breaks = [t - b for b in source.time_breakpoints()]
     mu = _symbol_mu(source.field) if deriv is None else None
-    total = 0.0
-    if mu is not None:
-        if mu <= 0.0 and t - win_lo > TAU_MAX:
+    if t - win_lo > TAU_MAX:
+        if source.field.tail != "exponential_symbol":
+            raise ValueError(f"the convolution of {source.field.name} has no tail: no time"
+                             f" floor within TAU_MAX = {TAU_MAX:g} of t = {t}")
+        if mu is not None and mu <= 0.0:
             raise ValueError(f"the convolution of {source.field.name} diverges:"
                              f" lam + |k|^2 = {mu} <= 0")
+    total = 0.0
+    if mu is not None:
         tau_hi = _symbol_range(source.field, tau_hi, breaks)
         if t - win_lo > tau_hi:
             total += source.field.eval_at(pt) * mu ** (-s) * float(gammaincc(s, mu * tau_hi))
@@ -615,8 +620,9 @@ def kernel_convolve(
     refinement, and a symbol source's tail past the time range is closed
     form (`_convolve_once`).  With with_error=False the estimate is NaN.
     Raises FloatingPointError when the value (or the estimate) is not
-    finite, ValueError when the convolution of a symbol source diverges,
-    and NotImplementedError for a kernel derivative of an unrestricted
+    finite, ValueError when the convolution of a symbol source diverges or
+    any other source has no time floor within TAU_MAX of pt, and
+    NotImplementedError for a kernel derivative of an unrestricted
     symbol source with k != 0 (no closed-form tail ends its range).
     """
     if isinstance(source, ScalarField):

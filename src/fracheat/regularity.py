@@ -96,9 +96,6 @@ class NuProfile:
         r = np.asarray(self.radii, dtype=float)
         return float(np.exp(np.mean(np.log(r[1:] / r[:-1]))))
 
-    def rows(self):
-        return list(zip(self.radii.tolist(), self.nu.tolist()))
-
     @staticmethod
     def from_values(base, radii, values, mode="l1", spatial_only=False) -> "NuProfile":
         radii = np.asarray(radii, dtype=float)

@@ -15,9 +15,12 @@ re-grounded when they took in the round-off of G near tau_min.  The value
 of conv_symbol_n1 was re-grounded when a symbol source's head below
 tau_min became closed form: its distance to mu^(-s) f fell from 8e-12 to
 2e-13.  op_after_window was recorded before the operator took its region
-from `RestrictedSource.intervals`, which left it unchanged.  Any later
-change to the quadrature must reproduce them: values to 1e-12 relative,
-estimates to 1e-14 |value| + 1e-16.
+from `RestrictedSource.intervals`, which left it unchanged.  op_bounded was
+re-grounded when every region without an edge went to Gauss-Hermite (its
+x-independent field had taken windowed panels on the whole line): its
+distance to the Marchaud derivative of the same function fell from 1.1e-7
+to 6.9e-11.  Any later change to the quadrature must reproduce them:
+values to 1e-12 relative, estimates to 1e-14 |value| + 1e-16.
 """
 
 import math
@@ -27,7 +30,9 @@ import pytest
 
 from fracheat import (
     FracParams,
+    MultiIndex,
     ParabolicCylinder,
+    ParabolicPolynomial,
     QuadratureSpec,
     RestrictedSource,
     ScalarField,
@@ -35,10 +40,12 @@ from fracheat import (
     apply_fractional_laplacian,
     apply_fully_fractional,
     apply_marchaud,
+    constant,
     exp_symbol,
     gaussian_bump,
     kernel_convolve,
     kernel_mass,
+    polynomial_field,
     power_cusp,
     synthesize_solution,
     synthesized_field,
@@ -151,7 +158,7 @@ GOLDEN = {
     'mass_n1': (0.5641895835477564, 6.933096515559673e-11),
     'mass_n2': (1.0141187137602978, 3.0841366612724163e-10),
     'op_after_window': (-0.0536352533549248, 6.915380201780412e-05),
-    'op_bounded': (-0.2342763154289113, 0.001180642763766023),
+    'op_bounded': (-0.2342764211588506, 0.00105973756775363),
     'op_bump_n1': (1.2048174181481182, 2.264851421641439e-06),
     'op_bump_n2': (2.461657630346506, 4.6638964617075984e-05),
     'op_symbol_k0': (0.9999999999992598, 2.2074813471447475e-07),
@@ -301,9 +308,24 @@ def test_restricted_symbol_source_keeps_its_breaks():
     assert abs(out + ins - math.cos(0.3)) <= out_err + ins_err
 
 
+@pytest.mark.parametrize("s", [0.3, 0.7])
+@pytest.mark.parametrize("deriv", [None, (0, 1)], ids=["value", "d_t"])
+def test_convolution_without_floor_raises(s, deriv):
+    """K * 1 diverges: a source that is not a symbol field and has no time
+    floor within TAU_MAX of the point raises ValueError.  With a floor the
+    same field converges."""
+    params, pt = FracParams(1, s), SpaceTimePoint.of(0.0, 0.0)
+    with pytest.raises(ValueError, match="no time floor"):
+        kernel_convolve(constant(1.0), pt, params, COARSE, deriv=deriv)
+    floored = time_profile(lambda t: np.ones_like(t), time_floor=-TAU_MAX / 2, bound=1.0)
+    value, err = kernel_convolve(floored, pt, params, COARSE, deriv=deriv)
+    assert math.isfinite(value) and math.isfinite(err)
+
+
 def _nan_field():
+    # a floor, so that the convolution routes reach the non-finite check
     return ScalarField(lambda x, t: np.full(len(t), np.nan), 1, tail="bounded", bound=1.0,
-                       name="nan")
+                       time_floor=-1.0, name="nan")
 
 
 @pytest.mark.parametrize("route", [
@@ -404,6 +426,61 @@ def test_cached_arrays_are_read_only(arrays):
             arr[0] = 1.0
 
 
+def _plain_polynomial():
+    base = SpaceTimePoint.of(0.0, 0.0)
+    return polynomial_field(ParabolicPolynomial(
+        2, base, {MultiIndex(sigma=(0, 0)): 1.0, MultiIndex(sigma=(2, 0)): -0.5}))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: constant(2.0),
+    lambda: time_profile(lambda t: 1.0 / (1.0 + t**2), bound=1.0),
+    lambda: time_profile(lambda t: np.maximum(t, 0.0), time_floor=0.0),
+    _plain_polynomial,
+    lambda: exp_symbol(0.5, [1.0]),
+    lambda: exp_symbol(0.5, [0.6, 0.8], n=2),
+    lambda: synthesized_field(gaussian_bump(), FracParams(1, 0.5), COARSE),
+], ids=["constant", "time_profile", "ramp_with_floor", "polynomial", "exp_symbol",
+        "exp_symbol_n2", "synthesized_field"])
+def test_region_without_edge_is_hermite(make):
+    """An unconstrained field with no spatial bound has a region without an
+    edge, and that region gets Gauss-Hermite (None) at every time, whatever
+    the field's n or tail."""
+    source = RestrictedSource(make())
+    assert [source.intervals(eta) for eta in (-5.0, -0.5, 0.0, 0.4)] == [None] * 4
+
+
+def test_region_with_edge_gets_panels():
+    """A compact field, or a constrained one, has intervals: its support inside
+    its time window (nothing outside), and the half-lines that a cylinder
+    zeroed out of the line leaves while it is active."""
+    lo, hi = gaussian_bump().spatial_interval()
+    bump = RestrictedSource(gaussian_bump())
+    assert bump.intervals(0.0) == [(lo, hi)]
+    assert bump.intervals(1.5) == []
+    cyl = ParabolicCylinder(SpaceTimePoint.of(0.0, 0.0), 1.0, "past")
+    holed = RestrictedSource(constant(2.0), [(cyl, False)])
+    assert holed.intervals(-0.5) == [(-math.inf, -1.0), (1.0, math.inf)]
+    assert holed.intervals(0.5) == [(-math.inf, math.inf)]
+    kept = RestrictedSource(exp_symbol(0.5, [1.0]), [(cyl, True)])
+    assert kept.intervals(-0.5) == [(-1.0, 1.0)]
+    assert kept.intervals(-1.5) == []
+
+
+@pytest.mark.parametrize("make", [
+    lambda: time_profile(lambda t: 1.0 / (1.0 + t**2), bound=1.0),
+    lambda: time_profile(lambda t: np.maximum(t, 0.0), time_floor=0.0),
+], ids=["bounded", "ramp_with_floor"])
+def test_x_independent_operator_matches_marchaud(make):
+    """On a field that does not depend on x the operator is the Marchaud
+    derivative: at COARSE, s = 0.7, they agree to 1e-9 relative."""
+    field = make()
+    value, _ = apply_fully_fractional(field, SpaceTimePoint.of(0.3, 0.5), FracParams(1, 0.7),
+                                      COARSE)
+    want, _ = apply_marchaud(field, 0.5, 0.7, COARSE)
+    assert abs(value - want) <= 1e-9 * abs(want)
+
+
 def _inner_intervals_per_count(field_eval, x, t, tau, ints, spatial_nodes, params, deriv,
                                counts, live):
     """Reference inner rule: one field evaluation per interval and panel
@@ -478,39 +555,36 @@ def test_inner_intervals_matches_per_count_loop(deriv):
     assert calls == [8190, 1110, 760]
 
 
-def test_panels_past_cut_skipped_on_synthesized_field(monkeypatch):
-    """The operator on a synthesized field, whose every outer node has an
-    unclipped window of 9 panels, convolves on the 7 live panels only, with
-    the value and estimate of a run that evaluates all 9."""
-    from fracheat import quadrature, synthesis
+def test_panels_past_cut_skipped_by_the_operator(monkeypatch):
+    """The operator on a compact source hands the field only the panels
+    that the per-count reference finds live, spatial_nodes points each, and
+    returns the value and estimate of a run that evaluates every panel."""
+    from fracheat import quadrature
 
-    params = FracParams(1, 0.5)
-    inner_spec = QuadratureSpec(tau_min=1e-2, graded_nodes=2, spatial_nodes=2)
-    outer_spec = QuadratureSpec(tau_min=1.0, graded_nodes=2, spatial_nodes=8)
-    pt = SpaceTimePoint.of(0.1, 0.0)
-    plain = synthesis.kernel_convolve
-    calls = []
+    plain = quadrature._inner_intervals
+    points, want = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return plain(*args, **kwargs)
+    def counted(field_eval, x, t, tau, ints, spatial_nodes, params, deriv):
+        live = []
+        _inner_intervals_per_count(field_eval, x, t, tau, ints, spatial_nodes, params, deriv,
+                                   set(), live)
+        want.append(spatial_nodes * sum(live))
 
-    monkeypatch.setattr(synthesis, "kernel_convolve", counting)
+        def counting(y, eta):
+            points[-1] += len(eta)
+            return field_eval(y, eta)
 
-    def run():
-        calls.clear()
-        u = synthesized_field(gaussian_bump(), params, inner_spec)
-        return apply_fully_fractional(u, pt, params, outer_spec), len(calls)
+        points.append(0)
+        return plain(counting, x, t, tau, ints, spatial_nodes, params, deriv)
 
-    cut, n_cut = run()
+    monkeypatch.setattr(quadrature, "_inner_intervals", counted)
+    cut = CASES["op_bump_n1"]()
+    assert points == want
+    n_cut = sum(points)
+    points.clear()
     monkeypatch.setattr(quadrature, "W_CUT", math.inf)
-    full, n_full = run()
-    assert cut == full
-    # one convolution for u(pt), then 8 points per panel of every outer node
-    # (both passes): 2 of each node's 9 panels lie past the cut
-    nodes, rest = divmod(n_full - 1, 9 * 8)
-    assert rest == 0 and nodes > 0
-    assert n_full - n_cut == 2 * 8 * nodes
+    assert CASES["op_bump_n1"]() == cut
+    assert 0 < n_cut < sum(points)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
