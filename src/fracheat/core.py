@@ -84,10 +84,6 @@ class FracParams:
         return normalization_constant(self.n, self.s)
 
     @property
-    def abs_gamma(self) -> float:
-        return abs_gamma_neg(self.s)
-
-    @property
     def c_inv(self) -> float:
         return inverse_normalization_constant(self.n, self.s)
 

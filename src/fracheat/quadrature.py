@@ -35,24 +35,20 @@ A(tau) = int e^(-w^2) g(x - 2 sqrt(tau) w, t - tau) dw (`_average`).
 Gauss-Hermite of order spec.hermite_order (None) on a region without an
 edge, or mapped Gauss-Legendre panels with the Gaussian written out on a
 union of intervals, so that indicator boundaries are hit exactly; an empty
-region never reaches the field.  Both inner rules take all bands of a call
-together and hand the field at most BLOCK points at once (one node at
-least).
+region never reaches the field.  `_average` asks its source for the region
+once per break segment, since the region changes only at the source's time
+breakpoints, which are band edges.
 
-The panel rule (`_inner_intervals`) lays out the panels of every node of
-every band of an interval in one array and fills their integrand a block
-of rows at a time; each panel-count group is then summed one node per row,
-so that a node's terms add in the order of a sum over its (panel, Gauss
-node) axes, wherever the block edges fall.  A panel that lies wholly
-past +-W_CUT, where e^(-w^2) <= 2^-64, never goes to the field and its row
-stays zero: the window's two outer panels when it is not clipped, 2 of 9.
-The layout is still that of the whole window, so each node's terms keep
-their order, and a value moves only where the dropped terms, each under
-2^-64 times the field there, reach its last bit.  `_average` asks its
-source for the admissible region once per break segment, since the region
-changes only at the source's time breakpoints, which are band edges.  The
-band layout (`_band_layout`) is cached: consecutive quadratures at one
-time share it.  Cached node tables and layouts are read-only.
+Both inner rules are rows for one evaluator (`_row_average`): a row is a
+node of tau with a fixed number of points w and weights.  Gauss-Hermite
+gives one row per node (`_hermite_rows`), the panel rule one row per live
+panel (`_panel_rows`); a panel that lies wholly past +-W_CUT, where
+e^(-w^2) <= 2^-64, makes no row.  The evaluator takes all bands of a call
+together, hands the field BLOCK // width rows at once (one row at least),
+sums each row on its own and then adds each node's rows in row order, so
+that block edges never change a result.  The band layout (`_band_layout`)
+is cached: consecutive quadratures at one time share it.  Cached node
+tables and layouts are read-only.
 """
 
 from __future__ import annotations
@@ -82,7 +78,7 @@ W_MAX = 8.6  # Gaussian window half-width; exp(-W_MAX^2) ~ 5e-33
 W_CUT = math.sqrt(64.0 * math.log(2.0))  # exp(-W_CUT^2) = 2^-64: panels past it are skipped
 TAU_MU = 12.0  # symbol fields end at tau = TAU_MU / (|k|^2 + max(lam, 0))
 TAU_MAX = 1e4  # every time range ends here at the latest
-BLOCK = 2**13  # points per field call of either inner rule, at most (one node at least)
+BLOCK = 2**13  # points per field call of the inner rules, at most (one row at least)
 
 
 @dataclass(frozen=True)
@@ -351,93 +347,47 @@ def _symbol_range(field: ScalarField, tau_hi: float, breaks: Sequence[float]) ->
     return min(tau_hi, max([TAU_MU / (float(np.dot(k, k)) + max(lam, 0.0)), *breaks]))
 
 
-# _PANEL_EDGES[p, k]: edge k of a window cut into p panels, as np.linspace
-# places it (k / p to the last bit, and the last edge exactly 1).  A window
-# spans at most 2 W_MAX in w, one panel per 2, so it has at most ceil(W_MAX).
-_MAX_PANELS = math.ceil(W_MAX)
-_PANEL_EDGES = np.array([
-    np.pad(np.linspace(0.0, 1.0, p + 1), (0, _MAX_PANELS - p)) for p in range(_MAX_PANELS + 1)
-])
-_PANEL_EDGES.flags.writeable = False
-
-
-def _inner_intervals(
+def _row_average(
     field_eval: Callable,
-    x: float,
+    x: np.ndarray,
     t: float,
     tau: np.ndarray,
-    ints,
-    spatial_nodes: int,
+    rows: tuple,
     params: FracParams,
     deriv: Optional[tuple],
 ) -> np.ndarray:
-    """int e^{-w^2} g(x - 2 sqrt(tau) w, t - tau) [phi] dw over mapped intervals.
+    """sum_j wt[r, j] g(x - 2 sqrt(tau) w[r, j], t - tau) [phi] over the rows
+    (node, width, points) of an inner rule, added up per node of tau.
 
-    tau holds the nodes of one band per row; each band gets as many panels
-    as its widest window needs.  Per interval, the panels of every node are
-    laid out one per row, the nodes stably ordered by panel count.  The
-    live panels, those that reach inside (-W_CUT, W_CUT), are filled
-    BLOCK // spatial_nodes rows (one field call) at a time; the rows of the
-    others stay zero.  Each panel-count group is then summed one node per
-    row.  Returns the integral at every node.
+    Row r is `width` points at the lag tau.flat[node[r]].  points(rows),
+    for a slice of rows, gives their points w, each row's flattened with
+    the coordinates last, shape (rows, width * n), and their weights wt,
+    shape (rows, width), or one pair of shapes (width * n,) and (width,)
+    for all of them; flat rows keep numpy's inner loops long, and points
+    made a block at a time keep every temporary cache-sized.  The field gets
+    BLOCK // width rows per call (one row at least); each row is summed on
+    its own, and then each node's rows are added in row order, so block
+    edges never change a result.  Returns tau's shape, zero at a node
+    without rows.
     """
-    sq = 2.0 * np.sqrt(tau)
-    inner = np.zeros(tau.size)
-    n_nodes = tau.shape[1]
-    gl_x, gl_w = gauss_legendre(spatial_nodes)
-    step = max(1, BLOCK // spatial_nodes)
-    for lo, hi in ints:
-        y_lo = np.maximum(lo, x - W_MAX * sq)
-        y_hi = np.minimum(hi, x + W_MAX * sq)
-        y_hi = np.maximum(y_hi, y_lo)
-        w_lo = (x - y_hi) / sq
-        w_hi = (x - y_lo) / sq
-        max_len = np.max(w_hi - w_lo, axis=1)
-        panels = np.where(max_len > 0, np.ceil(max_len / 2.0), 0).astype(int)
-        bands = np.argsort(panels, kind="stable")
-        bands = bands[panels[bands] > 0]
-        if not len(bands):
-            continue
-        # the nodes of those bands, and one row per panel: its node, its
-        # panel count and its index among the node's panels
-        node = (bands[:, None] * n_nodes + np.arange(n_nodes)).ravel()
-        p_node = np.repeat(panels[bands], n_nodes)
-        row_node = np.repeat(node, p_node)
-        p_row = np.repeat(p_node, p_node)
-        k_row = np.arange(len(row_node)) - np.repeat(np.cumsum(p_node) - p_node, p_node)
-        r_lo = w_lo.ravel()[row_node]
-        span = w_hi.ravel()[row_node] - r_lo
-        e_lo = r_lo + span * _PANEL_EDGES[p_row, k_row]
-        e_hi = r_lo + span * _PANEL_EDGES[p_row, k_row + 1]
-        # the live rows and their nodes' lags
-        live = np.flatnonzero((e_hi > -W_CUT) & (e_lo < W_CUT))
-        e_lo, e_hi, l_node = e_lo[live], e_hi[live], row_node[live]
-        mids, halfs = 0.5 * (e_hi + e_lo), 0.5 * (e_hi - e_lo)
-        r_tau, r_sq = tau.ravel()[l_node], sq.ravel()[l_node]
-        integ = np.zeros((len(row_node), spatial_nodes))
-        for a in range(0, len(live), step):
-            b = a + step
-            w = mids[a:b, None] + halfs[a:b, None] * gl_x
-            y = x - r_sq[a:b, None] * w
-            eta = np.repeat(t - r_tau[a:b], spatial_nodes)
-            block = np.exp(-(w * w))  # ours to scale: a field's values may be read-only
-            block *= field_eval(y.reshape(-1, 1), eta).reshape(y.shape)
-            if deriv is not None:
-                tau2 = np.broadcast_to(r_tau[a:b, None], y.shape)
-                block *= _factor_eval(params, deriv, (r_sq[a:b, None] * w)[..., None], tau2)
-            block *= halfs[a:b, None] * gl_w
-            integ[live[a:b]] = block
-        # a group's row sum adds in the order of a sum over (panel, node) axes
-        sums = np.empty(len(node))
-        start = row = 0
-        bands_with = np.bincount(panels[bands])
-        for p in np.flatnonzero(bands_with):
-            m = bands_with[p] * n_nodes
-            group = integ[row : row + p * m].reshape(m, p * spatial_nodes)
-            sums[start : start + m] = np.sum(group, axis=1)
-            start, row = start + m, row + p * m
-        inner[node] += sums
-    return inner.reshape(tau.shape)
+    node, width, points = rows
+    n = x.size
+    lag = tau.ravel()[node]
+    x_row = np.repeat(x[None], width, axis=0).ravel()  # x at a row's points, as w
+    step = max(1, BLOCK // width)
+    sums = np.empty(len(node))
+    for a in range(0, len(node), step):
+        block = slice(a, a + step)
+        w, wt = points(block)
+        tc = lag[block]
+        dy = (2.0 * np.sqrt(tc))[:, None] * w
+        vals = field_eval((x_row - dy).reshape(-1, n), np.repeat(t - tc, width))
+        vals = vals.reshape(len(tc), width)
+        if deriv is not None:
+            dy = dy.reshape(len(tc), width, n)
+            vals = vals * _factor_eval(params, deriv, dy, np.repeat(tc, width).reshape(-1, width))
+        sums[block] = np.sum(vals * wt, axis=1)
+    return np.bincount(node, sums, minlength=tau.size).reshape(tau.shape)
 
 
 @lru_cache(maxsize=64)
@@ -449,42 +399,57 @@ def _hermite_grid(order: int, n: int):
     return _read_only(wpts, wq)
 
 
-def _inner_unbounded(
-    field_eval: Callable,
-    x: np.ndarray,
-    t: float,
-    tau: np.ndarray,
-    order: int,
-    params: FracParams,
-    deriv: Optional[tuple],
-) -> np.ndarray:
-    """Tensor Gauss-Hermite inner integral for unrestricted regions, n <= 2.
-
-    Every node of tau (any shape) gets the rule of one order; the nodes go
-    to the field in chunks of at most BLOCK points (one node at least), and
-    each node's terms are summed in one row.  Returns tau's shape.
-    """
-    n = params.n
+def _hermite_rows(size: int, order: int, n: int) -> tuple:
+    """One row per node of a region without an edge, all with the tensor
+    Gauss-Hermite rule of one order, n <= 2 (the Gaussian is its weight)."""
     if n > 2:
         raise NotImplementedError("unbounded inner integral implemented for n <= 2")
     wpts, wq = _hermite_grid(order, n)
-    q = len(wq)
-    flat = tau.ravel()
-    inner = np.empty(flat.size)
-    step = max(1, BLOCK // q)
-    for start in range(0, flat.size, step):
-        tc = flat[start : start + step]
-        sq = 2.0 * np.sqrt(tc)
-        dy = np.empty((len(tc), q, n))
-        y = np.empty((len(tc) * q, n))
-        for j in range(n):
-            dy[:, :, j] = sq[:, None] * wpts[:, j]
-            y[:, j] = (x[j] - dy[:, :, j]).ravel()
-        vals = field_eval(y, np.repeat(t - tc, q)).reshape(len(tc), q)
-        if deriv is not None:
-            vals = vals * _factor_eval(params, deriv, dy, np.repeat(tc, q).reshape(-1, q))
-        inner[start : start + len(tc)] = np.sum(vals * wq, axis=1)
-    return inner.reshape(tau.shape)
+    grid = (wpts.ravel(), wq)
+    return np.arange(size), len(wq), lambda block: grid
+
+
+def _panel_rows(x: float, tau: np.ndarray, regions, spatial_nodes: int) -> tuple:
+    """One row per live panel (n = 1): for each (bands, intervals) of
+    regions, the panels of the nodes of tau's rows `bands` on those
+    intervals, a node's rows in the order interval, panel.
+
+    A node's window on an interval is the part within W_MAX of x in w.  A
+    band cuts its nodes' windows on one interval into ceil(len / 2) equal
+    panels, len the widest of them, each with spatial_nodes Gauss-Legendre
+    points and the Gaussian written into their weights.  Panels wholly past
+    +-W_CUT, where e^(-w^2) <= 2^-64, are dropped: the window's two outer
+    ones when it is not clipped.
+    """
+    # panel k of p spans k / p to (k + 1) / p of the window, each taken as
+    # np.linspace takes it, k (1 / p); a window spans at most 2 W_MAX in w
+    k = np.arange(math.ceil(W_MAX))
+    node, mids, halfs = [], [], []
+    for bands, ints in regions:
+        lo, hi = np.array(ints, dtype=float).reshape(-1, 2).T
+        sq = 2.0 * np.sqrt(tau[bands])[..., None]  # (band, node, interval)
+        y_lo = np.maximum(lo, x - W_MAX * sq)
+        y_hi = np.maximum(np.minimum(hi, x + W_MAX * sq), y_lo)
+        w_lo = ((x - y_hi) / sq)[..., None]
+        span = ((x - y_lo) / sq)[..., None] - w_lo
+        panels = np.ceil(np.max(span, axis=1, keepdims=True) / 2.0)
+        step = 1.0 / np.maximum(panels, 1.0)
+        e_lo = w_lo + span * (k * step)
+        e_hi = w_lo + span * ((k + 1) * step)
+        live = (k < panels) & (e_hi > -W_CUT) & (e_lo < W_CUT)
+        band, j = np.nonzero(live)[:2]
+        e_lo, e_hi = e_lo[live], e_hi[live]
+        node.append(bands[band] * tau.shape[1] + j)
+        mids.append(0.5 * (e_hi + e_lo))
+        halfs.append(0.5 * (e_hi - e_lo))
+    node, mids, halfs = (np.concatenate(parts) for parts in (node, mids, halfs))
+    gl_x, gl_w = gauss_legendre(spatial_nodes)
+
+    def points(block):
+        w = mids[block, None] + halfs[block, None] * gl_x
+        return w, np.exp(-(w * w)) * (halfs[block, None] * gl_w)
+
+    return node, spatial_nodes, points
 
 
 def _average(
@@ -500,40 +465,26 @@ def _average(
 
     tau holds the nodes of one band per row; no band crosses a time
     breakpoint, where alone the region changes.  So `source.intervals` is
-    asked once per break segment, and the bands of each distinct region go
-    to its inner rule together (an empty region is zero).  One region for
-    all bands, the common case, takes tau whole, with no row search, gather
-    or scatter: that fixed cost, paid a few times per operator pass, slowed
-    cheap symbol queries by about 5 %.
+    asked once per break segment.  A region without an edge (None, at every
+    time, so the first answer settles it) sends every node to Gauss-Hermite;
+    otherwise the panel rows of every segment form one row stream (an empty
+    region has none).
     """
-
-    def rule(ints, nodes):
-        if ints is None:
-            return _inner_unbounded(
-                source.field.eval, x, t, nodes, spec.hermite_order, params, deriv)
-        if ints:
-            return _inner_intervals(
-                source.field.eval, x[0], t, nodes, ints, spec.spatial_nodes, params, deriv)
-        return np.zeros(nodes.shape)
-
     first = tau[:, 0]
-    cuts = sorted(t - b for b in source.time_breakpoints())
-    if not cuts:
-        return rule(source.intervals(t - first[0]), tau)
-    segment = np.searchsorted(cuts, first)
-    groups = {}
-    for seg in dict.fromkeys(segment.tolist()):
-        rows = (segment == seg).nonzero()[0]
-        ints = source.intervals(t - first[rows[0]])
-        groups.setdefault(None if ints is None else tuple(ints), []).append(rows)
-    if len(groups) == 1:
-        (ints,) = groups
-        return rule(ints, tau)
-    inner = np.empty(tau.shape)
-    for ints, parts in groups.items():
-        rows = np.concatenate(parts)
-        inner[rows] = rule(ints, tau[rows])
-    return inner
+    ints = source.intervals(t - first[0])
+    if ints is None:
+        rows = _hermite_rows(tau.size, spec.hermite_order, params.n)
+    else:
+        cuts = sorted(t - b for b in source.time_breakpoints())
+        segment = np.searchsorted(cuts, first)
+        regions = []
+        for seg in dict.fromkeys(segment.tolist()):
+            bands = np.flatnonzero(segment == seg)
+            if regions:  # the first segment's region is already known
+                ints = source.intervals(t - first[bands[0]])
+            regions.append((bands, ints))
+        rows = _panel_rows(x[0], tau, regions, spec.spatial_nodes)
+    return _row_average(source.field.eval, x, t, tau, rows, params, deriv)
 
 
 def _convolve_once(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracheat import FracParams, QuadratureSpec, SpaceTimePoint
+from fracheat import FracParams, QuadratureSpec, SpaceTimePoint, abs_gamma_neg
 from fracheat.kernel import (
     BoundReport,
     SamplePlan,
@@ -128,7 +128,7 @@ class TestKernelMass:
         x = (half * nodes)[:, None]
         vals = eval_kernel(p, x, np.full(len(nodes), t))
         integral = half * float(np.sum(weights * vals))
-        expect = t ** (p.s - 1.0) / p.abs_gamma
+        expect = t ** (p.s - 1.0) / abs_gamma_neg(p.s)
         assert integral == pytest.approx(expect, rel=1e-8)
 
 

@@ -19,7 +19,12 @@ from `RestrictedSource.intervals`, which left it unchanged.  op_bounded was
 re-grounded when every region without an edge went to Gauss-Hermite (its
 x-independent field had taken windowed panels on the whole line): its
 distance to the Marchaud derivative of the same function fell from 1.1e-7
-to 6.9e-11.  Any later change to the quadrature must reproduce them:
+to 6.9e-11.  op_bump_n1 was re-grounded when both inner rules became one
+row evaluator, whose panel rows are summed one by one and then added per
+node: its value moved by 2.0e-12 and its estimate by 2.3e-12.  That is
+round-off in A, amplified by G = pi^(1/2) u - A near tau_min, and about a
+quarter of the 8.6e-12 that the estimate carries for that round-off.  Any
+later change to the quadrature must reproduce them:
 values to 1e-12 relative, estimates to 1e-14 |value| + 1e-16.
 """
 
@@ -54,7 +59,6 @@ from fracheat import (
 from fracheat.cli import quad_hash
 from fracheat.kernel import _factor_eval
 from fracheat.quadrature import (
-    _PANEL_EDGES,
     BLOCK,
     TAU_MAX,
     TAU_MU,
@@ -64,8 +68,9 @@ from fracheat.quadrature import (
     _band_layout,
     _graded_bands,
     _hermite_grid,
-    _inner_intervals,
+    _panel_rows,
     _richardson_head,
+    _row_average,
     _symbol_range,
     gauss_hermite,
     gauss_legendre,
@@ -159,7 +164,7 @@ GOLDEN = {
     'mass_n2': (1.0141187137602978, 3.0841366612724163e-10),
     'op_after_window': (-0.0536352533549248, 6.915380201780412e-05),
     'op_bounded': (-0.2342764211588506, 0.00105973756775363),
-    'op_bump_n1': (1.2048174181481182, 2.264851421641439e-06),
+    'op_bump_n1': (1.2048174181500986, 2.264853698070443e-06),
     'op_bump_n2': (2.461657630346506, 4.6638964617075984e-05),
     'op_symbol_k0': (0.9999999999992598, 2.2074813471447475e-07),
     'op_symbol_n1': (1.4931409694398485, 1.0824201980413935e-11),
@@ -417,8 +422,7 @@ def test_spec_stores_numpy_scalars_as_python_numbers():
     lambda: gauss_hermite(8),
     lambda: _hermite_grid(8, 2),
     lambda: _band_layout(1e-3, 1.0, (0.3,)),
-    lambda: (_PANEL_EDGES,),
-], ids=["gauss_legendre", "gauss_hermite", "hermite_grid", "band_layout", "panel_edges"])
+], ids=["gauss_legendre", "gauss_hermite", "hermite_grid", "band_layout"])
 def test_cached_arrays_are_read_only(arrays):
     """A write into a cached node table would corrupt every later quadrature."""
     for arr in arrays():
@@ -523,9 +527,12 @@ def _inner_intervals_per_count(field_eval, x, t, tau, ints, spatial_nodes, param
 
 @pytest.mark.parametrize("deriv", [None, (1, 0)])
 def test_inner_intervals_matches_per_count_loop(deriv):
-    """Field calls of at most BLOCK points, on the live panels only, give the
-    same bits as a loop over panel counts that evaluates every panel, on
-    bands whose panel counts run from 1 to 9."""
+    """Panel rows on the live panels only, in field calls of at most BLOCK
+    points, agree to 1e-14 of the largest value with a loop over panel
+    counts that evaluates every panel, on bands whose panel counts run from
+    1 to 9.  Not bit for bit: each panel is summed on its own and the
+    panels then added, where the loop sums a node's (panel, node) terms in
+    one go."""
     params = FracParams(1, 0.4)
     field = power_cusp(0.5)
     calls = []
@@ -545,46 +552,70 @@ def test_inner_intervals_matches_per_count_loop(deriv):
     want = _inner_intervals_per_count(field.eval, 0.2, 0.3, tau, ints, 10, params, deriv,
                                       counts, live)
     assert counts == set(range(1, 10))
-    got = _inner_intervals(field_eval, 0.2, 0.3, tau, ints, 10, params, deriv)
-    assert np.array_equal(got, want)
+    rows = _panel_rows(0.2, tau, [(np.arange(len(tau)), ints)], 10)
+    got = _row_average(field_eval, np.array([0.2]), 0.3, tau, rows, params, deriv)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     # the field sees the live panels and no others: 930 of the first
     # interval's 1,112 panels (rows) and 76 of the second's 120
     assert sum(calls) == 10 * sum(live) == 10 * (930 + 76)
-    # 819 live rows of 10 points per call: the first interval's 930 take two
-    # calls, the second interval's 76 one
-    assert calls == [8190, 1110, 760]
+    # one row stream of 819 rows of 10 points per call: two calls in all
+    assert calls == [8190, 1870]
 
 
 def test_panels_past_cut_skipped_by_the_operator(monkeypatch):
-    """The operator on a compact source hands the field only the panels
-    that the per-count reference finds live, spatial_nodes points each, and
-    returns the value and estimate of a run that evaluates every panel."""
+    """The operator on a compact source makes rows of only the panels that
+    the per-count reference finds live, and returns the value and estimate
+    of a run that evaluates every panel, bit for bit."""
     from fracheat import quadrature
 
-    plain = quadrature._inner_intervals
-    points, want = [], []
+    plain = quadrature._panel_rows
+    rows, want = [], []
 
-    def counted(field_eval, x, t, tau, ints, spatial_nodes, params, deriv):
+    def counted(x, tau, regions, spatial_nodes):
         live = []
-        _inner_intervals_per_count(field_eval, x, t, tau, ints, spatial_nodes, params, deriv,
-                                   set(), live)
-        want.append(spatial_nodes * sum(live))
+        for bands, ints in regions:
+            _inner_intervals_per_count(lambda y, eta: np.zeros(len(eta)), x, 0.0, tau[bands],
+                                       ints, spatial_nodes, None, None, set(), live)
+        want.append(sum(live))
+        out = plain(x, tau, regions, spatial_nodes)
+        rows.append(len(out[0]))
+        return out
 
-        def counting(y, eta):
-            points[-1] += len(eta)
-            return field_eval(y, eta)
-
-        points.append(0)
-        return plain(counting, x, t, tau, ints, spatial_nodes, params, deriv)
-
-    monkeypatch.setattr(quadrature, "_inner_intervals", counted)
+    monkeypatch.setattr(quadrature, "_panel_rows", counted)
     cut = CASES["op_bump_n1"]()
-    assert points == want
-    n_cut = sum(points)
-    points.clear()
+    assert rows == want
+    n_cut = sum(rows)
+    rows.clear()
     monkeypatch.setattr(quadrature, "W_CUT", math.inf)
     assert CASES["op_bump_n1"]() == cut
-    assert 0 < n_cut < sum(points)
+    assert 0 < n_cut < sum(rows)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_block_edges_do_not_matter(name, monkeypatch):
+    """Every golden case gives the same bits with field calls of at most 2^7
+    points as with 2^13: each row is summed on its own and each node's rows
+    are added in row order, wherever a block ends."""
+    from fracheat import quadrature
+
+    assert quadrature.BLOCK == 2**13
+    want = CASES[name]()
+    monkeypatch.setattr(quadrature, "BLOCK", 2**7)
+    assert CASES[name]() == want
+
+
+def test_hermite_beyond_two_dimensions_raises():
+    """The tensor Gauss-Hermite rule stops at n = 2: an average over a region
+    without an edge in n = 3 raises, in the convolution and the operator."""
+    params = FracParams(3, 0.5)
+    pt = SpaceTimePoint.of([0.1, 0.0, 0.0], 0.2)
+    symbol = exp_symbol(1.0, [0.5, 0.0, 0.0], n=3)
+    with pytest.raises(NotImplementedError):
+        kernel_convolve(symbol, pt, params)
+    with pytest.raises(NotImplementedError):
+        apply_fully_fractional(symbol, pt, params)
+    with pytest.raises(NotImplementedError):
+        kernel_convolve(gaussian_bump([0.0, 0.0, 0.0], n=3), pt, params)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
