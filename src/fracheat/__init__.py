@@ -16,7 +16,6 @@ from .core import (
     ScalarField,
     SpaceTimePoint,
     abs_gamma_neg,
-    inverse_normalization_constant,
     check_slowly_increasing,
     monomial,
     multi_indices,

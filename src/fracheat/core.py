@@ -7,7 +7,9 @@ that degree.  The time variable counts twice in all degree bookkeeping,
 matching the natural scaling (x, t) -> (lam*x, lam^2*t) of the heat
 operator.  `ParabolicCylinder.midpoints` is the one sample grid of a past
 cylinder and `monomial` the one Taylor monomial; the regularity statistics
-and the polynomial fits are built on both.
+and the polynomial fits are built on both.  `FracParams` carries the
+operator's constant c_{n,s}; a `ScalarField` declares its support, symbol,
+bound and time floor, from which the quadratures read its kind.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "ScalarField",
     "monomial",
     "abs_gamma_neg",
-    "inverse_normalization_constant",
     "normalization_constant",
     "parabolic_distance",
     "multi_indices",
@@ -51,20 +52,6 @@ def normalization_constant(n: int, s: float) -> float:
     return 1.0 / ((4.0 * math.pi) ** (n / 2.0) * abs_gamma_neg(s))
 
 
-def inverse_normalization_constant(n: int, s: float) -> float:
-    """Constant of the solution (inverse) kernel: 1 / ((4*pi)^(n/2) Gamma(s)).
-
-    This is the constant under which the kernel convolution inverts the
-    operator exactly (symbol side: Gamma(s)^-1 int_0^inf tau^(s-1)
-    e^(-mu tau) dtau = mu^-s).  It differs from the forward display
-    constant by the factor Gamma(s) s / Gamma(1-s), which is 1/2 at
-    s = 1/2; the two agree only asymptotically as s -> 1.
-    """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0, 1), got {s}")
-    return 1.0 / ((4.0 * math.pi) ** (n / 2.0) * math.gamma(s))
-
-
 @dataclass(frozen=True)
 class FracParams:
     """Problem parameters: spatial dimension n >= 1 and fractional order s in (0,1)."""
@@ -82,10 +69,6 @@ class FracParams:
     @property
     def c_ns(self) -> float:
         return normalization_constant(self.n, self.s)
-
-    @property
-    def c_inv(self) -> float:
-        return inverse_normalization_constant(self.n, self.s)
 
     @property
     def time_exponent(self) -> float:
@@ -346,42 +329,36 @@ class ParabolicPolynomial:
 
 @dataclass
 class ScalarField:
-    """A scalar function of space-time with quadrature metadata.
+    """A scalar function of space-time with what it declares about itself.
 
     func(x, t) must accept x of shape (m, n) and t of shape (m,) and return
-    shape (m,).  Metadata drives tail handling during quadrature:
+    shape (m,).  The declarations set the quadratures' time range and tail:
 
-    - tail "compact": zero outside `support`
-    - tail "exponential_symbol": exp(lam*t) * cos(k . x), params (lam, k)
-    - tail "bounded": bounded by `bound`, no structure assumed
-    - `time_floor`: the field vanishes for t < time_floor (set automatically
-      for compact fields; also for synthesized solutions of compact sources)
+    - `symbol_params` (lam, k): the field is exp(lam*t) * cos(k . x), and
+      declares neither a support nor a time floor
+    - `support`: the field is compact, zero outside the cylinder
+    - otherwise it is bounded, by `bound` if given
+    - `time_floor`: the field vanishes for t < time_floor (synthesized
+      solutions of compact sources declare it)
     """
 
     func: Callable
     n: int
-    tail: str = "bounded"
     support: Optional[ParabolicCylinder] = None
     bound: Optional[float] = None
-    symbol_params: Optional[tuple] = None  # (lam, k_vec) for exponential_symbol
+    symbol_params: Optional[tuple] = None  # (lam, k_vec) of exp(lam*t) * cos(k . x)
     time_floor: Optional[float] = None
     name: str = "field"
 
     def __post_init__(self):
-        if self.tail not in ("compact", "exponential_symbol", "bounded"):
-            raise ValueError(f"unknown tail class {self.tail!r}")
-        if self.tail == "compact" and self.support is None:
-            raise ValueError("compact tail requires a support cylinder")
-        if self.tail == "exponential_symbol":
-            if self.symbol_params is None:
-                raise ValueError("exponential_symbol tail requires (lam, k)")
+        if self.symbol_params is not None:
+            if self.support is not None or self.time_floor is not None:
+                raise ValueError("a symbol field declares neither a support nor a time floor")
             lam, k = self.symbol_params
             k = np.atleast_1d(np.asarray(k, dtype=float))
             if len(k) != self.n:
                 raise ValueError("frequency vector dimension mismatch")
             self.symbol_params = (float(lam), tuple(k.tolist()))
-        if self.tail == "compact" and self.time_floor is None:
-            self.time_floor = self.support.t_lo
 
     def eval(self, x, t) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -401,8 +378,9 @@ class ScalarField:
         return (c.x[0] - self.support.radius, c.x[0] + self.support.radius)
 
     def time_window(self) -> tuple:
-        """(t_lo, t_hi) outside of which the field vanishes; infinities if unknown."""
-        if self.tail == "compact":
+        """(t_lo, t_hi) outside of which the field vanishes: the support's
+        window, or (time_floor, inf); -inf without a floor."""
+        if self.support is not None:
             return (self.support.t_lo, self.support.t_hi)
         lo = self.time_floor if self.time_floor is not None else -math.inf
         return (lo, math.inf)
@@ -411,11 +389,11 @@ class ScalarField:
 def check_slowly_increasing(u: ScalarField) -> bool:
     """Admissibility for the backward-in-time integral defining the operator.
 
-    Compact and declared-bounded fields are admissible.  Exponential symbol
-    fields exp(lam*t)cos(k.x) are admissible iff lam >= 0 (the history
-    integral must converge against the kernel's power weight).
+    Compact and bounded fields are admissible.  Symbol fields
+    exp(lam*t)cos(k.x) are admissible iff lam >= 0 (the history integral
+    must converge against the kernel's power weight).
     """
-    if u.tail in ("compact", "bounded"):
+    if u.symbol_params is None:
         return True
     lam, _ = u.symbol_params
     return lam >= 0.0

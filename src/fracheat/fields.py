@@ -1,9 +1,9 @@
 """Catalog of concrete scalar fields used by the CLI and the experiments.
 
-Every constructor returns a ScalarField with tail metadata already set, so
-quadrature routines know how to truncate.  All bump-based sources are
-nonnegative by construction (smooth compactly supported mollifier shapes,
-never a clipped max(., 0)).
+Every constructor returns a ScalarField that declares its support, symbol,
+bound or time floor, so quadrature routines know how to truncate.  All
+bump-based sources are nonnegative by construction (smooth compactly
+supported mollifier shapes, never a clipped max(., 0)).
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ def constant(value: float, n: int = 1) -> ScalarField:
     def func(x, t):
         return np.full(np.shape(t), v)
 
-    return ScalarField(
-        func, n, tail="bounded", bound=abs(v), name=f"constant({value})"
-    )
+    return ScalarField(func, n, bound=abs(v), name=f"constant({value})")
 
 
 def exp_symbol(lam: float, k, n: int = 1) -> ScalarField:
@@ -49,7 +47,6 @@ def exp_symbol(lam: float, k, n: int = 1) -> ScalarField:
     return ScalarField(
         func,
         n,
-        tail="exponential_symbol",
         symbol_params=(lam, tuple(k.tolist())),
         name=f"exp_symbol(lam={lam},k={k.tolist()})",
     )
@@ -85,7 +82,6 @@ def gaussian_bump(
     return ScalarField(
         func,
         n,
-        tail="compact",
         support=support,
         bound=amplitude,
         name=f"gaussian_bump(w={width},tw={t_width})",
@@ -121,7 +117,6 @@ def power_cusp(
     return ScalarField(
         func,
         n,
-        tail="compact",
         support=bump.support,
         bound=bump.bound,
         name=f"power_cusp(beta={beta},{direction})",
@@ -138,11 +133,9 @@ def polynomial_field(p: ParabolicPolynomial, cut: Optional[ScalarField] = None) 
             vals = vals * cut.eval(x, t)
         return vals
 
-    if cut is not None:
-        return ScalarField(
-            func, n, tail="compact", support=cut.support, name="polynomial*cutoff"
-        )
-    return ScalarField(func, n, tail="bounded", bound=None, name="polynomial")
+    support = None if cut is None else cut.support
+    return ScalarField(func, n, support=support,
+                       name="polynomial" if cut is None else "polynomial*cutoff")
 
 
 def time_profile(func, time_floor: Optional[float] = None,
@@ -152,8 +145,7 @@ def time_profile(func, time_floor: Optional[float] = None,
     def f(x, t):
         return np.asarray(func(np.asarray(t, dtype=float)), dtype=float)
 
-    return ScalarField(f, 1, tail="bounded", bound=bound, time_floor=time_floor,
-                       name="time_profile")
+    return ScalarField(f, 1, bound=bound, time_floor=time_floor, name="time_profile")
 
 
 def make_field(spec, n: int = 1) -> ScalarField:

@@ -2,11 +2,10 @@
 
 K(x, t) = c_{n,s} * exp(-|x|^2 / (4t)) / t^(n/2 + 1 - s)  for t > 0,
 
-with c_{n,s} = 1 / ((4 pi)^{n/2} |Gamma(-s)|).  `eval_kernel` and
-`kernel_mass` carry c_{n,s}, so the mass over (0, T) is T^s / Gamma(1-s).
-The solution kernel of `quadrature.kernel_convolve` carries
-c_inv = 1 / ((4 pi)^{n/2} Gamma(s)) instead; the two differ by the factor
-Gamma(s) s / Gamma(1-s).
+with c_{n,s} = 1 / ((4 pi)^{n/2} |Gamma(-s)|).  `log_kernel`, `eval_kernel`
+and `kernel_mass` carry c_{n,s}, so that the mass over (0, T) is
+T^s / Gamma(1-s), while the quadratures write their constants with Gamma
+alone.
 
 Everything is computed in log space so that extreme scale ratios |x|^2 / t
 do not overflow.  Besides evaluation this module provides exact closed-form

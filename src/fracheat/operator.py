@@ -27,6 +27,7 @@ from .core import FracParams, ScalarField, SpaceTimePoint, abs_gamma_neg
 from .fields import exp_symbol
 from .quadrature import (
     QuadratureSpec,
+    RestrictedSource,
     _graded_bands,
     _increment,
     _refined,
@@ -105,7 +106,7 @@ def apply_fractional_laplacian(
     """
     if params.n != 1:
         raise NotImplementedError("direct spatial route implemented for n = 1")
-    if u_space.tail == "exponential_symbol":
+    if u_space.symbol_params is not None:
         cosine = exp_symbol(0.0, u_space.symbol_params[1])
         return increment_integral(cosine, SpaceTimePoint.of(x, 0.0), params, quad)
     s = params.s
@@ -160,13 +161,14 @@ def apply_marchaud(
       (s / Gamma(1-s)) int_0^inf (u(t) - u(t - tau)) / tau^(1+s) dtau
 
     This is the operator's increment integral (`_increment`) with the point
-    value u(t - tau) as the directional average.  u_time is a ScalarField
-    whose values depend on t only (n = 1, x ignored).  Returns (value,
-    error_estimate).
+    value u(t - tau), of weight 1, as the directional average, so that its
+    constant 1 / |Gamma(-s)| is `marchaud_constant(s)`.  u_time is a
+    ScalarField whose values depend on t only (n = 1, x ignored).  Returns
+    (value, error_estimate).
     """
     if not 0 < s < 1:
         raise ValueError("s must lie in (0,1)")
-    if u_time.tail == "exponential_symbol" and any(u_time.symbol_params[1]):
+    if u_time.symbol_params is not None and any(u_time.symbol_params[1]):
         raise ValueError("u_time must depend on t only (k = 0)")
 
     def uval(ts: np.ndarray) -> np.ndarray:
@@ -177,4 +179,4 @@ def apply_marchaud(
     def G(tau, spec):
         return u_at - uval(t - tau)
 
-    return _increment(u_time, t, s, u_at, G, 1.0, marchaud_constant(s), quad)
+    return _increment(RestrictedSource(u_time), t, s, u_at, G, 1.0, quad)

@@ -3,7 +3,8 @@
 All space-time integrals against the kernel have the same skeleton after
 the substitution y = x - 2 sqrt(tau) w:
 
-    int_0^inf  c 2^n tau^(s-1)  int  g(x - 2 sqrt(tau) w, t - tau) e^(-w^2) dw  dtau
+    int_0^inf  tau^(s-1)  int  g(x - 2 sqrt(tau) w, t - tau) e^(-w^2) dw  dtau
+           / (pi^(n/2) Gamma(s))
 
 The time integral runs over dyadic bands graded toward tau = 0, with band
 edges aligned to every time at which the integrand's spatial restriction
@@ -15,6 +16,10 @@ operator routes and the kernel mass), `_richardson_head` their fitted
 power-law head, `_refined` their fine/coarse error estimate, and
 `_increment` the increment integral of the operator and of its Marchaud
 reduction, with their one tail policy.
+`_reach` is the one time-range rule of both routes: it reads what the
+source declares (its time window, from a support or a time floor and the
+constraints, and its symbol) and ends the range there, at TAU_MAX, or at the
+symbol cut, whichever is nearest.
 Symbol fields exp(lam t) cos(k.x) have one time range and one tail in both
 routes: their Gaussian average at lag tau is pi^(n/2) f(x, t) e^(-mu tau),
 mu = lam + |k|^2, so the numeric range ends at
@@ -28,8 +33,9 @@ oscillating symbol source has no such tail and raises NotImplementedError.
 `_refined` and the estimate-free convolution raise FloatingPointError on a
 value or estimate that is not finite.
 
-The convolution integrates tau^(s-1) A(tau) and the operator
-tau^(-1-s) (pi^(n/2) u(x, t) - A(tau)), with one Gaussian average
+The convolution integrates tau^(s-1) A(tau) / (pi^(n/2) Gamma(s)) and the
+operator tau^(-1-s) (pi^(n/2) u(x, t) - A(tau)) / (pi^(n/2) |Gamma(-s)|),
+with one Gaussian average
 A(tau) = int e^(-w^2) g(x - 2 sqrt(tau) w, t - tau) dw (`_average`).
 `RestrictedSource.intervals` alone decides where A is taken and how:
 Gauss-Hermite of order spec.hermite_order (None) on a region without an
@@ -62,7 +68,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import gammainc, gammaincc
 
-from .core import FracParams, ScalarField, SpaceTimePoint, check_slowly_increasing
+from .core import FracParams, ScalarField, SpaceTimePoint, abs_gamma_neg, check_slowly_increasing
 from .kernel import _factor_eval
 
 __all__ = [
@@ -320,7 +326,7 @@ def _refined(
 def _symbol_mu(field: ScalarField) -> Optional[float]:
     """mu = lam + |k|^2 of a symbol field exp(lam t) cos(k.x); None for any
     other field."""
-    if field.tail != "exponential_symbol":
+    if field.symbol_params is None:
         return None
     lam, k = field.symbol_params
     return lam + float(np.dot(k, k))
@@ -345,6 +351,28 @@ def _symbol_range(field: ScalarField, tau_hi: float, breaks: Sequence[float]) ->
         return tau_hi
     lam, k = field.symbol_params
     return min(tau_hi, max([TAU_MU / (float(np.dot(k, k)) + max(lam, 0.0)), *breaks]))
+
+
+def _reach(source: RestrictedSource, t: float, symbol: bool = True) -> tuple:
+    """(start, end, breaks, mu, reaches): the time range of a source at t,
+    as lags tau.
+
+    The source vanishes below the lag start (t - the end of its time window)
+    and past t - the start of its time window; the range ends there, at
+    TAU_MAX if that is nearer, and for a symbol source at `_symbol_range`'s
+    cut.  breaks are the lags of the source's time breakpoints, mu that of
+    `_symbol_mu`, and reaches says whether the source goes on past the end.
+    With symbol False (a kernel derivative, which has no closed-form symbol
+    tail) the source's symbol is not read: mu is None and the range uncut.
+    """
+    lo, hi = source.time_window()
+    breaks = [t - b for b in source.time_breakpoints()]
+    end = min(TAU_MAX, t - lo)
+    mu = None
+    if symbol:
+        mu = _symbol_mu(source.field)
+        end = _symbol_range(source.field, end, breaks)
+    return t - hi, end, breaks, mu, t - lo > end
 
 
 def _row_average(
@@ -494,12 +522,11 @@ def _convolve_once(
     quad: QuadratureSpec,
     deriv: Optional[tuple],
 ) -> float:
-    """c 2^n int_0^inf tau^(s-1) A(tau) dtau, one pass at quad, with A the
-    Gaussian average `_average` of the source (times the kernel-derivative
-    factor phi for a deriv).
+    """int_0^inf tau^(s-1) A(tau) dtau / (pi^(n/2) Gamma(s)), one pass at
+    quad, with A the Gaussian average `_average` of the source (times the
+    kernel-derivative factor phi for a deriv).
 
-    The range ends at the source's time window, at TAU_MAX if that is nearer,
-    and for a symbol source (deriv None) at `_symbol_range`'s cut.  Below
+    The range is `_reach`'s; a kernel derivative reads no symbol.  Below
     tau_min (deriv None) an analytic head takes the inner integral at its
     limit pi^(n/2) g(x, t); for an unrestricted symbol source with mu > 0 it
     is exact, g(x, t) mu^(-s) P(s, mu tau_min), with P the regularized lower
@@ -510,32 +537,25 @@ def _convolve_once(
     mu^(-s) f(x, t) Q(s, mu tau_hi), with Q the regularized upper incomplete
     gamma function.  With mu <= 0 that tail diverges, and a source reaching
     past TAU_MAX raises ValueError, as does any non-symbol source reaching
-    past TAU_MAX, whose tail is not known (K * 1 diverges).
+    past TAU_MAX, whose tail is not known (K * 1 diverges).  The source
+    vanishes before the lag start, where the range then begins.
     """
     x = pt.x_array()
     t = pt.t
     s = params.s
-    win_lo, win_hi = source.time_window()
-    if t <= win_lo:
+    start, tau_hi, breaks, mu, reaches = _reach(source, t, symbol=deriv is None)
+    if tau_hi <= 0.0:
         return 0.0
-    tau_lo = quad.tau_min
-    if win_hi < t:
-        tau_lo = max(tau_lo, t - win_hi)
-    tau_hi = min(TAU_MAX, t - win_lo)
-    breaks = [t - b for b in source.time_breakpoints()]
-    mu = _symbol_mu(source.field) if deriv is None else None
-    if t - win_lo > TAU_MAX:
-        if source.field.tail != "exponential_symbol":
-            raise ValueError(f"the convolution of {source.field.name} has no tail: no time"
-                             f" floor within TAU_MAX = {TAU_MAX:g} of t = {t}")
-        if mu is not None and mu <= 0.0:
-            raise ValueError(f"the convolution of {source.field.name} diverges:"
-                             f" lam + |k|^2 = {mu} <= 0")
+    if reaches and source.field.symbol_params is None:
+        raise ValueError(f"the convolution of {source.field.name} has no tail: no time"
+                         f" floor within TAU_MAX = {TAU_MAX:g} of t = {t}")
+    if reaches and mu is not None and mu <= 0.0:
+        raise ValueError(f"the convolution of {source.field.name} diverges:"
+                         f" lam + |k|^2 = {mu} <= 0")
+    tau_lo = max(quad.tau_min, start)
     total = 0.0
-    if mu is not None:
-        tau_hi = _symbol_range(source.field, tau_hi, breaks)
-        if t - win_lo > tau_hi:
-            total += source.field.eval_at(pt) * mu ** (-s) * float(gammaincc(s, mu * tau_hi))
+    if reaches and mu is not None:
+        total += source.field.eval_at(pt) * mu ** (-s) * float(gammaincc(s, mu * tau_hi))
     if deriv is None and tau_lo == quad.tau_min:
         g0 = source.value_at(x, t)
         if mu is not None and mu > 0.0 and not source.constraints:
@@ -546,10 +566,8 @@ def _convolve_once(
             total += g0 * tau_lo**s / (s * math.gamma(s))
     if tau_hi <= tau_lo:
         return total
-
-    # solution-kernel constant: the convolution inverts the operator exactly
-    c2n = params.c_inv * 2.0**params.n
-    return total + c2n * _graded_bands(
+    scale = 1.0 / (math.pi ** (params.n / 2.0) * math.gamma(s))
+    return total + scale * _graded_bands(
         lambda tau: tau ** (s - 1.0) * _average(source, x, t, tau, quad, params, deriv),
         tau_lo, tau_hi, breaks, quad.graded_nodes)
 
@@ -579,7 +597,7 @@ def kernel_convolve(
     if isinstance(source, ScalarField):
         source = RestrictedSource(source)
     field = source.field
-    if (deriv is not None and not source.constraints and field.tail == "exponential_symbol"
+    if (deriv is not None and not source.constraints and field.symbol_params is not None
             and any(field.symbol_params[1])):
         raise NotImplementedError("kernel derivative of an unrestricted oscillating symbol"
                                   " source")
@@ -595,38 +613,33 @@ def kernel_convolve(
 
 
 def _increment(
-    u: ScalarField, t: float, s: float, u_at: float, G: Callable, unit: float,
-    scale: float, quad: QuadratureSpec,
+    source: RestrictedSource, t: float, s: float, u_at: float, G: Callable, unit: float,
+    quad: QuadratureSpec,
 ) -> tuple:
-    """(value, err) of scale * int_0^inf tau^(-1-s) G(tau) dtau.
+    """(value, err) of int_0^inf tau^(-1-s) G(tau) dtau / (unit |Gamma(-s)|).
 
     G(tau, spec) = unit * u_at - (directional average of u at t - tau) on
-    the nodes of one band per row.  The working range ends at the field's
-    time floor, or at TAU_MAX if that is nearer, and for a symbol field at
-    `_symbol_range`'s cut TAU_MU / (|k|^2 + lam); below tau_min a
-    Richardson head fits G = c1 tau + c2 tau^2.  G cancels near tau_min,
+    the nodes of one band per row, with unit the average's total weight.
+    The working range is `_reach`'s, at least 4 tau_min long; below tau_min
+    a Richardson head fits G = c1 tau + c2 tau^2.  G cancels near tau_min,
     so the error takes in one ulp of unit u_at there, magnified by the
     weight and by the head's fit coefficients 5 and 6.  The tail
     beyond tau_hi, with mass = tau_hi^(-s) / s: for a symbol field, whose
     G is unit u_at (1 - e^(-mu tau)), the closed form
     unit u_at (tau_hi^(-s) (1 - e^(-mu tau_hi)) + mu^s Gamma(1-s)
     Q(1-s, mu tau_hi)) / s, with Q the regularized upper incomplete gamma
-    function (mu = 0: the integral is exactly 0); for a floor inside the
-    working range unit u_at mass, exactly; for any other field G frozen at
-    tau_hi, with the worst case 2 unit bound mass as its error.
+    function (mu = 0: the integral is exactly 0); for a field that does not
+    reach past tau_hi unit u_at mass, exactly; for any other field G frozen
+    at tau_hi, with the worst case 2 unit bound mass as its error.
     """
+    u = source.field
     if not check_slowly_increasing(u):
         raise ValueError("field grows too fast backward in time for the history"
                          " integral")
-    mu = _symbol_mu(u)
+    _, tau_hi, breaks, mu, reaches = _reach(source, t)
     if mu == 0.0:
         return 0.0, 0.0
-    floor = u.time_floor
-    tau_hi = TAU_MAX
-    if floor is not None and math.isfinite(floor):
-        tau_hi = min(TAU_MAX, max(t - floor, 4.0 * quad.tau_min))
-    breaks = [t - v for v in u.time_window() if math.isfinite(v)]
-    tau_hi = _symbol_range(u, tau_hi, breaks)
+    tau_hi = max(tau_hi, 4.0 * quad.tau_min)
 
     def one_pass(spec: QuadratureSpec) -> float:
         lo = spec.tau_min
@@ -644,11 +657,12 @@ def _increment(
         z = mu * tau_hi
         upper = mu**s * math.gamma(1.0 - s) * float(gammaincc(1.0 - s, z))
         tail = unit * u_at * (-math.expm1(-z) * tau_hi ** (-s) + upper) / s
-    elif floor is None or tau_hi < t - floor:
+    elif reaches:
         # no decay assumption available: freeze G at its tau_hi value
         tail = G(np.array([[tau_hi]]), quad)[0, 0] * mass
         bound = u.bound if u.bound is not None else abs(u_at)
         tail_err = 2.0 * unit * bound * mass
+    scale = 1.0 / (unit * abs_gamma_neg(s))
     return _refined(one_pass, quad, tail, tail_err + roundoff, scale)
 
 
@@ -660,10 +674,11 @@ def increment_integral(
 ) -> tuple:
     """Backward space-time increment integral of the fractional heat operator.
 
-    value = c 2^n int_0^inf tau^(-1-s) G(tau) dtau, by `_increment`, with the
-    Gaussian increment G = pi^(n/2) u(pt) - A(tau) and A the Gaussian
-    average `_average` of u, which takes u's admissible region (and so its
-    time window) from `RestrictedSource.intervals` like a convolution does.
+    value = int_0^inf tau^(-1-s) G(tau) dtau / (pi^(n/2) |Gamma(-s)|) (that is
+    c_{n,s} 2^n times the integral), by `_increment`, with the Gaussian
+    increment G = pi^(n/2) u(pt) - A(tau) and A the Gaussian average
+    `_average` of u, which takes u's admissible region (and so its time
+    window) from `RestrictedSource.intervals` like a convolution does.
     Returns (value, error).
     """
     source = RestrictedSource(u)
@@ -674,5 +689,4 @@ def increment_integral(
     def G(tau, spec):
         return unit * u_at - _average(source, x, pt.t, tau, spec, params, None)
 
-    scale = params.c_ns * 2.0**params.n
-    return _increment(u, pt.t, params.s, u_at, G, unit, scale, quad)
+    return _increment(source, pt.t, params.s, u_at, G, unit, quad)

@@ -316,10 +316,8 @@ def reduce_to_g(
         out[pos] = dev[pos] / d2[pos] ** expo
         return out
 
-    return ScalarField(
-        func, f.n, tail=f.tail, support=f.support, bound=None,
-        time_floor=f.time_floor, name=f"g_reduction[{f.name}]",
-    )
+    return ScalarField(func, f.n, support=f.support, time_floor=f.time_floor,
+                       name=f"g_reduction[{f.name}]")
 
 
 # ---------------------------------------------------------------------------

@@ -69,23 +69,20 @@ def _mollifier_step(z: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
-def make_cutoff(n: int = 1, r_inner: float = 1.0, r_outer: float = 2.0) -> ScalarField:
-    """Smooth cutoff psi: 1 on the two-sided cylinder of radius r_inner,
-    0 outside radius r_outer, radial in the parabolic gauge max(|x|, sqrt|t|)."""
-    if not 0 < r_inner < r_outer:
-        raise ValueError("need 0 < r_inner < r_outer")
+def make_cutoff(n: int = 1) -> ScalarField:
+    """Smooth cutoff psi: 1 on the two-sided cylinder of radius 1, 0 outside
+    radius 2, radial in the parabolic gauge max(|x|, sqrt|t|)."""
 
     def func(x, t):
         rho = np.maximum(
             np.sqrt(np.sum(np.atleast_2d(x) ** 2, axis=-1)), np.sqrt(np.abs(t))
         )
-        return _mollifier_step((r_outer - rho) / (r_outer - r_inner))
+        return _mollifier_step(2.0 - rho)
 
     support = ParabolicCylinder(
-        SpaceTimePoint.of(np.zeros(n), 0.0), r_outer * 1.0000001, sided="two"
+        SpaceTimePoint.of(np.zeros(n), 0.0), 2.0 * 1.0000001, sided="two"
     )
-    return ScalarField(func, n, tail="compact", support=support, bound=1.0,
-                       name=f"cutoff({r_inner},{r_outer})")
+    return ScalarField(func, n, support=support, bound=1.0, name="cutoff(1.0,2.0)")
 
 
 def synthesize_solution(
@@ -125,8 +122,6 @@ def synthesized_field(
     return ScalarField(
         func,
         f.n,
-        tail="bounded",
-        bound=None,
         time_floor=floor if math.isfinite(floor) else None,
         name=f"solution[{f.name}]",
     )
@@ -140,9 +135,7 @@ def jet_source(P: ParabolicPolynomial) -> ScalarField:
     def func(x, t):
         return P.eval(x, t) * cutoff.eval(x, t)
 
-    return ScalarField(
-        func, P.base.n, tail="compact", support=cutoff.support, name="jet_source"
-    )
+    return ScalarField(func, P.base.n, support=cutoff.support, name="jet_source")
 
 
 def difference_field(
@@ -170,9 +163,7 @@ def difference_field(
     diff_support = ParabolicCylinder(
         center, max(rad, math.sqrt(max(t_span, 1e-12))) * 1.0000001, "two"
     )
-    return ScalarField(
-        diff_eval, params.n, tail="compact", support=diff_support, name="f_minus_jet"
-    )
+    return ScalarField(diff_eval, params.n, support=diff_support, name="f_minus_jet")
 
 
 @dataclass

@@ -225,7 +225,7 @@ def test_criterion_09_classifier_labels():
 
     def power_field(beta):
         return ScalarField(
-            lambda x, t: np.abs(np.atleast_2d(x)[:, 0]) ** beta, 1, tail="bounded"
+            lambda x, t: np.abs(np.atleast_2d(x)[:, 0]) ** beta, 1
         )
 
     radii = [2.0**-j for j in range(1, 17)]

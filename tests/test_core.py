@@ -13,7 +13,6 @@ from fracheat import (
     SpaceTimePoint,
     abs_gamma_neg,
     check_slowly_increasing,
-    inverse_normalization_constant,
     multi_indices,
     normalization_constant,
     parabolic_distance,
@@ -40,8 +39,9 @@ class TestFracParams:
 
     @pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
     def test_inverse_constant_ratio(self, s):
-        # forward/inverse constants differ by Gamma(s) s / Gamma(1-s)
-        ratio = normalization_constant(1, s) / inverse_normalization_constant(1, s)
+        # c_{n,s} over the solution kernel's 1 / ((4 pi)^(n/2) Gamma(s)) is
+        # Gamma(s) s / Gamma(1-s)
+        ratio = normalization_constant(1, s) * math.sqrt(4.0 * math.pi) * math.gamma(s)
         assert ratio == pytest.approx(
             math.gamma(s) * s / math.gamma(1.0 - s), rel=1e-13
         )
@@ -147,7 +147,7 @@ class TestParabolicPolynomial:
 
 class TestScalarField:
     def test_eval_at_and_eval_agree(self):
-        f = ScalarField(lambda x, t: np.sum(x, axis=-1) + t, 1, tail="bounded")
+        f = ScalarField(lambda x, t: np.sum(x, axis=-1) + t, 1)
         pt = SpaceTimePoint.of(0.25, 0.5)
         assert f.eval_at(pt) == pytest.approx(0.75)
 
@@ -158,8 +158,17 @@ class TestScalarField:
         assert check_slowly_increasing(exp_symbol(0.0, [2.0], 1))
         assert not check_slowly_increasing(exp_symbol(-1.0, [0.0], 1))
 
+    @pytest.mark.parametrize("declared", [
+        {"support": ParabolicCylinder(SpaceTimePoint.of(0.0, 0.0), 1.0, "two")},
+        {"time_floor": 0.0},
+    ], ids=["support", "time_floor"])
+    def test_symbol_field_declares_no_support_or_floor(self, declared):
+        """exp(lam t) cos(k.x) has neither a support nor a time floor: a
+        field that declares a symbol with either raises."""
+        with pytest.raises(ValueError, match="neither a support nor a time floor"):
+            ScalarField(lambda x, t: np.exp(t), 1, symbol_params=(1.0, [0.0]), **declared)
+
     def test_time_window_infinite_by_default(self):
-        f = ScalarField(lambda x, t: np.zeros(len(np.atleast_1d(t))), 1,
-                        tail="bounded")
+        f = ScalarField(lambda x, t: np.zeros(len(np.atleast_1d(t))), 1)
         lo, hi = f.time_window()
         assert lo == -math.inf and hi == math.inf

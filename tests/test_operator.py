@@ -124,7 +124,7 @@ class TestMarchaud:
     def test_exponential_eigenfunction(self):
         u = ScalarField(
             lambda x, t: np.exp(np.asarray(t, dtype=float)),
-            1, tail="exponential_symbol", symbol_params=(1.0, np.zeros(1)),
+            1, symbol_params=(1.0, np.zeros(1)),
             name="exp(t)",
         )
         val, err = apply_marchaud(u, 0.3, 0.5, QUAD)

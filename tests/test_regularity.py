@@ -12,6 +12,7 @@ from fracheat import (
     QuadratureSpec,
     ScalarField,
     SpaceTimePoint,
+    exp_symbol,
     gaussian_bump,
     multi_indices,
     power_cusp,
@@ -36,7 +37,7 @@ def power_field(beta):
     def func(x, t):
         return np.abs(np.atleast_2d(x)[:, 0]) ** beta
 
-    return ScalarField(func, 1, tail="bounded", name=f"|x|^{beta}")
+    return ScalarField(func, 1, name=f"|x|^{beta}")
 
 
 # (alpha, s) -> (floor(alpha + 2s), alpha + 2s is an integer)
@@ -72,12 +73,12 @@ class TestTargetExponent:
 
 class TestNuProfile:
     def test_average_of_constant(self):
-        f = ScalarField(lambda x, t: np.full(len(t), 3.0), 1, tail="bounded")
+        f = ScalarField(lambda x, t: np.full(len(t), 3.0), 1)
         prof = nu_profile(f, ParabolicPolynomial.zero(1), BASE, [0.5], grid=(8, 8))
         assert prof.raw[0] == pytest.approx(3.0)
 
     def test_average_of_abs_x_is_half_radius(self):
-        f = ScalarField(lambda x, t: np.atleast_2d(x)[:, 0], 1, tail="bounded")
+        f = ScalarField(lambda x, t: np.atleast_2d(x)[:, 0], 1)
         prof = nu_profile(f, ParabolicPolynomial.zero(1), BASE, [0.5], grid=(16, 4))
         assert prof.raw[0] == pytest.approx(0.25, rel=1e-12)  # mean |x| on [-1/2, 1/2]
 
@@ -110,7 +111,7 @@ class TestNuProfile:
         def func(x, t):
             return np.abs(np.atleast_2d(x)[:, 0]) + 100.0 * np.abs(np.asarray(t))
 
-        f = ScalarField(func, 1, tail="bounded")
+        f = ScalarField(func, 1)
         full = nu_profile(f, ParabolicPolynomial.zero(1), BASE, [0.25],
                           grid=(16, 16))
         spatial = nu_profile(f, ParabolicPolynomial.zero(1), BASE, [0.25],
@@ -130,7 +131,7 @@ class TestFitPolynomial:
                 MultiIndex(sigma=(2, 0)): 4.0,
             },
         )
-        f = ScalarField(lambda x, t: P.eval(np.atleast_2d(x), t), 1, tail="bounded")
+        f = ScalarField(lambda x, t: P.eval(np.atleast_2d(x), t), 1)
         Q = fit_polynomial(f, BASE, 2, 0.25, grid=(24, 24))
         for mi, c in P.coeffs.items():
             assert Q.derivative_at_base(mi) == pytest.approx(c, rel=1e-9, abs=1e-9)
@@ -147,15 +148,14 @@ class TestFitPolynomial:
         base = SpaceTimePoint.of(x0, t0)
         mis = multi_indices(1, 2)
         P = ParabolicPolynomial(2, base, dict(zip(mis, coeffs)))
-        Q = fit_polynomial(ScalarField(P.eval, 1, tail="bounded"), base, 2, radius,
+        Q = fit_polynomial(ScalarField(P.eval, 1), base, 2, radius,
                            grid=(12, 12))
         for mi in mis:
             assert Q.derivative_at_base(mi) == pytest.approx(
                 P.derivative_at_base(mi), rel=1e-8, abs=1e-8)
 
     def test_degree_zero_is_weighted_mean(self):
-        f = ScalarField(lambda x, t: np.full(len(np.atleast_1d(t)), 7.0), 1,
-                        tail="bounded")
+        f = ScalarField(lambda x, t: np.full(len(np.atleast_1d(t)), 7.0), 1)
         Q = fit_polynomial(f, BASE, 0, 0.5, grid=(8, 8))
         assert Q.derivative_at_base(MultiIndex(sigma=(0, 0))) == pytest.approx(7.0)
 
@@ -247,6 +247,16 @@ class TestReduceToG:
         f = power_field(1.5)
         g = reduce_to_g(f, ParabolicPolynomial.zero(1), BASE, 1, 0.5)
         assert g.eval(np.array([[0.0]]), np.array([0.0]))[0] == 0.0
+
+    def test_symbol_field_reduces_to_bounded_g(self):
+        """g of a symbol field is no symbol field: it evaluates, and carries
+        neither a symbol nor a support."""
+        f = exp_symbol(0.5, [1.0])
+        g = reduce_to_g(f, ParabolicPolynomial.zero(1), BASE, 0, 0.5)
+        pt = SpaceTimePoint.of(0.3, 0.1)
+        d = math.sqrt(0.3**2 + 0.1)
+        assert g.eval_at(pt) == pytest.approx(f.eval_at(pt) / d**0.5, rel=1e-14)
+        assert g.symbol_params is None and g.support is None
 
 
 class TestExtractJet:
