@@ -98,7 +98,9 @@ def power_cusp(
 
     The cusp sits at the origin of space-time; the bump keeps the field
     compactly supported and nonnegative.  In space the field lies in
-    C^(floor(beta)+frac) at the origin with vanishing jet.
+    C^(floor(beta)+frac) at the origin with vanishing jet.  The field
+    declares the cusp as a singular point, ("space", 0) or ("time", 0),
+    after any that the bump declares.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -120,6 +122,8 @@ def power_cusp(
         support=bump.support,
         bound=bump.bound,
         name=f"power_cusp(beta={beta},{direction})",
+        singular_points=bump.singular_points
+        + ((direction, np.zeros(n) if direction == "space" else 0.0),),
     )
 
 
@@ -135,7 +139,8 @@ def polynomial_field(p: ParabolicPolynomial, cut: Optional[ScalarField] = None) 
 
     support = None if cut is None else cut.support
     return ScalarField(func, n, support=support,
-                       name="polynomial" if cut is None else "polynomial*cutoff")
+                       name="polynomial" if cut is None else "polynomial*cutoff",
+                       singular_points=() if cut is None else cut.singular_points)
 
 
 def time_profile(func, time_floor: Optional[float] = None,

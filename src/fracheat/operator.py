@@ -179,4 +179,4 @@ def apply_marchaud(
     def G(tau, spec):
         return u_at - uval(t - tau)
 
-    return _increment(RestrictedSource(u_time), t, s, u_at, G, 1.0, quad)
+    return _increment(RestrictedSource(u_time), None, t, s, u_at, G, 1.0, quad)

@@ -8,12 +8,23 @@ the substitution y = x - 2 sqrt(tau) w:
 
 The time integral runs over dyadic bands graded toward tau = 0, with band
 edges aligned to every time at which the integrand's spatial restriction
-changes shape, plus an analytic head below tau_min where the integrand is
-a pure power (exact for an unrestricted symbol source, whose integrand
-there is a power times e^(-mu tau)).  `_graded_bands` is that band
-integrator for every kernel quadrature of the package (this module, the
-operator routes and the kernel mass), `_richardson_head` their fitted
-power-law head, `_refined` their fine/coarse error estimate, and
+changes shape.  Below them the convolution and the operator take one
+Gauss-Jacobi bottom band on [0, top]: the Gaussian average of a smooth
+source is smooth in tau near 0, so Gauss-Jacobi with the weight
+tau^(s-1) (the convolution) or tau^(-s) (the operator, on G / tau)
+integrates it spectrally (Golub-Welsch, Math. Comp. 23, 1969).  Its
+graded_nodes nodes are one more row of the bands' nodes, its coarse pass
+halves them like the bands', and top = tau_min 2^m (`_band_top`) stays
+below TAU_BAND, the first break and the lag where the Gaussian window
+reaches an edge of the region, so that the bands above it keep their
+edges.  A source that declares a singular point, and a kernel derivative
+in time, keep the bands from tau_min and the old head below it: an
+analytic head where the integrand is a pure power (exact for an
+unrestricted symbol source, whose integrand there is a power times
+e^(-mu tau)) in the convolution, a fitted power law (`_richardson_head`)
+in the operator.  `_graded_bands` is the band integrator for every kernel
+quadrature of the package (this module, the operator routes and the
+kernel mass), `_refined` their fine/coarse error estimate, and
 `_increment` the increment integral of the operator and of its Marchaud
 reduction, with their one tail policy.
 `_reach` is the one time-range rule of both routes: it reads what the
@@ -83,6 +94,7 @@ __all__ = [
 W_MAX = 8.6  # Gaussian window half-width; exp(-W_MAX^2) ~ 5e-33
 W_CUT = math.sqrt(64.0 * math.log(2.0))  # exp(-W_CUT^2) = 2^-64: panels past it are skipped
 TAU_MU = 12.0  # symbol fields end at tau = TAU_MU / (|k|^2 + max(lam, 0))
+TAU_BAND = 1e-3  # the Gauss-Jacobi bottom band ends at this lag at the latest
 TAU_MAX = 1e4  # every time range ends here at the latest
 BLOCK = 2**13  # points per field call of the inner rules, at most (one row at least)
 
@@ -91,9 +103,11 @@ BLOCK = 2**13  # points per field call of the inner rules, at most (one row at l
 class QuadratureSpec:
     """Knobs for the kernel quadratures.
 
-    tau_min bounds the numerically integrated time range from below
-    (analytic head under it; the range ends at TAU_MAX at the latest).
-    graded_nodes is the Gauss-Legendre order per dyadic band, hermite_order
+    tau_min is the lag from which the dyadic bands are graded: below it
+    (and up to top = tau_min 2^m <= TAU_BAND) a Gauss-Jacobi bottom band of
+    graded_nodes nodes takes the integral, or an analytic head where the
+    source declares a singular point; the range ends at TAU_MAX at the
+    latest.  graded_nodes is the Gauss-Legendre order per dyadic band, hermite_order
     the Gauss-Hermite order of every unbounded spatial integral (symbol
     fields end their range where it resolves them), spatial_nodes the
     Gauss-Legendre order per mapped spatial panel.
@@ -147,6 +161,25 @@ def gauss_legendre(order: int):
 @lru_cache(maxsize=64)
 def gauss_hermite(order: int):
     return _read_only(*np.polynomial.hermite.hermgauss(order))
+
+
+@lru_cache(maxsize=64)
+def gauss_jacobi(order: int, beta: float):
+    """Nodes u and weights of the Gauss rule for int_0^1 u^beta p(u) du,
+    beta > -1, exact for polynomials p of degree <= 2 order - 1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    polynomials P^(0, beta) on [-1, 1] (weight (1 + x)^beta), mapped to
+    u = (1 + x) / 2, and the weights the squared first components of its
+    eigenvectors times the weight's mass 1 / (beta + 1) on [0, 1].
+    """
+    k = np.arange(1.0, order)
+    sk = 2.0 * k + beta
+    # the general diagonal beta^2 / (sk (sk + 2)) is 0/0 at k = 0, beta = 0
+    diag = np.concatenate([[beta / (beta + 2.0)], beta**2 / (sk * (sk + 2.0))])
+    off = 2.0 * k * (k + beta) / (sk * np.sqrt((sk + 1.0) * (sk - 1.0)))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return _read_only(0.5 * (1.0 + x), vec[0] ** 2 / (beta + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +307,76 @@ def _band_layout(lo: float, hi: float, breaks: tuple) -> tuple:
     return _read_only(0.5 * (a + b), 0.5 * (b - a))
 
 
-def _graded_bands(integrand: Callable, lo: float, hi: float, breaks, nodes: int) -> float:
-    """int_lo^hi integrand over dyadic bands graded toward lo.
+def _graded_bands(
+    integrand: Callable, lo: float, hi: float, breaks, nodes: int,
+    bottom: Optional[tuple] = None,
+) -> float:
+    """int_lo^hi integrand over dyadic bands graded toward lo, plus
+    int_0^lo by the bottom band if one is given.
 
     The bands double from lo and are split at every break inside (lo, hi);
-    each gets the Gauss-Legendre rule of order nodes.  All bands are
-    evaluated together: integrand(tau) gets the nodes tau, shape
-    (bands, nodes), one band per row, and returns the integrand there,
-    same shape.
+    each gets the Gauss-Legendre rule of order nodes.  bottom is a rule
+    (tau, weights) of `nodes` nodes on [0, lo] (`_bottom_band`), taken as one
+    more row in front of the bands.  All rows are evaluated together:
+    integrand(tau) gets the nodes tau, shape (rows, nodes), and returns the
+    integrand there, same shape.
     """
     mid, half = _band_layout(lo, hi, tuple(breaks))
     gl_x, gl_w = gauss_legendre(nodes)
-    sums = np.sum(gl_w * integrand(mid[:, None] + half[:, None] * gl_x), axis=1)
+    tau = mid[:, None] + half[:, None] * gl_x
     total = 0.0
+    if bottom is None:
+        vals = integrand(tau)
+    else:
+        vals = integrand(np.vstack([bottom[0], tau]))
+        total, vals = float(np.sum(bottom[1] * vals[0])), vals[1:]
+    sums = np.sum(gl_w * vals, axis=1)
     for h, v in zip(half, sums):
         total += h * v
     return float(total)
+
+
+@lru_cache(maxsize=256)
+def _bottom_band(top: float, beta: float, order: int) -> tuple:
+    """Read-only nodes tau and weights of int_0^top f(tau) dtau for
+    f = tau^beta h with h smooth: Gauss-Jacobi of that weight
+    (`gauss_jacobi`), its weights divided by tau^beta, since f comes with
+    the power in it."""
+    u, w = gauss_jacobi(order, beta)
+    return _read_only(top * u, top * w * u ** (-beta))
+
+
+def _band_top(
+    source: RestrictedSource, x: Optional[np.ndarray], t: float, tau_min: float,
+    tau_hi: float, breaks: Sequence[float],
+) -> Optional[float]:
+    """The top of the bottom band [0, top] of a source at (x, t), or None
+    where the source keeps the analytic head below tau_min.
+
+    top is the largest tau_min 2^m (m >= 0) that is at most TAU_BAND, the
+    range's end tau_hi, the first positive break lag and, for each edge of
+    the source's region at a distance d > 0 from x, (d / (2 W_MAX))^2,
+    where the window x +- 2 W_MAX sqrt(tau) reaches it; below it the
+    Gaussian average is smooth in tau.  The graded bands above top keep the
+    edges of bands graded from tau_min.  Where TAU_BAND or an edge comes
+    nearer than tau_min, top is tau_min, the old head's range.  x None (a
+    point value, no window) skips the edges.  None where tau_hi or a break
+    comes nearer than tau_min (no band crosses a break), or where the
+    source declares a singular point, at which the average is not smooth.
+    """
+    reach = min([tau_hi, *(b for b in breaks if b > 0.0)])
+    if source.field.singular_points or reach < tau_min:
+        return None
+    bound = min(reach, TAU_BAND)
+    ints = source.intervals(t - 0.5 * tau_min) if x is not None else None
+    for edge in (v for iv in ints or () for v in iv):
+        d = abs(edge - x[0])
+        if 0.0 < d < math.inf:
+            bound = min(bound, (d / (2.0 * W_MAX)) ** 2)
+    top = tau_min
+    while 2.0 * top <= bound:
+        top *= 2.0
+    return top
 
 
 def _richardson_head(g1: float, g2: float, lo: float, p: float, q: float, w: float) -> float:
@@ -526,11 +613,18 @@ def _convolve_once(
     quad, with A the Gaussian average `_average` of the source (times the
     kernel-derivative factor phi for a deriv).
 
-    The range is `_reach`'s; a kernel derivative reads no symbol.  Below
-    tau_min (deriv None) an analytic head takes the inner integral at its
-    limit pi^(n/2) g(x, t); for an unrestricted symbol source with mu > 0 it
-    is exact, g(x, t) mu^(-s) P(s, mu tau_min), with P the regularized lower
-    incomplete gamma function.  A symbol source exp(lam t) cos(k.x) (deriv
+    The range is `_reach`'s; a kernel derivative reads no symbol.  Where
+    the source reaches down to lag 0, the bottom band takes [0, top]
+    (`_band_top`) with the weight tau^(s-1): tau^(s-1) A is that power times
+    a function smooth in tau, also for a spatial kernel derivative, and the
+    bands start at top.  A source that declares a singular point, or where
+    a break comes within tau_min, keeps the bands from tau_min and, with
+    deriv None, an analytic head below it that takes the inner integral at
+    its limit pi^(n/2) g(x, t); for an unrestricted symbol source with
+    mu > 0 that head is exact, g(x, t) mu^(-s) P(s, mu tau_min), with P the
+    regularized lower incomplete gamma function.  A kernel derivative in
+    time, whose integrand opens like tau^(s-2), keeps the bands from
+    tau_min without a head.  A symbol source exp(lam t) cos(k.x) (deriv
     None) that reaches past the range's end tau_hi is there the unrestricted
     field f (the cut lies past every break short of TAU_MAX), whose Gaussian
     average is pi^(n/2) f(x, t) e^(-mu tau), mu = lam + |k|^2: its tail is
@@ -556,20 +650,27 @@ def _convolve_once(
     total = 0.0
     if reaches and mu is not None:
         total += source.field.eval_at(pt) * mu ** (-s) * float(gammaincc(s, mu * tau_hi))
-    if deriv is None and tau_lo == quad.tau_min:
-        g0 = source.value_at(x, t)
-        if mu is not None and mu > 0.0 and not source.constraints:
-            # the inner integral is pi^{n/2} g(x, t) e^(-mu tau) exactly
-            total += g0 * mu ** (-s) * float(gammainc(s, mu * tau_lo))
-        else:
-            # analytic head: the inner integral tends to pi^{n/2} g(x, t)
-            total += g0 * tau_lo**s / (s * math.gamma(s))
-    if tau_hi <= tau_lo:
+    bottom = None
+    if tau_lo == quad.tau_min:  # the source reaches down to lag 0
+        in_time = deriv is not None and deriv[-1] > 0
+        top = None if in_time else _band_top(source, x, t, tau_lo, tau_hi, breaks)
+        if top is not None:
+            bottom = _bottom_band(top, s - 1.0, quad.graded_nodes)
+            tau_lo = top
+        elif deriv is None:
+            g0 = source.value_at(x, t)
+            if mu is not None and mu > 0.0 and not source.constraints:
+                # the inner integral is pi^{n/2} g(x, t) e^(-mu tau) exactly
+                total += g0 * mu ** (-s) * float(gammainc(s, mu * tau_lo))
+            else:
+                # analytic head: the inner integral tends to pi^{n/2} g(x, t)
+                total += g0 * tau_lo**s / (s * math.gamma(s))
+    if tau_hi <= tau_lo and bottom is None:
         return total
     scale = 1.0 / (math.pi ** (params.n / 2.0) * math.gamma(s))
     return total + scale * _graded_bands(
         lambda tau: tau ** (s - 1.0) * _average(source, x, t, tau, quad, params, deriv),
-        tau_lo, tau_hi, breaks, quad.graded_nodes)
+        tau_lo, tau_hi, breaks, quad.graded_nodes, bottom)
 
 
 def kernel_convolve(
@@ -613,17 +714,24 @@ def kernel_convolve(
 
 
 def _increment(
-    source: RestrictedSource, t: float, s: float, u_at: float, G: Callable, unit: float,
-    quad: QuadratureSpec,
+    source: RestrictedSource, x: Optional[np.ndarray], t: float, s: float, u_at: float,
+    G: Callable, unit: float, quad: QuadratureSpec,
 ) -> tuple:
     """(value, err) of int_0^inf tau^(-1-s) G(tau) dtau / (unit |Gamma(-s)|).
 
     G(tau, spec) = unit * u_at - (directional average of u at t - tau) on
-    the nodes of one band per row, with unit the average's total weight.
-    The working range is `_reach`'s, at least 4 tau_min long; below tau_min
-    a Richardson head fits G = c1 tau + c2 tau^2.  G cancels near tau_min,
-    so the error takes in one ulp of unit u_at there, magnified by the
-    weight and by the head's fit coefficients 5 and 6.  The tail
+    the nodes of one band per row, with unit the average's total weight,
+    and x the point of that average (None for a point value, which has no
+    window).  The working range is `_reach`'s, at least 4 tau_min long.
+    Below top (`_band_top`) the bottom band takes G / tau, smooth in tau,
+    with the weight tau^(-s), as one more row of the bands' nodes; a source
+    that declares a singular point, or where a break comes within tau_min,
+    keeps the bands from tau_min and a Richardson head below it that fits
+    G = c1 tau + c2 tau^2.  G cancels near lag 0, so the error takes in one
+    ulp of unit u_at there, weighted by tau^(-1-s) as the rules weight it:
+    eps unit |u_at| (sum_j w_j tau_j^(-1-s) + top^(-s) / s) over the band's
+    nodes tau_j and weights w_j, or tau_min^(-s) (1 / s + 5 / (1 - s) +
+    6 / (2 - s)) with the head's fit coefficients 5 and 6.  The tail
     beyond tau_hi, with mass = tau_hi^(-s) / s: for a symbol field, whose
     G is unit u_at (1 - e^(-mu tau)), the closed form
     unit u_at (tau_hi^(-s) (1 - e^(-mu tau_hi)) + mu^s Gamma(1-s)
@@ -640,19 +748,33 @@ def _increment(
     if mu == 0.0:
         return 0.0, 0.0
     tau_hi = max(tau_hi, 4.0 * quad.tau_min)
+    top = _band_top(source, x, t, quad.tau_min, tau_hi, breaks)
 
     def one_pass(spec: QuadratureSpec) -> float:
+        nodes = spec.graded_nodes
+
+        def integrand(tau):
+            return tau ** (-1.0 - s) * G(tau, spec)
+
+        if top is not None:
+            return _graded_bands(integrand, top, tau_hi, breaks, nodes,
+                                 _bottom_band(top, -s, nodes))
         lo = spec.tau_min
         g1, g2 = G(np.array([[lo], [lo / 2]]), spec)[:, 0]
         head = _richardson_head(g1, g2, lo, 1.0, 2.0, -1.0 - s)
-        return head + _graded_bands(
-            lambda tau: tau ** (-1.0 - s) * G(tau, spec), lo, tau_hi, breaks, spec.graded_nodes
-        )
+        return head + _graded_bands(integrand, lo, tau_hi, breaks, nodes)
 
     mass = tau_hi ** (-s) / s
     tail, tail_err = unit * u_at * mass, 0.0  # exact if u vanishes past tau_hi
-    roundoff = float(np.finfo(float).eps) * unit * abs(u_at) * quad.tau_min ** (-s) * (
-        1.0 / s + 5.0 / (1.0 - s) + 6.0 / (2.0 - s))
+    # G cancels to about one ulp of unit u_at, which the rules weight by
+    # tau^(-1-s): the band's and the bands' above it, int_top^inf = top^(-s) / s;
+    # or the bands' from tau_min and the head's fit coefficients 5 and 6
+    if top is not None:
+        band_tau, band_w = _bottom_band(top, -s, quad.graded_nodes)
+        weight = float(np.sum(band_w * band_tau ** (-1.0 - s))) + top ** (-s) / s
+    else:
+        weight = quad.tau_min ** (-s) * (1.0 / s + 5.0 / (1.0 - s) + 6.0 / (2.0 - s))
+    roundoff = float(np.finfo(float).eps) * unit * abs(u_at) * weight
     if mu is not None:
         z = mu * tau_hi
         upper = mu**s * math.gamma(1.0 - s) * float(gammaincc(1.0 - s, z))
@@ -689,4 +811,4 @@ def increment_integral(
     def G(tau, spec):
         return unit * u_at - _average(source, x, pt.t, tau, spec, params, None)
 
-    return _increment(source, pt.t, params.s, u_at, G, unit, quad)
+    return _increment(source, x, pt.t, params.s, u_at, G, unit, quad)

@@ -104,8 +104,9 @@ def synthesized_field(
 ) -> ScalarField:
     """The solution u = f * K wrapped as a lazily evaluated ScalarField.
 
-    The wrapper is bounded and vanishes before the source's time window;
-    each point is one convolution, without an error estimate.
+    The wrapper is bounded, vanishes before the source's time window and
+    declares the source's singular points; each point is one convolution,
+    without an error estimate.
     """
     floor, _ = f.time_window()
 
@@ -124,6 +125,7 @@ def synthesized_field(
         f.n,
         time_floor=floor if math.isfinite(floor) else None,
         name=f"solution[{f.name}]",
+        singular_points=f.singular_points,
     )
 
 
@@ -145,7 +147,7 @@ def difference_field(
     center: Optional[SpaceTimePoint] = None,
 ) -> ScalarField:
     """f - J for the jet source J = P * psi (`jet_source`), as a compact field
-    (both pieces are compact)."""
+    (both pieces are compact) with f's singular points (J is smooth)."""
     center = center or SpaceTimePoint.of(np.zeros(params.n), 0.0)
 
     def diff_eval(x, t):
@@ -163,7 +165,8 @@ def difference_field(
     diff_support = ParabolicCylinder(
         center, max(rad, math.sqrt(max(t_span, 1e-12))) * 1.0000001, "two"
     )
-    return ScalarField(diff_eval, params.n, support=diff_support, name="f_minus_jet")
+    return ScalarField(diff_eval, params.n, support=diff_support, name="f_minus_jet",
+                       singular_points=f.singular_points)
 
 
 @dataclass

@@ -23,8 +23,22 @@ to 6.9e-11.  op_bump_n1 was re-grounded when both inner rules became one
 row evaluator, whose panel rows are summed one by one and then added per
 node: its value moved by 2.0e-12 and its estimate by 2.3e-12.  That is
 round-off in A, amplified by G = pi^(1/2) u - A near tau_min, and about a
-quarter of the 8.6e-12 that the estimate carries for that round-off.  Any
-later change to the quadrature must reproduce them:
+quarter of the 8.6e-12 that the estimate carries for that round-off.
+The goldens of convolutions and operators were re-grounded when a
+Gauss-Jacobi bottom band took the place of the heads below tau_min, except
+conv_restricted and conv_restricted_deriv, whose cusp source keeps the head,
+and conv_before_window and op_after_window, whose source vanishes below the
+band's top: these kept their bits.  The values moved by the old head's own
+error, at most 2.3e-9 (op_bump_n1), and toward the closed form wherever one
+is known: op_symbol_n1 from 3.7e-13 to 2.4e-15, marchaud_exp from 9.7e-14
+to 1.0e-14, marchaud_ramp from 6.1e-14 to 2e-16 and lap_cos from 1.3e-14 to
+2.9e-15.  The estimates of the symbol and Marchaud cases fell with the
+round-off term, which the band weights by top^(-s) where the head had
+weighted tau_min^(-s) (op_symbol_n1 1.1e-11 to 6.2e-13); that of
+op_bump_n1 rose from 2.3e-6 to 4.9e-6, since its coarse pass now sees the
+band's error at four nodes.  lap_bump, lap_lorentz and the kernel masses do
+not take the band and kept their bits.  Any later change to the quadrature
+must reproduce them:
 values to 1e-12 relative, estimates to 1e-14 |value| + 1e-16.
 """
 
@@ -60,19 +74,25 @@ from fracheat.cli import quad_hash
 from fracheat.kernel import _factor_eval
 from fracheat.quadrature import (
     BLOCK,
+    TAU_BAND,
     TAU_MAX,
     TAU_MU,
     W_CUT,
     W_MAX,
     _average,
+    _band_edges,
     _band_layout,
+    _band_top,
+    _bottom_band,
     _graded_bands,
     _hermite_grid,
     _panel_rows,
+    _reach,
     _richardson_head,
     _row_average,
     _symbol_range,
     gauss_hermite,
+    gauss_jacobi,
     gauss_legendre,
 )
 
@@ -149,26 +169,26 @@ CASES = {
 
 GOLDEN = {
     'conv_before_window': (0.0, 1e-16),
-    'conv_bump_n1': (0.6343120145526332, 6.296417481268949e-05),
-    'conv_bump_n2': (0.4163743479224238, 0.0006146511913328531),
+    'conv_bump_n1': (0.634312014551988, 6.295828653804384e-05),
+    'conv_bump_n2': (0.4163743479246871, 0.0006146459208251007),
     'conv_restricted': (0.11736173527223548, 0.0003110514730614423),
     'conv_restricted_deriv': (0.09714914641835708, 8.27903968849164e-05),
-    'conv_symbol_n1': (0.43355338810477884, 4.053189019316167e-07),
+    'conv_symbol_n1': (0.4335533881047879, 3.8980971971535e-07),
     'lap_bump': (1.3026710495744576, 7.311963439120644e-07),
-    'lap_cos': (1.0560099013564301, 1.1749845855429653e-09),
+    'lap_cos': (1.0560099013564404, 1.1748668642136466e-09),
     'lap_lorentz': (0.45111863436732924, 3.551499155458932e-08),
-    'marchaud_bounded': (-0.08466506294519799, 0.0035895269832935386),
-    'marchaud_exp': (1.221402758160267, 1.2727714443800068e-11),
-    'marchaud_ramp': (1.1191749540700615, 1.518785980075709e-12),
+    'marchaud_bounded': (-0.08466506295351042, 0.0035895269283282953),
+    'marchaud_exp': (1.2214027581601594, 7.418490434036019e-13),
+    'marchaud_ramp': (1.1191749540701226, 1.953733078585231e-13),
     'mass_n1': (0.5641895835477564, 6.933096515559673e-11),
     'mass_n2': (1.0141187137602978, 3.0841366612724163e-10),
     'op_after_window': (-0.0536352533549248, 6.915380201780412e-05),
-    'op_bounded': (-0.2342764211588506, 0.00105973756775363),
-    'op_bump_n1': (1.2048174181500986, 2.264853698070443e-06),
-    'op_bump_n2': (2.461657630346506, 4.6638964617075984e-05),
-    'op_symbol_k0': (0.9999999999999033, 2.2074813471447475e-07),
-    'op_symbol_n1': (1.4931409694398485, 1.0824201980413935e-11),
-    'op_symbol_n2': (1.2508787635702392, 3.817470473034752e-07),
+    'op_bounded': (-0.2342764211548936, 0.0010597132560578773),
+    'op_bump_n1': (1.2048174158955194, 4.8745740595438815e-06),
+    'op_bump_n2': (2.4616576304189297, 4.6591101422015204e-05),
+    'op_symbol_k0': (0.9999999999999167, 2.2058365678271065e-07),
+    'op_symbol_n1': (1.4931409694394828, 6.194499013040021e-13),
+    'op_symbol_n2': (1.2508787635702558, 3.80399759756057e-07),
 }
 
 
@@ -391,6 +411,208 @@ def test_richardson_head_exact(p, q, w):
     head = _richardson_head(g(lo), g(lo / 2.0), lo, p, q, w)
     want = A * lo ** (p + w + 1.0) / (p + w + 1.0) + B * lo ** (q + w + 1.0) / (q + w + 1.0)
     assert head == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [4, 8, 16])
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_bottom_band_is_exact_to_its_degree(order, s):
+    """The bottom band of `order` nodes on [0, top] integrates tau^(beta + j)
+    exactly for j <= 2 order - 1, at the weights of both routes: beta = s - 1
+    (the convolution) and beta = -s (the operator, on G / tau)."""
+    top = 1e-8 * 2.0**16
+    for beta in (s - 1.0, -s):
+        tau, w = _bottom_band(top, beta, order)
+        for j in range(2 * order):
+            exact = top ** (beta + j + 1.0) / (beta + j + 1.0)
+            assert np.sum(w * tau ** (beta + j)) == pytest.approx(exact, rel=1e-13), (beta, j)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7])
+def test_jacobi_table_matches_scipy(s):
+    """The Golub-Welsch table is scipy's Gauss-Jacobi rule mapped to [0, 1]
+    (scipy is imported here only: its roots_jacobi loads scipy.linalg)."""
+    from scipy.special import roots_jacobi
+
+    for order in (8, 16):
+        for beta in (s - 1.0, -s):
+            u, w = gauss_jacobi(order, beta)
+            x, wx = roots_jacobi(order, 0.0, beta)
+            np.testing.assert_allclose(u, 0.5 * (1.0 + x), rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(w, wx / 2.0 ** (beta + 1.0), rtol=1e-12, atol=0.0)
+
+
+def test_jacobi_table_at_zero_weight_is_legendre():
+    """At beta = 0 the table is Gauss-Legendre on [0, 1], without the 0/0
+    of the general first diagonal entry."""
+    with np.errstate(all="raise"):
+        u, w = gauss_jacobi(8, 0.0)
+    x, wx = gauss_legendre(8)
+    np.testing.assert_allclose(u, 0.5 * (1.0 + x), rtol=1e-14, atol=1e-16)
+    np.testing.assert_allclose(w, 0.5 * wx, rtol=1e-13)
+
+
+def test_graded_bands_take_the_bottom_band_as_one_more_row():
+    """With a bottom band, one integrand call takes its row in front of the
+    bands', and the total is the integral from 0."""
+    s, top, hi = 0.4, 2.0**-6, 4.0
+    shapes = []
+
+    def integrand(tau):
+        shapes.append(tau.shape)
+        return tau ** (s - 1.0) * (1.0 + tau + tau**2)
+
+    got = _graded_bands(integrand, top, hi, (), 16, _bottom_band(top, s - 1.0, 16))
+    exact = hi**s / s + hi ** (s + 1.0) / (s + 1.0) + hi ** (s + 2.0) / (s + 2.0)
+    assert got == pytest.approx(exact, rel=1e-13)
+    assert shapes == [(9, 16)]  # 8 octaves from 2^-6 to 4, and the band
+
+
+_CYL = ParabolicCylinder(SpaceTimePoint.of(0.0, 0.0), 1.0, "past")
+BAND_SOURCES = {
+    # deep inside the bump, and 1e-2 inside its edge
+    "bump": (RestrictedSource(gaussian_bump()), [0.1], 0.2),
+    "bump_near_edge": (RestrictedSource(gaussian_bump()), [0.99], 0.2),
+    # 1e-2 outside a cylinder zeroed out of the line
+    "holed": (RestrictedSource(constant(2.0), [(_CYL, False)]), [1.01], -0.5),
+    # 2e-4 after a cylinder's end: the first break lag
+    "after_break": (RestrictedSource(exp_symbol(0.5, [1.0]), [(_CYL, True)]), [0.3], 2e-4),
+    "symbol": (RestrictedSource(exp_symbol(1.0, [2.0])), [0.3], 0.0),
+    "constant_floor": (RestrictedSource(time_profile(np.cos, time_floor=-1.0)), [0.0], 0.5),
+}
+
+
+def _band_case(name):
+    source, x, t = BAND_SOURCES[name]
+    x, tau_min = np.array(x), QuadratureSpec().tau_min
+    _, tau_hi, breaks, _, _ = _reach(source, t)
+    return source, x, t, tau_min, tau_hi, breaks
+
+
+@pytest.mark.parametrize("name", sorted(BAND_SOURCES))
+def test_band_top_stays_below_every_kink(name):
+    """top is tau_min 2^m, above 0, at most TAU_BAND and the first positive
+    break lag, and its window x +- 2 W_MAX sqrt(top) stays clear of every
+    edge of the region; twice top would break one of these bounds."""
+    source, x, t, tau_min, tau_hi, breaks = _band_case(name)
+    top = _band_top(source, x, t, tau_min, tau_hi, breaks)
+    m = math.log2(top / tau_min)
+    assert top > 0.0 and m == int(m) >= 0
+    ints = source.intervals(t - 0.5 * tau_min) or []
+    edges = [v for iv in ints for v in iv if math.isfinite(v) and v != x[0]]
+
+    def clear(lag):
+        return (lag <= min(TAU_BAND, tau_hi, *(b for b in breaks if b > 0.0))
+                and all(2.0 * W_MAX * math.sqrt(lag) <= abs(e - x[0]) for e in edges))
+
+    assert clear(top) and not clear(2.0 * top)
+
+
+@pytest.mark.parametrize("name", sorted(BAND_SOURCES))
+def test_bands_above_top_keep_their_edges(name):
+    """The graded bands above top are the last bands of those graded from
+    tau_min, bit for bit."""
+    source, x, t, tau_min, tau_hi, breaks = _band_case(name)
+    top = _band_top(source, x, t, tau_min, tau_hi, breaks)
+    full = _band_edges(tau_min, tau_hi, breaks)
+    above = _band_edges(top, tau_hi, breaks)
+    assert len(above) < len(full) and above == full[len(full) - len(above):]
+
+
+@pytest.mark.parametrize("field,deriv,band", [
+    (gaussian_bump(), None, True),
+    (gaussian_bump(), (1, 0), True),
+    (gaussian_bump(), (2, 0), True),
+    (gaussian_bump(), (0, 1), False),
+    (power_cusp(0.5), None, False),
+    (power_cusp(0.5, direction="time"), None, False),
+], ids=["value", "d_x", "d_xx", "d_t", "space_cusp", "time_cusp"])
+def test_where_the_bottom_band_applies(field, deriv, band, monkeypatch):
+    """The convolution takes the bottom band in place of its head, also for
+    spatial kernel derivatives; a kernel derivative in time and a source
+    that declares a singular point keep the bands from tau_min."""
+    from fracheat import quadrature
+
+    plain, seen = quadrature._graded_bands, []
+
+    def recording(integrand, lo, hi, breaks, nodes, bottom=None):
+        seen.append((lo, bottom is not None))
+        return plain(integrand, lo, hi, breaks, nodes, bottom)
+
+    monkeypatch.setattr(quadrature, "_graded_bands", recording)
+    kernel_convolve(field, SpaceTimePoint.of(0.1, 0.2), FracParams(1, 0.4), COARSE, deriv=deriv)
+    assert [b for _, b in seen] == [band, band]
+    assert all((lo > COARSE.tau_min) == band for lo, _ in seen)
+
+
+def test_band_top_where_a_kink_comes_within_tau_min():
+    """An edge whose window distance is nearer than tau_min gives the band
+    the head's range [0, tau_min]; a break nearer than tau_min, or a
+    singular point, keeps the head, since no band crosses a break or a
+    cusp."""
+    tau_min = QuadratureSpec().tau_min
+    bump = RestrictedSource(gaussian_bump())
+    _, tau_hi, breaks, _, _ = _reach(bump, 0.2)
+    assert _band_top(bump, np.array([0.9999]), 0.2, tau_min, tau_hi, breaks) == tau_min
+    kept = RestrictedSource(exp_symbol(0.5, [1.0]), [(_CYL, True)])
+    _, tau_hi, breaks, _, _ = _reach(kept, 0.5 * tau_min)
+    assert _band_top(kept, np.array([0.3]), 0.5 * tau_min, tau_min, tau_hi, breaks) is None
+    cusp = RestrictedSource(power_cusp(0.5))
+    _, tau_hi, breaks, _, _ = _reach(cusp, 0.2)
+    assert _band_top(cusp, np.array([0.3]), 0.2, tau_min, tau_hi, breaks) is None
+
+
+def _bump_dx():
+    """d/dx of gaussian_bump(), as a field with the bump's support."""
+    bump = gaussian_bump()
+
+    def func(x, t):
+        x = x[:, 0]
+        q = x * x + t * t
+        inside = q < 1.0
+        r = 1.0 / (1.0 - np.where(inside, q, 0.0))
+        return np.where(inside, bump.eval(x[:, None], t) * (-2.0 * x * r * r), 0.0)
+
+    return ScalarField(func, 1, support=bump.support, name="bump_dx")
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7])
+def test_spatial_kernel_derivative_is_the_derivative_of_the_source(s):
+    """D_x (K * f) = K * (D_x f): a spatial kernel derivative, whose
+    integrand is smooth in tau at 0, takes the bottom band and agrees with
+    the convolution of the source's derivative within their summed
+    estimates.  With no head below tau_min it missed by 9.3e-4 at s = 0.3,
+    against estimates of 3.5e-6."""
+    pt, params = SpaceTimePoint.of(0.1, 0.2), FracParams(1, s)
+    value, err = kernel_convolve(gaussian_bump(), pt, params, deriv=(1, 0))
+    want, want_err = kernel_convolve(_bump_dx(), pt, params)
+    assert abs(value - want) <= err + want_err
+
+
+# closed forms of goldens that take the bottom band, to its accuracy
+BAND_TRUTH = {
+    "marchaud_exp": math.exp(0.2),  # lam^s e^(lam t), lam = 1
+    "marchaud_ramp": 1.0 / math.gamma(1.6),  # D^s t_+ = t^(1-s) / Gamma(2-s) at t = 1
+    "op_symbol_n1": 2.0**0.5 * math.exp(0.1) * math.cos(0.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAND_TRUTH))
+def test_band_goldens_at_their_closed_form(name):
+    """With the bottom band in place of the Richardson head these goldens
+    are within 1e-13 of their closed forms, and each estimate covers its
+    distance."""
+    value, err = CASES[name]()
+    assert abs(value - BAND_TRUTH[name]) <= min(1e-13, err)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7])
+def test_constant_maps_to_zero_through_the_operator(s):
+    """G = pi^(1/2) u - A cancels on a constant field, and the band weights
+    what is left by at most top^(-s) rather than tau_min^(-s): at COARSE the
+    operator on 2.0 is 0 to 1e-11."""
+    value, _ = apply_fully_fractional(constant(2.0), SpaceTimePoint.of(0.0, 0.5),
+                                      FracParams(1, s), COARSE)
+    assert abs(value) <= 1e-11
 
 
 def test_default_spec_hash():

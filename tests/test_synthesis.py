@@ -19,6 +19,8 @@ from fracheat import (
     synthesize_solution,
     synthesized_field,
 )
+from fracheat.fields import make_field
+from fracheat.regularity import reduce_to_g
 from fracheat.synthesis import difference_field, jet_source
 
 QUAD = QuadratureSpec(graded_nodes=10, spatial_nodes=12)
@@ -186,3 +188,29 @@ class TestSDecay:
         assert res["slope"] >= 1.3
         assert all(a > 0 for a in res["averages"])
         assert res["radii"] == sorted(res["radii"])
+
+
+@pytest.mark.parametrize("direction,point", [("space", (0.0,)), ("time", 0.0)])
+def test_derived_fields_keep_the_singular_points(direction, point):
+    """power_cusp declares its cusp in either direction, and every field
+    derived from it declares it too; smooth fields declare none."""
+    params = FracParams(1, 0.5)
+    f = power_cusp(0.5, direction=direction)
+    want = ((direction, point),)
+    P = ParabolicPolynomial.zero(1)
+    derived = {
+        "power_cusp": f,
+        "make_field": make_field({"kind": "power_cusp", "beta": 0.5, "direction": direction}),
+        "difference_field": difference_field(f, jet_source(P), params),
+        "synthesized_field": synthesized_field(f, params, QUAD),
+        "reduce_to_g": reduce_to_g(f, P, CENTER, 0, 0.5),
+        "polynomial_field": polynomial_field(P, cut=f),
+    }
+    assert {name: g.singular_points for name, g in derived.items()} == {
+        name: want for name in derived}
+    # a cusp on a cusp declares both, the bump's first
+    double = power_cusp(1.5, bump=power_cusp(0.5, direction=direction))
+    assert double.singular_points == (*want, ("space", (0.0,)))
+    for smooth in (gaussian_bump(), exp_symbol(1.0, [0.5]), jet_source(P),
+                   difference_field(gaussian_bump(), jet_source(P), params)):
+        assert smooth.singular_points == ()
