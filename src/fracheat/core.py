@@ -341,9 +341,12 @@ class ScalarField:
     - `time_floor`: the field vanishes for t < time_floor (synthesized
       solutions of compact sources declare it)
     - `singular_points`: where the field is not smooth, as pairs
-      ("space", x0), across the point x0 at every time, or ("time", t0),
-      across the time t0 at every x; a source that declares one keeps the
-      quadratures' analytic head below tau_min
+      ("space", x0), across the point x0 (a tuple of n floats) at every
+      time, or ("time", t0), across the time t0 at every x; a source that
+      declares one keeps the quadratures' analytic head below tau_min.
+      Nothing checks the declaration: a field whose kink is undeclared (the
+      cutoff's, along |x| = sqrt|t| where its step moves) takes the
+      Gauss-Jacobi bottom band, which assumes a source smooth in tau
     """
 
     func: Callable
@@ -356,18 +359,7 @@ class ScalarField:
     singular_points: tuple = ()
 
     def __post_init__(self):
-        points = []
-        for direction, where in self.singular_points:
-            if direction == "space":
-                where = tuple(np.atleast_1d(np.asarray(where, dtype=float)).tolist())
-                if len(where) != self.n:
-                    raise ValueError("singular point dimension mismatch")
-            elif direction == "time":
-                where = float(where)
-            else:
-                raise ValueError(f"a singular point lies in 'space' or 'time', not {direction!r}")
-            points.append((direction, where))
-        self.singular_points = tuple(points)
+        self.singular_points = tuple(self.singular_points)
         if self.symbol_params is not None:
             if self.support is not None or self.time_floor is not None:
                 raise ValueError("a symbol field declares neither a support nor a time floor")

@@ -99,8 +99,8 @@ def power_cusp(
     The cusp sits at the origin of space-time; the bump keeps the field
     compactly supported and nonnegative.  In space the field lies in
     C^(floor(beta)+frac) at the origin with vanishing jet.  The field
-    declares the cusp as a singular point, ("space", 0) or ("time", 0),
-    after any that the bump declares.
+    declares the cusp as a singular point, ("space", (0.0,) * n) or
+    ("time", 0.0), after any that the bump declares.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -123,7 +123,7 @@ def power_cusp(
         bound=bump.bound,
         name=f"power_cusp(beta={beta},{direction})",
         singular_points=bump.singular_points
-        + ((direction, np.zeros(n) if direction == "space" else 0.0),),
+        + ((direction, (0.0,) * n if direction == "space" else 0.0),),
     )
 
 

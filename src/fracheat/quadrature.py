@@ -19,10 +19,9 @@ below TAU_BAND, the first break and the lag where the Gaussian window
 reaches an edge of the region, so that the bands above it keep their
 edges.  A source that declares a singular point, and a kernel derivative
 in time, keep the bands from tau_min and the old head below it: an
-analytic head where the integrand is a pure power (exact for an
-unrestricted symbol source, whose integrand there is a power times
-e^(-mu tau)) in the convolution, a fitted power law (`_richardson_head`)
-in the operator.  `_graded_bands` is the band integrator for every kernel
+analytic head where the integrand is a pure power in the convolution
+(none for a time derivative), a fitted power law (`_richardson_head`) in
+the operator.  `_graded_bands` is the band integrator for every kernel
 quadrature of the package (this module, the operator routes and the
 kernel mass), `_refined` their fine/coarse error estimate, and
 `_increment` the increment integral of the operator and of its Marchaud
@@ -77,7 +76,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammaincc
 
 from .core import FracParams, ScalarField, SpaceTimePoint, abs_gamma_neg, check_slowly_increasing
 from .kernel import _factor_eval
@@ -620,12 +619,10 @@ def _convolve_once(
     bands start at top.  A source that declares a singular point, or where
     a break comes within tau_min, keeps the bands from tau_min and, with
     deriv None, an analytic head below it that takes the inner integral at
-    its limit pi^(n/2) g(x, t); for an unrestricted symbol source with
-    mu > 0 that head is exact, g(x, t) mu^(-s) P(s, mu tau_min), with P the
-    regularized lower incomplete gamma function.  A kernel derivative in
-    time, whose integrand opens like tau^(s-2), keeps the bands from
-    tau_min without a head.  A symbol source exp(lam t) cos(k.x) (deriv
-    None) that reaches past the range's end tau_hi is there the unrestricted
+    its limit pi^(n/2) g(x, t).  A kernel derivative in time, whose
+    integrand opens like tau^(s-2), keeps the bands from tau_min without a
+    head.  A symbol source exp(lam t) cos(k.x) (deriv None) that reaches
+    past the range's end tau_hi is there the unrestricted
     field f (the cut lies past every break short of TAU_MAX), whose Gaussian
     average is pi^(n/2) f(x, t) e^(-mu tau), mu = lam + |k|^2: its tail is
     mu^(-s) f(x, t) Q(s, mu tau_hi), with Q the regularized upper incomplete
@@ -658,13 +655,8 @@ def _convolve_once(
             bottom = _bottom_band(top, s - 1.0, quad.graded_nodes)
             tau_lo = top
         elif deriv is None:
-            g0 = source.value_at(x, t)
-            if mu is not None and mu > 0.0 and not source.constraints:
-                # the inner integral is pi^{n/2} g(x, t) e^(-mu tau) exactly
-                total += g0 * mu ** (-s) * float(gammainc(s, mu * tau_lo))
-            else:
-                # analytic head: the inner integral tends to pi^{n/2} g(x, t)
-                total += g0 * tau_lo**s / (s * math.gamma(s))
+            # analytic head: the inner integral tends to pi^{n/2} g(x, t)
+            total += source.value_at(x, t) * tau_lo**s / (s * math.gamma(s))
     if tau_hi <= tau_lo and bottom is None:
         return total
     scale = 1.0 / (math.pi ** (params.n / 2.0) * math.gamma(s))
@@ -727,11 +719,14 @@ def _increment(
     with the weight tau^(-s), as one more row of the bands' nodes; a source
     that declares a singular point, or where a break comes within tau_min,
     keeps the bands from tau_min and a Richardson head below it that fits
-    G = c1 tau + c2 tau^2.  G cancels near lag 0, so the error takes in one
-    ulp of unit u_at there, weighted by tau^(-1-s) as the rules weight it:
-    eps unit |u_at| (sum_j w_j tau_j^(-1-s) + top^(-s) / s) over the band's
-    nodes tau_j and weights w_j, or tau_min^(-s) (1 / s + 5 / (1 - s) +
-    6 / (2 - s)) with the head's fit coefficients 5 and 6.  The tail
+    G = c1 tau + c2 tau^2.  G cancels near lag 0, so the error takes in its
+    round-off there, weighted by tau^(-1-s) as the rules weight it: on the
+    band 4 eps unit |u_at| (sum_j w_j tau_j^(-1-s) + top^(-s) / s) over its
+    nodes tau_j and weights w_j, 4 ulps since the field values, the inner
+    weights and the sum each round and their errors at the nodes can share
+    a sign (up to 2.7 ulps of the integral on symbol fields); with the head
+    eps unit |u_at| tau_min^(-s) (1 / s + 5 / (1 - s) + 6 / (2 - s)), 5 and
+    6 being the head's fit coefficients.  The tail
     beyond tau_hi, with mass = tau_hi^(-s) / s: for a symbol field, whose
     G is unit u_at (1 - e^(-mu tau)), the closed form
     unit u_at (tau_hi^(-s) (1 - e^(-mu tau_hi)) + mu^s Gamma(1-s)
@@ -766,12 +761,12 @@ def _increment(
 
     mass = tau_hi ** (-s) / s
     tail, tail_err = unit * u_at * mass, 0.0  # exact if u vanishes past tau_hi
-    # G cancels to about one ulp of unit u_at, which the rules weight by
+    # G cancels to a few ulps of unit u_at, which the rules weight by
     # tau^(-1-s): the band's and the bands' above it, int_top^inf = top^(-s) / s;
     # or the bands' from tau_min and the head's fit coefficients 5 and 6
     if top is not None:
         band_tau, band_w = _bottom_band(top, -s, quad.graded_nodes)
-        weight = float(np.sum(band_w * band_tau ** (-1.0 - s))) + top ** (-s) / s
+        weight = 4.0 * (float(np.sum(band_w * band_tau ** (-1.0 - s))) + top ** (-s) / s)
     else:
         weight = quad.tau_min ** (-s) * (1.0 / s + 5.0 / (1.0 - s) + 6.0 / (2.0 - s))
     roundoff = float(np.finfo(float).eps) * unit * abs(u_at) * weight

@@ -302,7 +302,7 @@ def reduce_to_g(
     f lies in C^{k+alpha} at base with jet P iff g is bounded near base
     (C^0 there with value 0); the classifier applied to g at exponent 0
     must agree with the classifier applied to f at exponent k + alpha.
-    g declares f's singular points.
+    g declares f's singular points and base, where d^(k+alpha) vanishes.
     """
     x0 = base.x_array()
     t0 = base.t
@@ -318,7 +318,9 @@ def reduce_to_g(
         return out
 
     return ScalarField(func, f.n, support=f.support, time_floor=f.time_floor,
-                       name=f"g_reduction[{f.name}]", singular_points=f.singular_points)
+                       name=f"g_reduction[{f.name}]",
+                       singular_points=f.singular_points
+                       + (("space", tuple(x0.tolist())), ("time", float(t0))))
 
 
 # ---------------------------------------------------------------------------

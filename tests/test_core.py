@@ -168,17 +168,6 @@ class TestScalarField:
         with pytest.raises(ValueError, match="neither a support nor a time floor"):
             ScalarField(lambda x, t: np.exp(t), 1, symbol_params=(1.0, [0.0]), **declared)
 
-    def test_singular_points_are_normalized_and_checked(self):
-        """A spatial singular point is stored as a tuple of n floats, a
-        singular time as a float; a direction other than space or time, or a
-        point of the wrong dimension, raises."""
-        f = ScalarField(lambda x, t: t, 1, singular_points=[("space", 0), ("time", np.float64(2))])
-        assert f.singular_points == (("space", (0.0,)), ("time", 2.0))
-        with pytest.raises(ValueError, match="'space' or 'time'"):
-            ScalarField(lambda x, t: t, 1, singular_points=[("x", 0.0)])
-        with pytest.raises(ValueError, match="dimension"):
-            ScalarField(lambda x, t: t, 1, singular_points=[("space", (0.0, 0.0))])
-
     def test_time_window_infinite_by_default(self):
         f = ScalarField(lambda x, t: np.zeros(len(np.atleast_1d(t))), 1)
         lo, hi = f.time_window()

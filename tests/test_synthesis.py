@@ -193,7 +193,8 @@ class TestSDecay:
 @pytest.mark.parametrize("direction,point", [("space", (0.0,)), ("time", 0.0)])
 def test_derived_fields_keep_the_singular_points(direction, point):
     """power_cusp declares its cusp in either direction, and every field
-    derived from it declares it too; smooth fields declare none."""
+    derived from it declares it too (reduce_to_g adds its base); smooth
+    fields declare none."""
     params = FracParams(1, 0.5)
     f = power_cusp(0.5, direction=direction)
     want = ((direction, point),)
@@ -203,14 +204,15 @@ def test_derived_fields_keep_the_singular_points(direction, point):
         "make_field": make_field({"kind": "power_cusp", "beta": 0.5, "direction": direction}),
         "difference_field": difference_field(f, jet_source(P), params),
         "synthesized_field": synthesized_field(f, params, QUAD),
-        "reduce_to_g": reduce_to_g(f, P, CENTER, 0, 0.5),
         "polynomial_field": polynomial_field(P, cut=f),
     }
     assert {name: g.singular_points for name, g in derived.items()} == {
         name: want for name in derived}
+    base = SpaceTimePoint.of(0.25, -0.5)
+    assert reduce_to_g(f, P, base, 0, 0.5).singular_points == (
+        *want, ("space", (0.25,)), ("time", -0.5))
     # a cusp on a cusp declares both, the bump's first
     double = power_cusp(1.5, bump=power_cusp(0.5, direction=direction))
     assert double.singular_points == (*want, ("space", (0.0,)))
-    for smooth in (gaussian_bump(), exp_symbol(1.0, [0.5]), jet_source(P),
-                   difference_field(gaussian_bump(), jet_source(P), params)):
+    for smooth in (gaussian_bump(), exp_symbol(1.0, [0.5])):
         assert smooth.singular_points == ()
