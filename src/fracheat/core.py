@@ -343,7 +343,8 @@ class ScalarField:
     - `singular_points`: where the field is not smooth, as pairs
       ("space", x0), across the point x0 (a tuple of n floats) at every
       time, or ("time", t0), across the time t0 at every x; a source that
-      declares one keeps the quadratures' analytic head below tau_min.
+      declares one keeps a head on [0, tau_min] in place of the bottom
+      band, and the direct Laplacian route's bands break at ("space", x0).
       Nothing checks the declaration: a field whose kink is undeclared (the
       cutoff's, along |x| = sqrt|t| where its step moves) takes the
       Gauss-Jacobi bottom band, which assumes a source smooth in tau

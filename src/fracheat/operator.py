@@ -14,7 +14,7 @@ derivative are one increment integral (`quadrature._increment`), with the
 Gaussian average and with the point value u(t - tau) as the average.  The
 fractional Laplacian of a cosine profile is the operator on the
 time-independent symbol field exp_symbol(0, k); compact and bounded
-profiles keep a direct quadrature in |y - x|.
+profiles keep a direct quadrature in |y - x|, with a bottom band too.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from .fields import exp_symbol
 from .quadrature import (
     QuadratureSpec,
     RestrictedSource,
+    _bottom_band,
     _graded_bands,
     _increment,
     _refined,
-    _richardson_head,
     increment_integral,
 )
 
@@ -44,7 +44,7 @@ __all__ = [
     "marchaud_constant",
 ]
 
-Z_MIN, Z_MAX = 1e-7, 1e6  # the direct Laplacian route's range of |y - x|
+Z_BAND, Z_MAX = 0.03, 1e6  # the direct Laplacian route's band ends by Z_BAND, its range by Z_MAX
 
 
 def symbol_oracle(lam: float, k, s: float) -> float:
@@ -99,10 +99,16 @@ def apply_fractional_laplacian(
     the operator: on the time-independent exp_symbol(0, k) at (x, 0) the
     operator is (-Lap)^s, and its symbol tail is closed form.  Compact and
     bounded profiles take the direct route, the symmetrized principal value
-      C int_0^inf (2u(x) - u(x+z) - u(x-z)) / z^(1+2s) dz,
-    on dyadic bands with an analytic head (the integrand opens like
-    z^(1-2s)); past the support the tail is exact, and a bounded profile
-    gets the worst case.
+      C int_0^inf (2u(x) - u(x+z) - u(x-z)) / z^(1+2s) dz.
+    incr / z^2 = (2u(x) - u(x+z) - u(x-z)) / z^2 is smooth in z short of
+    the distances d from x to the support's edges and to the profile's
+    declared ("space", x0) points: one Gauss-Jacobi band of weight z^(1-2s)
+    takes it on [0, top], top = min(Z_BAND, d / 4), and dyadic bands graded
+    from top, split at each d > 0, take the rest.  A kink at x (d = 0), where
+    incr is a power of z that the band does not fit, leaves it [0, tau_min]
+    and counts its whole value as error.  The error takes in incr's round-off
+    as `quadrature._increment` counts G's, 4 ulps of u(x) weighted by
+    z^(-1-2s).  The tail is exact past a support, the worst case otherwise.
     """
     if params.n != 1:
         raise NotImplementedError("direct spatial route implemented for n = 1")
@@ -121,27 +127,28 @@ def apply_fractional_laplacian(
         return 2.0 * u_at - uval(x + z) - uval(x - z)
 
     interval = u_space.spatial_interval()
-    if interval is not None:
-        z_hi = max(abs(x - interval[0]), abs(x - interval[1]), 4 * Z_MIN)
-    else:
-        z_hi = Z_MAX
+    z_hi = Z_MAX if interval is None else max(abs(x - v) for v in interval)
+    kinks = [*(interval or ()), *(p[0] for kind, p in u_space.singular_points if kind == "space")]
+    breaks = [abs(x - v) for v in kinks]  # one at 0 splits no band
+    top = min([Z_BAND, *(d / 4.0 if d > 0.0 else quad.tau_min for d in breaks)])
 
     def one_pass(spec: QuadratureSpec) -> float:
-        # Richardson head: incr(z) ~ c2 z^2 + c4 z^4 for smooth u
-        g1 = float(incr(np.array([Z_MIN]))[0])
-        g2 = float(incr(np.array([Z_MIN / 2.0]))[0])
-        head = _richardson_head(g1, g2, Z_MIN, 2.0, 4.0, -1.0 - 2.0 * s)
-        return head + _graded_bands(
-            lambda z: incr(z) * z ** (-1.0 - 2.0 * s), Z_MIN, z_hi, (), spec.graded_nodes
-        )
+        nodes = spec.graded_nodes
+        return _graded_bands(lambda z: incr(z) * z ** (-1.0 - 2.0 * s), top, z_hi, breaks,
+                             nodes, _bottom_band(top, 1.0 - 2.0 * s, nodes))
 
-    # tail beyond z_hi: the 2u(x) part is an exact power integral, and u
-    # vanishes past a support
+    # round-off: 4 ulps of u(x), weighted by z^(-1-2s) on the band and past it
+    z, w = _bottom_band(top, 1.0 - 2.0 * s, quad.graded_nodes)
+    band = w * z ** (-1.0 - 2.0 * s)
+    tail_err = 4.0 * float(np.finfo(float).eps) * abs(u_at) * (
+        float(np.sum(band)) + top ** (-2.0 * s) / (2.0 * s))
+    if 0.0 in breaks:  # the band does not fit a kink at x: all of it is error
+        tail_err += abs(float(np.sum(band * incr(z))))
+    # past z_hi the 2u(x) part is an exact power integral; u vanishes past a support
     tail = 2.0 * u_at * z_hi ** (-2.0 * s) / (2.0 * s)
-    tail_err = 0.0
     if interval is None:  # no decay assumption available: the worst case
         bound = u_space.bound if u_space.bound is not None else abs(u_at)
-        tail_err = 2.0 * bound * z_hi ** (-2.0 * s) / (2.0 * s)
+        tail_err += 2.0 * bound * z_hi ** (-2.0 * s) / (2.0 * s)
     return _refined(one_pass, quad, tail, tail_err, C)
 
 

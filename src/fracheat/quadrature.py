@@ -8,24 +8,21 @@ the substitution y = x - 2 sqrt(tau) w:
 
 The time integral runs over dyadic bands graded toward tau = 0, with band
 edges aligned to every time at which the integrand's spatial restriction
-changes shape.  Below them the convolution and the operator take one
-Gauss-Jacobi bottom band on [0, top]: the Gaussian average of a smooth
-source is smooth in tau near 0, so Gauss-Jacobi with the weight
-tau^(s-1) (the convolution) or tau^(-s) (the operator, on G / tau)
-integrates it spectrally (Golub-Welsch, Math. Comp. 23, 1969).  Its
-graded_nodes nodes are one more row of the bands' nodes, its coarse pass
-halves them like the bands', and top = tau_min 2^m (`_band_top`) stays
+changes shape.  Below them one Gauss-Jacobi bottom band takes [0, top]:
+the Gaussian average of a smooth source is smooth in tau near 0, so
+Gauss-Jacobi with the weight tau^(s-1) (the convolution) or tau^(-s) (the
+operator, on G / tau) integrates it spectrally (Golub-Welsch, Math. Comp.
+23, 1969).  Its graded_nodes nodes are one more row of the bands' nodes,
+its coarse pass halves them like the bands', and top (`_band_top`) stays
 below TAU_BAND, the first break and the lag where the Gaussian window
-reaches an edge of the region, so that the bands above it keep their
-edges.  A source that declares a singular point, and a kernel derivative
-in time, keep the bands from tau_min and the old head below it: an
-analytic head where the integrand is a pure power in the convolution
-(none for a time derivative), a fitted power law (`_richardson_head`) in
-the operator.  `_graded_bands` is the band integrator for every kernel
-quadrature of the package (this module, the operator routes and the
-kernel mass), `_refined` their fine/coarse error estimate, and
-`_increment` the increment integral of the operator and of its Marchaud
-reduction, with their one tail policy.
+reaches an edge of the region.  Only a source that declares a singular
+point keeps a head on [0, top] in its place: an analytic one in the
+convolution, a fitted power law (`_richardson_head`) in the operator.  A
+kernel derivative in time keeps no bottom.  `_graded_bands` is the band
+integrator for every kernel quadrature of the package (this module, the
+operator routes and the kernel mass), `_refined` their fine/coarse error
+estimate, and `_increment` the increment integral of the operator and of
+its Marchaud reduction, with their one tail policy.
 `_reach` is the one time-range rule of both routes: it reads what the
 source declares (its time window, from a support or a time floor and the
 constraints, and its symbol) and ends the range there, at TAU_MAX, or at the
@@ -104,8 +101,8 @@ class QuadratureSpec:
 
     tau_min is the lag from which the dyadic bands are graded: below it
     (and up to top = tau_min 2^m <= TAU_BAND) a Gauss-Jacobi bottom band of
-    graded_nodes nodes takes the integral, or an analytic head where the
-    source declares a singular point; the range ends at TAU_MAX at the
+    graded_nodes nodes takes the integral, or a head on [0, tau_min] where
+    the source declares a singular point; the range ends at TAU_MAX at the
     latest.  graded_nodes is the Gauss-Legendre order per dyadic band, hermite_order
     the Gauss-Hermite order of every unbounded spatial integral (symbol
     fields end their range where it resolves them), spatial_nodes the
@@ -348,9 +345,8 @@ def _bottom_band(top: float, beta: float, order: int) -> tuple:
 def _band_top(
     source: RestrictedSource, x: Optional[np.ndarray], t: float, tau_min: float,
     tau_hi: float, breaks: Sequence[float],
-) -> Optional[float]:
-    """The top of the bottom band [0, top] of a source at (x, t), or None
-    where the source keeps the analytic head below tau_min.
+) -> float:
+    """The top of the bottom band [0, top] of a source at (x, t).
 
     top is the largest tau_min 2^m (m >= 0) that is at most TAU_BAND, the
     range's end tau_hi, the first positive break lag and, for each edge of
@@ -358,14 +354,14 @@ def _band_top(
     where the window x +- 2 W_MAX sqrt(tau) reaches it; below it the
     Gaussian average is smooth in tau.  The graded bands above top keep the
     edges of bands graded from tau_min.  Where TAU_BAND or an edge comes
-    nearer than tau_min, top is tau_min, the old head's range.  x None (a
-    point value, no window) skips the edges.  None where tau_hi or a break
-    comes nearer than tau_min (no band crosses a break), or where the
-    source declares a singular point, at which the average is not smooth.
+    nearer than tau_min, top is tau_min; x None (a point value, no window)
+    skips the edges.  Where tau_hi or a break comes nearer, top is that lag:
+    no band crosses a break.  A source that declares a singular point, where
+    the average is not smooth, gets tau_min or that lag, its head's range.
     """
     reach = min([tau_hi, *(b for b in breaks if b > 0.0)])
-    if source.field.singular_points or reach < tau_min:
-        return None
+    if source.field.singular_points or reach <= tau_min:
+        return min(reach, tau_min)
     bound = min(reach, TAU_BAND)
     ints = source.intervals(t - 0.5 * tau_min) if x is not None else None
     for edge in (v for iv in ints or () for v in iv):
@@ -616,13 +612,12 @@ def _convolve_once(
     the source reaches down to lag 0, the bottom band takes [0, top]
     (`_band_top`) with the weight tau^(s-1): tau^(s-1) A is that power times
     a function smooth in tau, also for a spatial kernel derivative, and the
-    bands start at top.  A source that declares a singular point, or where
-    a break comes within tau_min, keeps the bands from tau_min and, with
-    deriv None, an analytic head below it that takes the inner integral at
-    its limit pi^(n/2) g(x, t).  A kernel derivative in time, whose
-    integrand opens like tau^(s-2), keeps the bands from tau_min without a
-    head.  A symbol source exp(lam t) cos(k.x) (deriv None) that reaches
-    past the range's end tau_hi is there the unrestricted
+    bands start at top.  A source that declares a singular point takes
+    instead, with deriv None, an analytic head on [0, top] that takes the
+    inner integral at its limit pi^(n/2) g(x, t).  A kernel derivative in
+    time, whose integrand opens like tau^(s-2), keeps the bands from
+    tau_min and no bottom.  A symbol source exp(lam t) cos(k.x) (deriv
+    None) that reaches past the range's end tau_hi is there the unrestricted
     field f (the cut lies past every break short of TAU_MAX), whose Gaussian
     average is pi^(n/2) f(x, t) e^(-mu tau), mu = lam + |k|^2: its tail is
     mu^(-s) f(x, t) Q(s, mu tau_hi), with Q the regularized upper incomplete
@@ -648,15 +643,14 @@ def _convolve_once(
     if reaches and mu is not None:
         total += source.field.eval_at(pt) * mu ** (-s) * float(gammaincc(s, mu * tau_hi))
     bottom = None
-    if tau_lo == quad.tau_min:  # the source reaches down to lag 0
-        in_time = deriv is not None and deriv[-1] > 0
-        top = None if in_time else _band_top(source, x, t, tau_lo, tau_hi, breaks)
-        if top is not None:
-            bottom = _bottom_band(top, s - 1.0, quad.graded_nodes)
-            tau_lo = top
-        elif deriv is None:
+    # the source reaches down to lag 0; a kernel derivative in time keeps no bottom
+    if tau_lo == quad.tau_min and (deriv is None or deriv[-1] == 0):
+        tau_lo = _band_top(source, x, t, tau_lo, tau_hi, breaks)
+        if source.field.singular_points and deriv is None:
             # analytic head: the inner integral tends to pi^{n/2} g(x, t)
             total += source.value_at(x, t) * tau_lo**s / (s * math.gamma(s))
+        else:
+            bottom = _bottom_band(tau_lo, s - 1.0, quad.graded_nodes)
     if tau_hi <= tau_lo and bottom is None:
         return total
     scale = 1.0 / (math.pi ** (params.n / 2.0) * math.gamma(s))
@@ -717,16 +711,15 @@ def _increment(
     window).  The working range is `_reach`'s, at least 4 tau_min long.
     Below top (`_band_top`) the bottom band takes G / tau, smooth in tau,
     with the weight tau^(-s), as one more row of the bands' nodes; a source
-    that declares a singular point, or where a break comes within tau_min,
-    keeps the bands from tau_min and a Richardson head below it that fits
-    G = c1 tau + c2 tau^2.  G cancels near lag 0, so the error takes in its
-    round-off there, weighted by tau^(-1-s) as the rules weight it: on the
-    band 4 eps unit |u_at| (sum_j w_j tau_j^(-1-s) + top^(-s) / s) over its
-    nodes tau_j and weights w_j, 4 ulps since the field values, the inner
-    weights and the sum each round and their errors at the nodes can share
-    a sign (up to 2.7 ulps of the integral on symbol fields); with the head
-    eps unit |u_at| tau_min^(-s) (1 / s + 5 / (1 - s) + 6 / (2 - s)), 5 and
-    6 being the head's fit coefficients.  The tail
+    that declares a singular point takes instead a Richardson head on
+    [0, top] that fits G = c1 tau + c2 tau^2.  G cancels near lag 0, so the
+    error takes in its round-off there, weighted by tau^(-1-s) as the rules
+    weight it: on the band 4 eps unit |u_at| (sum_j w_j tau_j^(-1-s) +
+    top^(-s) / s) over its nodes tau_j and weights w_j, 4 ulps since the
+    field values, the inner weights and the sum each round and their errors
+    at the nodes can share a sign (up to 2.7 ulps of the integral on symbol
+    fields); with the head eps unit |u_at| top^(-s) (1 / s + 5 / (1 - s) +
+    6 / (2 - s)), 5 and 6 being the head's fit coefficients.  The tail
     beyond tau_hi, with mass = tau_hi^(-s) / s: for a symbol field, whose
     G is unit u_at (1 - e^(-mu tau)), the closed form
     unit u_at (tau_hi^(-s) (1 - e^(-mu tau_hi)) + mu^s Gamma(1-s)
@@ -751,24 +744,23 @@ def _increment(
         def integrand(tau):
             return tau ** (-1.0 - s) * G(tau, spec)
 
-        if top is not None:
+        if not u.singular_points:
             return _graded_bands(integrand, top, tau_hi, breaks, nodes,
                                  _bottom_band(top, -s, nodes))
-        lo = spec.tau_min
-        g1, g2 = G(np.array([[lo], [lo / 2]]), spec)[:, 0]
-        head = _richardson_head(g1, g2, lo, 1.0, 2.0, -1.0 - s)
-        return head + _graded_bands(integrand, lo, tau_hi, breaks, nodes)
+        g1, g2 = G(np.array([[top], [top / 2]]), spec)[:, 0]
+        head = _richardson_head(g1, g2, top, 1.0, 2.0, -1.0 - s)
+        return head + _graded_bands(integrand, top, tau_hi, breaks, nodes)
 
     mass = tau_hi ** (-s) / s
     tail, tail_err = unit * u_at * mass, 0.0  # exact if u vanishes past tau_hi
     # G cancels to a few ulps of unit u_at, which the rules weight by
     # tau^(-1-s): the band's and the bands' above it, int_top^inf = top^(-s) / s;
-    # or the bands' from tau_min and the head's fit coefficients 5 and 6
-    if top is not None:
+    # or the bands' above the head and the head's fit coefficients 5 and 6
+    if u.singular_points:
+        weight = top ** (-s) * (1.0 / s + 5.0 / (1.0 - s) + 6.0 / (2.0 - s))
+    else:
         band_tau, band_w = _bottom_band(top, -s, quad.graded_nodes)
         weight = 4.0 * (float(np.sum(band_w * band_tau ** (-1.0 - s))) + top ** (-s) / s)
-    else:
-        weight = quad.tau_min ** (-s) * (1.0 / s + 5.0 / (1.0 - s) + 6.0 / (2.0 - s))
     roundoff = float(np.finfo(float).eps) * unit * abs(u_at) * weight
     if mu is not None:
         z = mu * tau_hi

@@ -10,6 +10,8 @@ from fracheat import (
     SpaceTimePoint,
     apply_fully_fractional,
     exp_symbol,
+    gaussian_bump,
+    power_cusp,
     time_profile,
 )
 from fracheat.operator import (
@@ -115,6 +117,58 @@ class TestFractionalLaplacian:
             assert abs(val - k ** (2 * s) * math.cos(k * x)) <= 1e-5 * k ** (2 * s)
             pt = SpaceTimePoint.of(x, 0.0)
             assert (val, err) == apply_fully_fractional(exp_symbol(0.0, [k]), pt, params)
+
+
+# (-Lap)^s of gaussian_bump()'s profile exp(1 - 1 / (1 - x^2)) at x = 0.3,
+# computed with mpmath at 50 digits (unchanged at 60 and 70): a Taylor head
+# on [0, 1e-3] from the profile's first 16 derivatives at x (mpmath.taylor),
+# mpmath.quad on [1e-3, 1.3] split at 0.7, where x - z leaves the support,
+# and the exact tail 2 u(x) 1.3^(-2s) / (2s) past the support
+BUMP_LAPLACIAN = {0.5: 1.3026713976823128, 0.7: 1.6940768751711529,
+                  0.9: 2.2455376163036838}
+# (-Lap)^s of power_cusp(beta)'s profile |x|^beta exp(1 - 1 / (1 - x^2 / 0.5625)),
+# keyed (beta, s, x), by the same mpmath recipe at 30 digits (Taylor head on
+# [0, min(1e-3, x / 4)], quad split at x, where x - z crosses the cusp);
+# at x = 0 by mpmath.quad on [0, 0.75] alone.  Each agrees with 45 digits
+# and a longer Taylor head to 1e-13.
+CUSP_LAPLACIAN = {
+    (0.5, 0.5, 0.01): -2.9592682408564048, (0.5, 0.5, 0.03): -0.83143807872141729,
+    (0.5, 0.5, 0.05): -0.16224647997932589, (0.5, 0.5, 0.3): 1.3780471701419955,
+    (1.5, 0.5, 0.01): -0.69079530631822449, (1.5, 0.5, 0.03): -0.57524117133178852,
+    (1.5, 0.5, 0.05): -0.48882736003277899, (1.5, 0.5, 0.3): 0.4161053652178881,
+    (1.5, 0.5, 0.0): -0.84156454484281064, (1.5, 0.3, 0.0): -0.24907245639958013,
+    (1.0, 0.3, 0.0): -0.82336805047157176,
+}
+
+
+class TestDirectLaplacian:
+    """Compact and bounded profiles take the direct route in |y - x|, whose
+    bottom band of weight z^(1-2s) replaced a Richardson head at z = 1e-7
+    that amplified round-off by z^(-2s): the head missed the Lorentzian by
+    2e-3 at s = 0.9 with an estimate of 4e-6, and the bump by 1.5e-3."""
+
+    @pytest.mark.parametrize("s", [0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("x", [0.0, 0.5, 2.0])
+    def test_lorentzian_closed_form(self, s, x):
+        # (-Lap)^s (1 + x^2)^(-1) = Gamma(2s+1) cos((2s+1) atan x) / (1+x^2)^(s+1/2)
+        lorentz = ScalarField(lambda y, t: 1.0 / (1.0 + y[:, 0] ** 2), 1, bound=1.0)
+        val, err = apply_fractional_laplacian(lorentz, x, FracParams(1, s))
+        truth = (math.gamma(2 * s + 1) * math.cos((2 * s + 1) * math.atan(x))
+                 / (1 + x * x) ** (s + 0.5))
+        assert abs(val - truth) <= min(err, 1e-6)
+
+    @pytest.mark.parametrize("s", sorted(BUMP_LAPLACIAN))
+    def test_bump_against_mpmath(self, s):
+        val, err = apply_fractional_laplacian(gaussian_bump(), 0.3, FracParams(1, s))
+        assert abs(val - BUMP_LAPLACIAN[s]) <= min(err, 1e-6)
+
+    @pytest.mark.parametrize("beta,s,x", sorted(CUSP_LAPLACIAN))
+    def test_cusp_against_mpmath(self, beta, s, x):
+        # near the cusp the band ends at a quarter of the distance to it; at
+        # the cusp, where incr is a power of z, at tau_min (a band on
+        # [0, Z_BAND] there missed by 5.8e-3 at beta = 1.5, s = 0.5)
+        val, err = apply_fractional_laplacian(power_cusp(beta), x, FracParams(1, s))
+        assert abs(val - CUSP_LAPLACIAN[beta, s, x]) <= err
 
 
 class TestMarchaud:

@@ -37,9 +37,17 @@ round-off term, which the band weights by top^(-s) where the head had
 weighted tau_min^(-s), counting 4 ulps of G (op_symbol_n1 1.1e-11 to
 1.4e-12; at one ulp, 6.2e-13 left a few symbol queries uncovered); that of
 op_bump_n1 rose from 2.3e-6 to 4.9e-6, since its coarse pass now sees the
-band's error at four nodes.  lap_bump, lap_lorentz and the kernel masses do
-not take the band and kept their bits.  Any later change to the quadrature
-must reproduce them:
+band's error at four nodes.  lap_bump, lap_lorentz and the kernel masses did
+not take the band then and kept their bits.  lap_bump and lap_lorentz were
+re-grounded when the direct Laplacian route took a Gauss-Jacobi band of
+weight z^(1-2s) on [0, min(0.03, d / 4)] in place of its Richardson head at
+1e-7, and counted the round-off of its increment in the estimate.  Both
+moved toward their references: lap_bump from 3.5e-7 to 1.2e-10 of the
+mpmath value 1.3026713976823128 (see test_operator.py), and lap_lorentz
+from 6.2e-8 to 1.0e-11 of its closed form
+Gamma(2s + 1) cos((2s + 1) atan x) / (1 + x^2)^(s + 1/2).  Every other golden
+kept its bits when the band became total and a break within tau_min became
+its top.  Any later change to the quadrature must reproduce them:
 values to 1e-12 relative, estimates to 1e-14 |value| + 1e-16.
 """
 
@@ -175,9 +183,9 @@ GOLDEN = {
     'conv_restricted': (0.11736173527223548, 0.0003110514730614423),
     'conv_restricted_deriv': (0.09714914641835708, 8.27903968849164e-05),
     'conv_symbol_n1': (0.4335533881047879, 3.8980971971535e-07),
-    'lap_bump': (1.3026710495744576, 7.311963439120644e-07),
+    'lap_bump': (1.3026713977996325, 1.4695153323856657e-07),
     'lap_cos': (1.0560099013564404, 1.17489591168221e-09),
-    'lap_lorentz': (0.45111863436732924, 3.551499155458932e-08),
+    'lap_lorentz': (0.4511185722493171, 3.5123305599424674e-08),
     'marchaud_bounded': (-0.08466506295351042, 0.0035895269310461564),
     'marchaud_exp': (1.2214027581601594, 1.6573526897083135e-12),
     'marchaud_ramp': (1.1191749540701226, 3.690398267592509e-13),
@@ -519,18 +527,21 @@ def test_bands_above_top_keep_their_edges(name):
     assert len(above) < len(full) and above == full[len(full) - len(above):]
 
 
-@pytest.mark.parametrize("field,deriv,band", [
-    (gaussian_bump(), None, True),
-    (gaussian_bump(), (1, 0), True),
-    (gaussian_bump(), (2, 0), True),
-    (gaussian_bump(), (0, 1), False),
-    (power_cusp(0.5), None, False),
-    (power_cusp(0.5, direction="time"), None, False),
-], ids=["value", "d_x", "d_xx", "d_t", "space_cusp", "time_cusp"])
-def test_where_the_bottom_band_applies(field, deriv, band, monkeypatch):
-    """The convolution takes the bottom band in place of its head, also for
-    spatial kernel derivatives; a kernel derivative in time and a source
-    that declares a singular point keep the bands from tau_min."""
+@pytest.mark.parametrize("field,deriv,band,lifted", [
+    (gaussian_bump(), None, True, True),
+    (gaussian_bump(), (1, 0), True, True),
+    (gaussian_bump(), (2, 0), True, True),
+    (gaussian_bump(), (0, 1), False, False),
+    (power_cusp(0.5), None, False, False),
+    (power_cusp(0.5, direction="time"), None, False, False),
+    (power_cusp(0.5), (1, 0), True, False),
+], ids=["value", "d_x", "d_xx", "d_t", "space_cusp", "time_cusp", "cusp_d_x"])
+def test_where_the_bottom_band_applies(field, deriv, band, lifted, monkeypatch):
+    """The convolution takes the bottom band, also for spatial kernel
+    derivatives, and the bands start at its top above tau_min (lifted).  A
+    source that declares a singular point keeps the bands from tau_min,
+    with its head below (deriv None) or the band on [0, tau_min] (a spatial
+    derivative); a kernel derivative in time keeps no bottom."""
     from fracheat import quadrature
 
     plain, seen = quadrature._graded_bands, []
@@ -542,24 +553,67 @@ def test_where_the_bottom_band_applies(field, deriv, band, monkeypatch):
     monkeypatch.setattr(quadrature, "_graded_bands", recording)
     kernel_convolve(field, SpaceTimePoint.of(0.1, 0.2), FracParams(1, 0.4), COARSE, deriv=deriv)
     assert [b for _, b in seen] == [band, band]
-    assert all((lo > COARSE.tau_min) == band for lo, _ in seen)
+    assert all((lo > COARSE.tau_min) == lifted for lo, _ in seen)
 
 
 def test_band_top_where_a_kink_comes_within_tau_min():
     """An edge whose window distance is nearer than tau_min gives the band
-    the head's range [0, tau_min]; a break nearer than tau_min, or a
-    singular point, keeps the head, since no band crosses a break or a
-    cusp."""
+    [0, tau_min]; a break nearer than tau_min is the band's top, since no
+    band crosses a break; a source that declares a singular point gets
+    tau_min, its head's range, wherever its edges lie, or that nearer break,
+    which its head does not cross either."""
     tau_min = QuadratureSpec().tau_min
     bump = RestrictedSource(gaussian_bump())
     _, tau_hi, breaks, _, _ = _reach(bump, 0.2)
     assert _band_top(bump, np.array([0.9999]), 0.2, tau_min, tau_hi, breaks) == tau_min
     kept = RestrictedSource(exp_symbol(0.5, [1.0]), [(_CYL, True)])
     _, tau_hi, breaks, _, _ = _reach(kept, 0.5 * tau_min)
-    assert _band_top(kept, np.array([0.3]), 0.5 * tau_min, tau_min, tau_hi, breaks) is None
+    top = _band_top(kept, np.array([0.3]), 0.5 * tau_min, tau_min, tau_hi, breaks)
+    assert top == min(b for b in breaks if b > 0.0) == 0.5 * tau_min
     cusp = RestrictedSource(power_cusp(0.5))
     _, tau_hi, breaks, _, _ = _reach(cusp, 0.2)
-    assert _band_top(cusp, np.array([0.3]), 0.2, tau_min, tau_hi, breaks) is None
+    for x in (0.3, 0.749):  # deep inside the support, and near its edge
+        assert _band_top(cusp, np.array([x]), 0.2, tau_min, tau_hi, breaks) == tau_min
+    _, tau_hi, breaks, _, _ = _reach(_restricted(), 0.5 * tau_min)  # after its cylinders
+    top = _band_top(_restricted(), np.array([0.5]), 0.5 * tau_min, tau_min, tau_hi, breaks)
+    assert top == 0.5 * tau_min
+
+
+_STEP = time_profile(lambda t: (t >= 0.0).astype(float), time_floor=0.0)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7])
+@pytest.mark.parametrize("t", [5e-9, 2e-9])
+def test_a_break_within_tau_min_tops_the_band(s, t):
+    """At a lag t < tau_min past the step's floor, the bottom band ends at
+    the break, where the old head integrated past it (Marchaud read 178.88
+    for 238.24 at s = 0.3, t = 5e-9, with an estimate of 1.6e-10).  The
+    operator and Marchaud match t^(-s) / Gamma(1 - s), and the convolution
+    t^s / Gamma(1 + s), to 1e-12 relative and within their estimates."""
+    params = FracParams(1, s)
+    pt = SpaceTimePoint.of(0.0, t)
+    truth = t ** (-s) / math.gamma(1.0 - s)
+    for value, err in (apply_marchaud(_STEP, t, s), apply_fully_fractional(_STEP, pt, params)):
+        assert abs(value - truth) <= min(err, 1e-12 * truth)
+    value, err = kernel_convolve(_STEP, pt, params)
+    truth = t**s / math.gamma(1.0 + s)
+    assert abs(value - truth) <= min(err, 1e-12 * truth)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7])
+def test_a_cylinder_floor_within_tau_min_tops_the_band(s):
+    """cos x kept in the past unit cylinder, 5e-9 after its floor t = -1:
+    the Gaussian average of cos is pi^(1/2) cos(x) e^(-tau), and the window
+    stays inside |x| < 1, so u = cos(0.3) P(s, t + 1), P the regularized
+    lower incomplete gamma function (t + 1 as computed in floating point).
+    The old head read 23 % too much at s = 0.3."""
+    from scipy.special import gammainc
+
+    t = -1.0 + 5e-9
+    source = RestrictedSource(exp_symbol(0.0, [1.0]), [(_CYL, True)])
+    value, err = kernel_convolve(source, SpaceTimePoint.of(0.3, t), FracParams(1, s))
+    truth = math.cos(0.3) * float(gammainc(s, t + 1.0))
+    assert abs(value - truth) <= min(err, 1e-12 * truth)
 
 
 def _bump_dx():
@@ -587,6 +641,21 @@ def test_spatial_kernel_derivative_is_the_derivative_of_the_source(s):
     value, err = kernel_convolve(gaussian_bump(), pt, params, deriv=(1, 0))
     want, want_err = kernel_convolve(_bump_dx(), pt, params)
     assert abs(value - want) <= err + want_err
+
+
+def test_spatial_derivative_of_a_cusp_source_takes_the_band():
+    """D_x (K * f) for f = power_cusp(0.5), 0.1 from its cusp, takes the band
+    on [0, tau_min] and matches a central difference of u = K * f at a fine
+    spec within the summed estimates.  With no bottom it missed by about
+    6e-3.  spatial_nodes 64 keeps the error of the panels that cross the
+    cusp small: at the default 16 it is 1.1e-3, twice the estimate."""
+    f, params = power_cusp(0.5), FracParams(1, 0.3)
+    value, err = kernel_convolve(f, SpaceTimePoint.of(0.1, 0.2), params,
+                                 QuadratureSpec(spatial_nodes=64), deriv=(1, 0))
+    fine, h = QuadratureSpec(tau_min=1e-10, graded_nodes=32, spatial_nodes=192), 2e-3
+    (up, up_err), (um, um_err) = (kernel_convolve(f, SpaceTimePoint.of(0.1 + sign * h, 0.2),
+                                                  params, fine) for sign in (1.0, -1.0))
+    assert abs(value - (up - um) / (2.0 * h)) <= err + (up_err + um_err) / (2.0 * h)
 
 
 # closed forms of goldens that take the bottom band, to its accuracy
