@@ -297,7 +297,10 @@ _VERIFIERS = {
 
 def cmd_verify_kernel(args) -> int:
     t0 = time.time()
-    plan = SamplePlan(n_samples=args.samples, seed=args.seed)
+    try:
+        plan = SamplePlan(n_samples=args.samples, seed=args.seed)
+    except ValueError as exc:  # argparse has made both integers
+        raise SystemExit(f"verify-kernel: {exc}") from None
     rep = _VERIFIERS[args.lemma](args, FracParams(args.n, args.s), plan)
     payload = dataclasses.asdict(rep)
     payload["worst_point"] = [list(rep.worst_point[0]), rep.worst_point[1]]

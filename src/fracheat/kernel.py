@@ -18,6 +18,7 @@ refinement-stability flag; they never assert a universal constant.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -199,11 +200,23 @@ class SamplePlan:
     diagonal, then n_samples random points log-uniform in |t| over
     [r^2*1e-4, r^2*1e4] and in |x| over [r*1e-4, 1e2*r].  Seeded, so a plan
     always draws the same points; plans of different sizes are not nested
-    (only the |t| draws share a prefix).
+    (only the |t| draws share a prefix).  The last draw is kept, read-only,
+    so the verifiers of one plan at one r and n draw it once.  n_samples
+    and seed are integers >= 0, numpy integers stored as Python ints, so
+    that equal plans hash equal.
     """
 
     n_samples: int = 10000
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("n_samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass
@@ -224,10 +237,12 @@ class BoundReport:
         )
 
 
+@lru_cache(maxsize=1)
 def _samples(plan: SamplePlan, r: float, n: int):
     """(x, t, n_det): the adversarial sweep (axis and diagonal rays crossed
     with a |t| grid, plus the pure-time edge, at both signs of t), then the
-    plan's random draw."""
+    plan's random draw.  The last draw is kept, its arrays read-only; one
+    entry only, since a draw of 10^5 points is megabytes."""
     abs_x = r * np.geomspace(1e-4, 1e2, 61)
     abs_t = r**2 * np.geomspace(1e-4, 1e4, 81)
     rays = [np.eye(n)[0], np.ones(n) / math.sqrt(n)]
@@ -246,7 +261,9 @@ def _samples(plan: SamplePlan, r: float, n: int):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     xr = dirs * abs_x[:, None]
     tr = abs_t * rng.choice([-1.0, 1.0], size=count)
-    return np.concatenate([xa, xr], axis=0), np.concatenate([ta, tr]), len(ta)
+    x, t = np.concatenate([xa, xr], axis=0), np.concatenate([ta, tr])
+    x.flags.writeable = t.flags.writeable = False
+    return x, t, len(ta)
 
 
 def _ratio_report(

@@ -89,6 +89,12 @@ class TestVerifyKernel:
         assert report["empirical_constant"] > 0
         assert report["lemma"]
 
+    @pytest.mark.parametrize("flag,name", [("--samples", "n_samples"), ("--seed", "seed")])
+    def test_negative_plan_field_is_one_line(self, tmp_path, flag, name):
+        with pytest.raises(SystemExit, match=rf"^verify-kernel: {name} must be >= 0, got -5$"):
+            main(["verify-kernel", "--lemma", "global", flag, "-5",
+                  "--out-dir", str(tmp_path)])
+
 
 class TestNuProfileCommand:
     def test_profile_csv(self, tmp_path):

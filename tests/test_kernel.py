@@ -159,6 +159,49 @@ class TestBoundVerifiers:
             assert rep.empirical_constant >= sweep_sup
             assert rep == verify_global_bound(1.0, 1.5, 0.5, r=r, plan=plan)
 
+    def test_one_plan_draws_once(self):
+        """The three verifiers of one plan at one r and n draw its samples
+        once; the kept arrays are read-only, and each report equals one from
+        a cold cache."""
+        plan = SamplePlan(n_samples=3000, seed=5)
+        runs = [
+            lambda: verify_global_bound(1.0, 1.0, 0.25, r=0.5, plan=plan),
+            lambda: verify_local_bound(1.0, 1.0, 0.25, r=0.5, plan=plan),
+            lambda: verify_translation_bound(FracParams(1, 0.5), m=2, l=1, r=0.5,
+                                             deriv_order=1, plan=plan),
+        ]
+        _samples.cache_clear()
+        reports = [run() for run in runs]
+        info = _samples.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        for arr in _samples(plan, 0.5, 1)[:2]:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        for run, report in zip(runs, reports):
+            _samples.cache_clear()
+            assert run() == report
+
+    @pytest.mark.parametrize("settings,error", [
+        ({"n_samples": -5}, ValueError),
+        ({"seed": -1}, ValueError),
+        ({"n_samples": 2.5}, TypeError),
+        ({"n_samples": True}, TypeError),
+        ({"seed": "3"}, TypeError),
+        ({"seed": np.float64(3.0)}, TypeError),
+    ], ids=["negative_size", "negative_seed", "float_size", "bool_size", "str_seed",
+            "numpy_float_seed"])
+    def test_sample_plan_rejects_bad_fields(self, settings, error):
+        """A plan's fields are integers >= 0; the error names the field."""
+        with pytest.raises(error, match=f"^{next(iter(settings))} must be"):
+            SamplePlan(**settings)
+
+    def test_sample_plan_stores_numpy_integers_as_int(self):
+        """A plan built from numpy integers equals, and hashes as, the same
+        plan built from Python ints: the plan is a cache key."""
+        plan = SamplePlan(n_samples=np.int64(100), seed=np.uint32(3))
+        assert plan == SamplePlan(100, 3) and hash(plan) == hash(SamplePlan(100, 3))
+        assert type(plan.n_samples) is int and type(plan.seed) is int
+
     def test_local_bound_within_global(self):
         plan = SamplePlan(n_samples=5000, seed=1)
         glob = verify_global_bound(1.0, 1.0, 0.25, r=0.5, plan=plan)
