@@ -212,8 +212,11 @@ def cmd_decompose(args) -> int:
     P = _poly_from_args(args, params.n)
     if args.probe == "s-decay":
         radii = [2.0 ** (-(i + 1)) for i in range(args.depth)]
-        probe = s_decay_probe(f, P, radii, params, quad=quad,
-                              grid=(args.grid, args.grid))
+        try:
+            probe = s_decay_probe(f, P, radii, params, quad=quad,
+                                  grid=(args.grid, args.grid))
+        except ValueError as exc:
+            raise SystemExit(f"decompose --probe s-decay: {exc}") from None
         table = (["r", "avg_abs_S_r"], list(zip(probe["radii"], probe["averages"])))
         path, = _emit(args, t0, {"s_decay.csv": table}, quad, probe="s-decay",
                       field=f.name, slope=probe["slope"])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -341,13 +342,19 @@ class ScalarField:
     - `time_floor`: the field vanishes for t < time_floor (synthesized
       solutions of compact sources declare it)
     - `singular_points`: where the field is not smooth, as pairs
-      ("space", x0), across the point x0 (a tuple of n floats) at every
-      time, or ("time", t0), across the time t0 at every x; a source that
-      declares one keeps a head on [0, tau_min] in place of the bottom
-      band, and the direct Laplacian route's bands break at ("space", x0).
-      Nothing checks the declaration: a field whose kink is undeclared (the
-      cutoff's, along |x| = sqrt|t| where its step moves) takes the
-      Gauss-Jacobi bottom band, which assumes a source smooth in tau
+      ("space", x0), across the point x0 (n finite coordinates, stored as a
+      tuple of floats; for n = 1 a bare number is the 1-tuple) at every
+      time, or ("time", t0), across the finite time t0 at every x; any other
+      entry raises ValueError.  The bottom band of a quadrature at (x, t)
+      stays below the lag where its Gaussian window reaches a declared
+      point, and where the window at tau_min is not clear of one (a space
+      point within 2 W_MAX sqrt(tau_min) of x, a time within tau_min
+      before t, or an edge of the region within that reach) a head takes
+      the band's place; the direct Laplacian route's bands break at
+      ("space", x0).  Nothing checks that a field declares every kink: one
+      whose kink is undeclared (the cutoff's, along |x| = sqrt|t| where its
+      step moves) takes the Gauss-Jacobi bottom band, which assumes a
+      source smooth in tau
     """
 
     func: Callable
@@ -360,7 +367,7 @@ class ScalarField:
     singular_points: tuple = ()
 
     def __post_init__(self):
-        self.singular_points = tuple(self.singular_points)
+        self.singular_points = tuple(_singular_point(p, self.n) for p in self.singular_points)
         if self.symbol_params is not None:
             if self.support is not None or self.time_floor is not None:
                 raise ValueError("a symbol field declares neither a support nor a time floor")
@@ -394,6 +401,26 @@ class ScalarField:
             return (self.support.t_lo, self.support.t_hi)
         lo = self.time_floor if self.time_floor is not None else -math.inf
         return (lo, math.inf)
+
+
+def _singular_point(entry, n: int) -> tuple:
+    """entry as ("space", a tuple of n floats) or ("time", a float), or
+    ValueError naming it; for n = 1 a bare number is the 1-tuple."""
+
+    def finite(v) -> bool:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+    pair = isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str)
+    kind, where = entry if pair else (None, None)
+    if kind == "time" and finite(where):
+        return ("time", float(where))
+    if kind == "space":
+        coords = (where,) if finite(where) else where
+        if (isinstance(coords, (tuple, list, np.ndarray)) and len(coords) == n
+                and all(finite(v) for v in coords)):
+            return ("space", tuple(float(v) for v in coords))
+    raise ValueError(f"singular point {entry!r}: need ('space', {n} finite coordinates)"
+                     " or ('time', a finite number)")
 
 
 def check_slowly_increasing(u: ScalarField) -> bool:

@@ -14,15 +14,17 @@ Gauss-Jacobi with the weight tau^(s-1) (the convolution) or tau^(-s) (the
 operator, on G / tau) integrates it spectrally (Golub-Welsch, Math. Comp.
 23, 1969).  Its graded_nodes nodes are one more row of the bands' nodes,
 its coarse pass halves them like the bands', and top (`_band_top`) stays
-below TAU_BAND, the first break and the lag where the Gaussian window
-reaches an edge of the region.  Only a source that declares a singular
-point keeps a head on [0, top] in its place: an analytic one in the
-convolution, a fitted power law (`_richardson_head`) in the operator.  A
-kernel derivative in time keeps no bottom.  `_graded_bands` is the band
-integrator for every kernel quadrature of the package (this module, the
-operator routes and the kernel mass), `_refined` their fine/coarse error
-estimate, and `_increment` the increment integral of the operator and of
-its Marchaud reduction, with their one tail policy.
+below TAU_BAND, the first break, the lag since a declared singular time and
+the lag where the Gaussian window reaches an edge of the region or a
+declared singular point.  Only where the window at tau_min is not clear of
+such a kink does a source that declares a singular point keep a head on
+[0, top] in the band's place: an analytic one in the convolution, a fitted
+power law (`_richardson_head`) in the operator.  A kernel derivative in time
+keeps no bottom.  `_graded_bands` is the band integrator for every kernel
+quadrature of the package (this module, the operator routes and the kernel
+mass), `_refined` their fine/coarse error estimate, and `_increment` the
+increment integral of the operator and of its Marchaud reduction, with their
+one tail policy.
 `_reach` is the one time-range rule of both routes: it reads what the
 source declares (its time window, from a support or a time floor and the
 constraints, and its symbol) and ends the range there, at TAU_MAX, or at the
@@ -103,7 +105,8 @@ class QuadratureSpec:
     tau_min is the lag from which the dyadic bands are graded: below it
     (and up to top = tau_min 2^m <= TAU_BAND) a Gauss-Jacobi bottom band of
     graded_nodes nodes takes the integral, or a head on [0, tau_min] where
-    the source declares a singular point; the range ends at TAU_MAX at the
+    the source declares a singular point that the Gaussian window at
+    tau_min does not clear (`_band_top`); the range ends at TAU_MAX at the
     latest.  graded_nodes is the Gauss-Legendre order per dyadic band, hermite_order
     the Gauss-Hermite order of every unbounded spatial integral (symbol
     fields end their range where it resolves them), spatial_nodes the
@@ -346,33 +349,45 @@ def _bottom_band(top: float, beta: float, order: int) -> tuple:
 def _band_top(
     source: RestrictedSource, x: Optional[np.ndarray], t: float, tau_min: float,
     tau_hi: float, breaks: Sequence[float],
-) -> float:
-    """The top of the bottom band [0, top] of a source at (x, t).
+) -> tuple:
+    """(top, head): the top of the bottom band [0, top] of a source at (x, t),
+    and whether a head takes [0, top] in the band's place.
 
     top is the largest tau_min 2^m (m >= 0) that is at most TAU_BAND, the
-    range's end tau_hi, the first positive break lag and, for each edge of
-    the source's region at a distance d > 0 from x, (d / (2 W_MAX))^2,
-    where the window x +- 2 W_MAX sqrt(tau) reaches it; below it the
-    Gaussian average is smooth in tau.  The graded bands above top keep the
-    edges of bands graded from tau_min.  Where TAU_BAND or an edge comes
-    nearer than tau_min, top is tau_min; x None (a point value, no window)
-    skips the edges.  Where tau_hi or a break comes nearer, top is that lag:
-    no band crosses a break.  A source that declares a singular point, where
-    the average is not smooth, gets tau_min or that lag, its head's range.
+    range's end tau_hi, the first positive break lag and the lag where the
+    Gaussian window x +- 2 W_MAX sqrt(tau) reaches a kink: (d / (2 W_MAX))^2
+    for each edge of the source's region at a distance d > 0 from x and
+    each declared ("space", x0) at a distance d >= 0, and t - t0 for each
+    declared ("time", t0) with t0 <= t.  Below it the Gaussian average is
+    smooth in tau.  The graded bands above top keep the edges of bands
+    graded from tau_min.  Where TAU_BAND comes nearer than tau_min, top is
+    tau_min; x None (a point value, no window) skips the edges and the
+    space points.  Where tau_hi or a break comes nearer, top is that lag: no
+    band crosses a break.  Where a kink comes nearer than tau_min, top is
+    tau_min, or that nearer break; a source that declares a singular point
+    then keeps a head there (head True), since its window at tau_min is not
+    clear of the kink and the average there is not smooth in tau.
     """
     reach = min([tau_hi, *(b for b in breaks if b > 0.0)])
-    if source.field.singular_points or reach <= tau_min:
-        return min(reach, tau_min)
-    bound = min(reach, TAU_BAND)
+    kink = math.inf
     ints = source.intervals(t - 0.5 * tau_min) if x is not None else None
     for edge in (v for iv in ints or () for v in iv):
         d = abs(edge - x[0])
         if 0.0 < d < math.inf:
-            bound = min(bound, (d / (2.0 * W_MAX)) ** 2)
+            kink = min(kink, (d / (2.0 * W_MAX)) ** 2)
+    for kind, where in source.field.singular_points:
+        if kind == "time" and where <= t:
+            kink = min(kink, t - where)
+        elif kind == "space" and x is not None:
+            kink = min(kink, (math.dist(x, where) / (2.0 * W_MAX)) ** 2)
+    head = bool(source.field.singular_points) and kink < tau_min
+    if head or reach <= tau_min:
+        return min(reach, tau_min), head
+    bound = min(reach, TAU_BAND, kink)
     top = tau_min
     while 2.0 * top <= bound:
         top *= 2.0
-    return top
+    return top, head
 
 
 def _richardson_head(g1: float, g2: float, lo: float, p: float, q: float, w: float) -> float:
@@ -631,11 +646,13 @@ def _convolve_once(
     the source reaches down to lag 0, the bottom band takes [0, top]
     (`_band_top`) with the weight tau^(s-1): tau^(s-1) A is that power times
     a function smooth in tau, also for a spatial kernel derivative, and the
-    bands start at top.  A source that declares a singular point takes
-    instead, with deriv None, an analytic head on [0, top] that takes the
-    inner integral at its limit pi^(n/2) g(x, t).  A kernel derivative in
-    time, whose integrand opens like tau^(s-2), keeps the bands from
-    tau_min and no bottom.  A symbol source exp(lam t) cos(k.x) (deriv
+    bands start at top.  A source that declares a singular point takes it
+    too where the window at tau_min clears every kink, and otherwise
+    (`_band_top`'s head), with deriv None, an analytic head on [0, top]
+    that takes the inner integral at its limit pi^(n/2) g(x, t), a spatial
+    derivative the band on that range.  A kernel derivative in time, whose
+    integrand opens like tau^(s-2), keeps the bands from tau_min and no
+    bottom.  A symbol source exp(lam t) cos(k.x) (deriv
     None) that reaches past the range's end tau_hi is there the unrestricted
     field f (the cut lies past every break short of TAU_MAX), whose Gaussian
     average is pi^(n/2) f(x, t) e^(-mu tau), mu = lam + |k|^2: its tail is
@@ -664,8 +681,8 @@ def _convolve_once(
     bottom = None
     # the source reaches down to lag 0; a kernel derivative in time keeps no bottom
     if tau_lo == quad.tau_min and (deriv is None or deriv[-1] == 0):
-        tau_lo = _band_top(source, x, t, tau_lo, tau_hi, breaks)
-        if source.field.singular_points and deriv is None:
+        tau_lo, head = _band_top(source, x, t, tau_lo, tau_hi, breaks)
+        if head and deriv is None:
             # analytic head: the inner integral tends to pi^{n/2} g(x, t)
             total += source.value_at(x, t) * tau_lo**s / (s * math.gamma(s))
         else:
@@ -729,15 +746,16 @@ def _increment(
     and x the point of that average (None for a point value, which has no
     window).  The working range is `_reach`'s, at least 4 tau_min long.
     Below top (`_band_top`) the bottom band takes G / tau, smooth in tau,
-    with the weight tau^(-s), as one more row of the bands' nodes; a source
-    that declares a singular point takes instead a Richardson head on
-    [0, top] that fits G = c1 tau + c2 tau^2.  G cancels near lag 0, so the
-    error takes in its round-off there, weighted by tau^(-1-s) as the rules
-    weight it: on the band 4 eps unit |u_at| (sum_j w_j tau_j^(-1-s) +
-    top^(-s) / s) over its nodes tau_j and weights w_j, 4 ulps since the
-    field values, the inner weights and the sum each round and their errors
-    at the nodes can share a sign (up to 2.7 ulps of the integral on symbol
-    fields); with the head eps unit |u_at| top^(-s) (1 / s + 5 / (1 - s) +
+    with the weight tau^(-s), as one more row of the bands' nodes; where
+    the window at tau_min is not clear of a declared singular point (its
+    head), a Richardson head on [0, top] that fits G = c1 tau + c2 tau^2
+    takes its place.  G cancels near lag 0, so the error takes in its
+    round-off there, weighted by tau^(-1-s) as the rules weight it: on the
+    band 4 eps unit |u_at| (sum_j w_j tau_j^(-1-s) + top^(-s) / s) over
+    its nodes tau_j and weights w_j, 4 ulps since the field values, the
+    inner weights and the sum each round and their errors at the nodes can
+    share a sign (up to 2.7 ulps of the integral on symbol fields); with
+    the head eps unit |u_at| top^(-s) (1 / s + 5 / (1 - s) +
     6 / (2 - s)), 5 and 6 being the head's fit coefficients.  The tail
     beyond tau_hi, with mass = tau_hi^(-s) / s: for a symbol field, whose
     G is unit u_at (1 - e^(-mu tau)), the closed form
@@ -755,7 +773,7 @@ def _increment(
     if mu == 0.0:
         return 0.0, 0.0
     tau_hi = max(tau_hi, 4.0 * quad.tau_min)
-    top = _band_top(source, x, t, quad.tau_min, tau_hi, breaks)
+    top, head = _band_top(source, x, t, quad.tau_min, tau_hi, breaks)
 
     def one_pass(spec: QuadratureSpec) -> float:
         nodes = spec.graded_nodes
@@ -763,19 +781,19 @@ def _increment(
         def integrand(tau):
             return tau ** (-1.0 - s) * G(tau, spec)
 
-        if not u.singular_points:
+        if not head:
             return _graded_bands(integrand, top, tau_hi, breaks, nodes,
                                  _bottom_band(top, -s, nodes))
         g1, g2 = G(np.array([[top], [top / 2]]), spec)[:, 0]
-        head = _richardson_head(g1, g2, top, 1.0, 2.0, -1.0 - s)
-        return head + _graded_bands(integrand, top, tau_hi, breaks, nodes)
+        return (_richardson_head(g1, g2, top, 1.0, 2.0, -1.0 - s)
+                + _graded_bands(integrand, top, tau_hi, breaks, nodes))
 
     mass = tau_hi ** (-s) / s
     tail, tail_err = unit * u_at * mass, 0.0  # exact if u vanishes past tau_hi
     # G cancels to a few ulps of unit u_at, which the rules weight by
     # tau^(-1-s): the band's and the bands' above it, int_top^inf = top^(-s) / s;
     # or the bands' above the head and the head's fit coefficients 5 and 6
-    if u.singular_points:
+    if head:
         weight = top ** (-s) * (1.0 / s + 5.0 / (1.0 - s) + 6.0 / (2.0 - s))
     else:
         band_tau, band_w = _bottom_band(top, -s, quad.graded_nodes)

@@ -259,10 +259,14 @@ def s_decay_probe(
     Returns {"radii", "averages", "slope"}: the slope is the least-squares
     fit of log average against log r, the decay exponent of the internal
     remainder.  Expected: k + alpha + 2s when f lies in C^{k+alpha} at the
-    base point with jet P.
+    base point with jet P.  The radii must hold at least two distinct
+    values, each in (0, 1] like `decompose_internal`'s, else ValueError.
     """
     center = center or SpaceTimePoint.of(np.zeros(params.n), 0.0)
     radii = sorted(float(r) for r in radii)
+    if len(set(radii)) < 2 or not all(0.0 < r <= 1.0 for r in radii):
+        raise ValueError(f"s_decay_probe needs at least two distinct radii, each in (0, 1];"
+                         f" got {radii}")
     avgs = []
     for r in radii:
         src = _piece_sources(f, P, r, params, center)["S_r"]

@@ -238,6 +238,17 @@ class TestDecomposeCommand:
         assert manifest["outputs"] == ["s_decay.csv"]
         assert math.isfinite(manifest["slope"])
 
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_s_decay_probe_needs_two_radii(self, tmp_path, tiny_quad, depth):
+        """--depth 1 (one radius) had written a slope to the manifest after a
+        RankWarning: it is refused in one line, and nothing is written."""
+        with pytest.raises(SystemExit, match=r"^decompose --probe s-decay: s_decay_probe"
+                                             r" needs at least two distinct radii"):
+            main(["decompose", "--field", "gaussian_bump", "--probe", "s-decay",
+                  "--depth", str(depth), "--grid", "2", "--quad", tiny_quad,
+                  "--out-dir", str(tmp_path)])
+        assert not (tmp_path / "s_decay.manifest.json").exists()
+
     def test_both_modes_keep_their_own_manifest(self, tmp_path, tiny_quad):
         common = ["--field", "gaussian_bump", "--quad", tiny_quad, "--out-dir", str(tmp_path)]
         assert main(["decompose", "--points", "0.1 0.05", *common]) == 0

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,3 +173,53 @@ class TestScalarField:
         f = ScalarField(lambda x, t: np.zeros(len(np.atleast_1d(t))), 1)
         lo, hi = f.time_window()
         assert lo == -math.inf and hi == math.inf
+
+    @pytest.mark.parametrize("n,declared,stored", [
+        (1, ("space", 0.0), ("space", (0.0,))),
+        (1, ("space", (0.25,)), ("space", (0.25,))),
+        (1, ("space", np.array([-0.5])), ("space", (-0.5,))),
+        (2, ("space", [1, np.float64(2.0)]), ("space", (1.0, 2.0))),
+        (1, ("time", 0), ("time", 0.0)),
+        (2, ("time", np.float64(-0.5)), ("time", -0.5)),
+    ], ids=["bare_number", "tuple", "array", "list_n2", "int_time", "numpy_time"])
+    def test_singular_points_are_stored_as_floats(self, n, declared, stored):
+        """A declared point is stored as ("space", a tuple of n floats) or
+        ("time", a float); for n = 1 a bare number is the 1-tuple."""
+        f = ScalarField(lambda x, t: np.zeros(len(t)), n, singular_points=[declared])
+        assert f.singular_points == (stored,)
+        where = f.singular_points[0][1]
+        assert all(type(v) is float for v in (where if stored[0] == "space" else (where,)))
+
+    @pytest.mark.parametrize("n,declared", [
+        (1, ("spce", (0.0,))),
+        (1, ("space", (0.0, 0.0))),
+        (2, ("space", 0.0)),
+        (1, ("space", (math.inf,))),
+        (1, ("space", "0")),
+        (1, ("time", math.nan)),
+        (1, ("time", (0.0,))),
+        (1, ("time", True)),
+        (1, ("space",)),
+        (1, "space"),
+    ], ids=["misspelled_kind", "n2_point_on_n1", "bare_number_n2", "inf", "string",
+            "nan_time", "tuple_time", "bool_time", "no_coordinates", "bare_kind"])
+    def test_singular_points_reject_malformed_entries(self, n, declared):
+        """Anything but ("space", n finite coordinates) or ("time", a finite
+        number) raises a ValueError that names the entry: a misspelled kind
+        had been ignored by the Laplacian route and still sent convolutions
+        to the head, and ("space", 0.0) had raised TypeError there."""
+        with pytest.raises(ValueError, match=r"^singular point " + re.escape(repr(declared))):
+            ScalarField(lambda x, t: np.zeros(len(t)), n, singular_points=[declared])
+
+    def test_bare_number_point_reaches_the_laplacian_route(self):
+        """("space", 0.0) on n = 1 is the point (0.0,): the direct Laplacian
+        route, which had raised TypeError on it, breaks its bands there like
+        power_cusp's declaration."""
+        from fracheat import apply_fractional_laplacian, power_cusp
+
+        cusp = power_cusp(0.5)
+        bare = ScalarField(cusp.func, 1, support=cusp.support, bound=cusp.bound,
+                           singular_points=[("space", 0.0)])
+        params = FracParams(1, 0.5)
+        assert (apply_fractional_laplacian(bare, 0.2, params)
+                == apply_fractional_laplacian(cusp, 0.2, params))

@@ -26,13 +26,16 @@ round-off in A, amplified by G = pi^(1/2) u - A near tau_min, and about a
 quarter of the 8.6e-12 that the estimate carries for that round-off.
 The goldens of convolutions and operators were re-grounded when a
 Gauss-Jacobi bottom band took the place of the heads below tau_min, except
-conv_restricted and conv_restricted_deriv, whose cusp source keeps the head,
+conv_restricted and conv_restricted_deriv, whose cusp source kept the head,
 and conv_before_window and op_after_window, whose source vanishes below the
-band's top: these kept their bits.  The values moved by the old head's own
-error, at most 2.3e-9 (op_bump_n1), and toward the closed form wherever one
-is known: op_symbol_n1 from 3.7e-13 to 2.4e-15, marchaud_exp from 9.7e-14
-to 1.0e-14, marchaud_ramp from 6.1e-14 to 2e-16 and lap_cos from 1.3e-14 to
-2.9e-15.  The estimates of the symbol and Marchaud cases fell with the
+band's top: these kept their bits.  They kept them again when a cusp source
+took the band wherever its window at tau_min clears the cusp: at (0.1, 0)
+the source vanishes inside the window (the cylinder of radius 0.25 is
+zeroed) up to the band's top, as it does under the head.  The values moved
+by the old head's own error, at most 2.3e-9 (op_bump_n1), and toward the
+closed form wherever one is known: op_symbol_n1 from 3.7e-13 to 2.4e-15,
+marchaud_exp from 9.7e-14 to 1.0e-14, marchaud_ramp from 6.1e-14 to 2e-16
+and lap_cos from 1.3e-14 to 2.9e-15.  The estimates of the symbol and Marchaud cases fell with the
 round-off term, which the band weights by top^(-s) where the head had
 weighted tau_min^(-s), counting 4 ulps of G (op_symbol_n1 1.1e-11 to
 1.4e-12; at one ulp, 6.2e-13 left a few symbol queries uncovered); that of
@@ -485,6 +488,7 @@ def test_graded_bands_take_the_bottom_band_as_one_more_row():
 
 
 _CYL = ParabolicCylinder(SpaceTimePoint.of(0.0, 0.0), 1.0, "past")
+_SMALL = ParabolicCylinder(SpaceTimePoint.of(0.0, 0.0), 2.0**-6, "past")
 BAND_SOURCES = {
     # deep inside the bump, and 1e-2 inside its edge
     "bump": (RestrictedSource(gaussian_bump()), [0.1], 0.2),
@@ -495,6 +499,14 @@ BAND_SOURCES = {
     "after_break": (RestrictedSource(exp_symbol(0.5, [1.0]), [(_CYL, True)]), [0.3], 2e-4),
     "symbol": (RestrictedSource(exp_symbol(1.0, [2.0])), [0.3], 0.0),
     "constant_floor": (RestrictedSource(time_profile(np.cos, time_floor=-1.0)), [0.0], 0.5),
+    # cusp sources whose window at tau_min clears every kink: 0.3 from a
+    # space cusp, 2e-5 after a time cusp, and a space cusp kept in a small
+    # past cylinder (an S_r of s_decay_probe) 2^-8 from the cusp and
+    # 3 2^-8 from the cylinder's edge
+    "space_cusp": (RestrictedSource(power_cusp(0.5)), [0.3], 0.2),
+    "time_cusp": (RestrictedSource(power_cusp(0.5, direction="time")), [0.1], 2e-5),
+    "cusp_in_cylinder": (RestrictedSource(power_cusp(0.5), [(_SMALL, True)]), [2.0**-8],
+                         -2.0**-13),
 }
 
 
@@ -507,19 +519,25 @@ def _band_case(name):
 
 @pytest.mark.parametrize("name", sorted(BAND_SOURCES))
 def test_band_top_stays_below_every_kink(name):
-    """top is tau_min 2^m, above 0, at most TAU_BAND and the first positive
-    break lag, and its window x +- 2 W_MAX sqrt(top) stays clear of every
-    edge of the region; twice top would break one of these bounds."""
+    """top is tau_min 2^m, above 0, at most TAU_BAND, the first positive
+    break lag and the lag since each declared time, and its window
+    x +- 2 W_MAX sqrt(top) stays clear of every edge of the region and every
+    declared point; twice top would break one of these bounds.  No head
+    takes the band's place, cusp sources included."""
     source, x, t, tau_min, tau_hi, breaks = _band_case(name)
-    top = _band_top(source, x, t, tau_min, tau_hi, breaks)
+    top, head = _band_top(source, x, t, tau_min, tau_hi, breaks)
     m = math.log2(top / tau_min)
-    assert top > 0.0 and m == int(m) >= 0
+    assert top > 0.0 and m == int(m) >= 0 and not head
     ints = source.intervals(t - 0.5 * tau_min) or []
     edges = [v for iv in ints for v in iv if math.isfinite(v) and v != x[0]]
+    points = [p for kind, p in source.field.singular_points if kind == "space"]
+    lags = [t - p for kind, p in source.field.singular_points if kind == "time" and p <= t]
 
     def clear(lag):
-        return (lag <= min(TAU_BAND, tau_hi, *(b for b in breaks if b > 0.0))
-                and all(2.0 * W_MAX * math.sqrt(lag) <= abs(e - x[0]) for e in edges))
+        reach = 2.0 * W_MAX * math.sqrt(lag)
+        return (lag <= min(TAU_BAND, tau_hi, *(b for b in breaks if b > 0.0), *lags)
+                and all(reach <= abs(e - x[0]) for e in edges)
+                and all(reach <= math.dist(x, p) for p in points))
 
     assert clear(top) and not clear(2.0 * top)
 
@@ -529,62 +547,134 @@ def test_bands_above_top_keep_their_edges(name):
     """The graded bands above top are the last bands of those graded from
     tau_min, bit for bit."""
     source, x, t, tau_min, tau_hi, breaks = _band_case(name)
-    top = _band_top(source, x, t, tau_min, tau_hi, breaks)
+    top, _ = _band_top(source, x, t, tau_min, tau_hi, breaks)
     full = _band_edges(tau_min, tau_hi, breaks)
     above = _band_edges(top, tau_hi, breaks)
     assert len(above) < len(full) and above == full[len(full) - len(above):]
 
 
-@pytest.mark.parametrize("field,deriv,band,lifted", [
-    (gaussian_bump(), None, True, True),
-    (gaussian_bump(), (1, 0), True, True),
-    (gaussian_bump(), (2, 0), True, True),
-    (gaussian_bump(), (0, 1), False, False),
-    (power_cusp(0.5), None, False, False),
-    (power_cusp(0.5, direction="time"), None, False, False),
-    (power_cusp(0.5), (1, 0), True, False),
-], ids=["value", "d_x", "d_xx", "d_t", "space_cusp", "time_cusp", "cusp_d_x"])
-def test_where_the_bottom_band_applies(field, deriv, band, lifted, monkeypatch):
-    """The convolution takes the bottom band, also for spatial kernel
-    derivatives, and the bands start at its top above tau_min (lifted).  A
-    source that declares a singular point keeps the bands from tau_min,
-    with its head below (deriv None) or the band on [0, tau_min] (a spatial
-    derivative); a kernel derivative in time keeps no bottom."""
+@pytest.fixture
+def bands_seen(monkeypatch):
+    """(lo, bottom) of every `_graded_bands` call, in call order."""
     from fracheat import quadrature
 
     plain, seen = quadrature._graded_bands, []
 
     def recording(integrand, lo, hi, breaks, nodes, bottom=None):
-        seen.append((lo, bottom is not None))
+        seen.append((lo, bottom))
         return plain(integrand, lo, hi, breaks, nodes, bottom)
 
     monkeypatch.setattr(quadrature, "_graded_bands", recording)
-    kernel_convolve(field, SpaceTimePoint.of(0.1, 0.2), FracParams(1, 0.4), COARSE, deriv=deriv)
-    assert [b for _, b in seen] == [band, band]
-    assert all((lo > COARSE.tau_min) == lifted for lo, _ in seen)
+    return seen
+
+
+@pytest.mark.parametrize("field,deriv,x,band,lifted", [
+    (gaussian_bump(), None, 0.1, True, True),
+    (gaussian_bump(), (1, 0), 0.1, True, True),
+    (gaussian_bump(), (2, 0), 0.1, True, True),
+    (gaussian_bump(), (0, 1), 0.1, False, False),
+    (power_cusp(0.5), None, 0.1, True, True),
+    (power_cusp(0.5, direction="time"), None, 0.1, True, True),
+    (power_cusp(0.5), (1, 0), 0.1, True, True),
+    (power_cusp(0.5), None, 0.0, False, False),
+    (power_cusp(0.5), (1, 0), 0.0, True, False),
+], ids=["value", "d_x", "d_xx", "d_t", "space_cusp", "time_cusp", "cusp_d_x", "at_the_cusp",
+        "at_the_cusp_d_x"])
+def test_where_the_bottom_band_applies(field, deriv, x, band, lifted, bands_seen):
+    """The convolution takes the bottom band, also for spatial kernel
+    derivatives and for a source that declares a singular point where its
+    window at tau_min clears it (0.1 from the cusp, 0.2 after it), and the
+    bands start at its top above tau_min (lifted).  At the cusp itself the
+    bands start at tau_min, with the head below (deriv None) or the band on
+    [0, tau_min] (a spatial derivative); a kernel derivative in time keeps
+    no bottom."""
+    kernel_convolve(field, SpaceTimePoint.of(x, 0.2), FracParams(1, 0.4), COARSE, deriv=deriv)
+    assert [b is not None for _, b in bands_seen] == [band, band]
+    assert all((lo > COARSE.tau_min) == lifted for lo, _ in bands_seen)
 
 
 def test_band_top_where_a_kink_comes_within_tau_min():
     """An edge whose window distance is nearer than tau_min gives the band
     [0, tau_min]; a break nearer than tau_min is the band's top, since no
-    band crosses a break; a source that declares a singular point gets
-    tau_min, its head's range, wherever its edges lie, or that nearer break,
-    which its head does not cross either."""
+    band crosses a break.  A source that declares a singular point gets the
+    clear lag like any other where its window at tau_min clears its edges
+    and declared points; where it does not, it keeps a head on tau_min, or
+    on a nearer break, which its head does not cross either."""
     tau_min = QuadratureSpec().tau_min
     bump = RestrictedSource(gaussian_bump())
     _, tau_hi, breaks, _, _ = _reach(bump, 0.2)
-    assert _band_top(bump, np.array([0.9999]), 0.2, tau_min, tau_hi, breaks) == tau_min
+    assert _band_top(bump, np.array([0.9999]), 0.2, tau_min, tau_hi, breaks) == (tau_min, False)
     kept = RestrictedSource(exp_symbol(0.5, [1.0]), [(_CYL, True)])
     _, tau_hi, breaks, _, _ = _reach(kept, 0.5 * tau_min)
-    top = _band_top(kept, np.array([0.3]), 0.5 * tau_min, tau_min, tau_hi, breaks)
-    assert top == min(b for b in breaks if b > 0.0) == 0.5 * tau_min
+    top, head = _band_top(kept, np.array([0.3]), 0.5 * tau_min, tau_min, tau_hi, breaks)
+    assert top == min(b for b in breaks if b > 0.0) == 0.5 * tau_min and not head
     cusp = RestrictedSource(power_cusp(0.5))
+    edge = cusp.field.spatial_interval()[1]  # 0.866: the support's radius is sqrt(0.75)
     _, tau_hi, breaks, _, _ = _reach(cusp, 0.2)
-    for x in (0.3, 0.749):  # deep inside the support, and near its edge
-        assert _band_top(cusp, np.array([x]), 0.2, tau_min, tau_hi, breaks) == tau_min
+    for x, want in (
+        (0.3, (tau_min * 2**14, False)),  # the cusp's lag, (0.3 / (2 W_MAX))^2 = 3.0e-4
+        (0.749, (tau_min * 2**12, False)),  # the edge's, 0.117 away: 4.6e-5
+        (edge - 5e-4, (tau_min, True)),  # the edge within 2 W_MAX sqrt(tau_min) = 1.7e-3
+        (0.0, (tau_min, True)),  # at the cusp
+    ):
+        assert _band_top(cusp, np.array([x]), 0.2, tau_min, tau_hi, breaks) == want
+    after = RestrictedSource(power_cusp(0.5, direction="time"))  # tau_min / 2 after its cusp
+    _, tau_hi, breaks, _, _ = _reach(after, 0.5 * tau_min)
+    assert _band_top(after, np.array([0.3]), 0.5 * tau_min, tau_min, tau_hi, breaks) == (
+        tau_min, True)
     _, tau_hi, breaks, _, _ = _reach(_restricted(), 0.5 * tau_min)  # after its cylinders
-    top = _band_top(_restricted(), np.array([0.5]), 0.5 * tau_min, tau_min, tau_hi, breaks)
-    assert top == 0.5 * tau_min
+    top, head = _band_top(_restricted(), np.array([0.5]), 0.5 * tau_min, tau_min, tau_hi, breaks)
+    assert top == 0.5 * tau_min and not head
+
+
+# (value, estimate) recorded before cusp sources took the bottom band: where
+# the window at tau_min is not clear the head stays, and so do these
+HEAD_KEPT = {
+    "conv_at_cusp": (lambda: kernel_convolve(
+        power_cusp(0.5), SpaceTimePoint.of(0.0, 0.2), FracParams(1, 0.5), COARSE),
+        (0.19689310243401856, 0.0012835985057932649)),
+    "op_at_cusp": (lambda: apply_fully_fractional(
+        power_cusp(1.5), SpaceTimePoint.of(0.0, 0.2), FracParams(1, 0.5), COARSE),
+        (-0.7584639646754197, 0.0006269463520694567)),
+    # 0.27 from the support's edge, within 2 W_MAX sqrt(1e-3) = 0.54
+    "conv_near_edge": (lambda: kernel_convolve(
+        power_cusp(0.5), SpaceTimePoint.of(0.6, 0.2), FracParams(1, 0.5),
+        QuadratureSpec(tau_min=1e-3)),
+        (0.12494822384319149, 0.0005284816249599082)),
+    "op_near_edge": (lambda: apply_fully_fractional(
+        power_cusp(1.5), SpaceTimePoint.of(0.6, 0.2), FracParams(1, 0.5),
+        QuadratureSpec(tau_min=1e-3)),
+        (-0.2667736584990873, 4.172113362749777e-05)),
+    "conv_after_time_cusp": (lambda: kernel_convolve(
+        power_cusp(0.5, direction="time"), SpaceTimePoint.of(0.1, 5e-9), FracParams(1, 0.5),
+        COARSE),
+        (0.22249000819625725, 7.721117020876321e-05)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEAD_KEPT))
+def test_a_cusp_source_keeps_the_head_where_its_window_is_not_clear(name, bands_seen):
+    """At its own point, tau_min / 2 after its time cusp and within
+    2 W_MAX sqrt(tau_min) of an edge, a cusp source takes no bottom band, and
+    its head gives the values recorded before cusp sources took the band
+    (to round-off; on one machine, bit for bit)."""
+    run, (want, want_err) = HEAD_KEPT[name]
+    value, err = run()
+    assert bands_seen and all(b is None for _, b in bands_seen)
+    assert value == pytest.approx(want, rel=1e-15) and err == pytest.approx(want_err, rel=1e-13)
+
+
+def test_operator_on_a_cusp_source_takes_the_band_clear_of_the_cusp(bands_seen):
+    """The operator on power_cusp(1.5) at (0.3, 0.2), s = 1/2, whose window
+    at tau_min is clear of the cusp, takes the bottom band in both passes
+    and matches a fine reference (tau_min 1e-12, 32 and 96 nodes) within its
+    estimate."""
+    f, pt, params = power_cusp(1.5), SpaceTimePoint.of(0.3, 0.2), FracParams(1, 0.5)
+    value, err = apply_fully_fractional(f, pt, params)
+    assert len(bands_seen) == 2 and all(b is not None for _, b in bands_seen)
+    want, want_err = apply_fully_fractional(
+        f, pt, params, QuadratureSpec(tau_min=1e-12, graded_nodes=32, spatial_nodes=96))
+    assert abs(value - want) + want_err <= err
 
 
 _STEP = time_profile(lambda t: (t >= 0.0).astype(float), time_floor=0.0)

@@ -189,6 +189,19 @@ class TestSDecay:
         assert all(a > 0 for a in res["averages"])
         assert res["radii"] == sorted(res["radii"])
 
+    @pytest.mark.parametrize("radii", [[0.5], [1.0], [0.5, 0.5], [0.5, 3.0], [0.0, 0.5],
+                                       [-0.25, 0.5], [math.nan, 0.5], []],
+                             ids=["one", "one_at_1", "repeated", "past_1", "zero", "negative",
+                                  "nan", "none"])
+    def test_needs_two_distinct_radii_in_the_unit_interval(self, radii):
+        """A slope needs two distinct radii, each in (0, 1] like
+        decompose_internal's r.  One radius had given a slope after a
+        RankWarning ([0.5]) or numpy's LinAlgError ([1.0]), a repeated one a
+        RankWarning, and r = 3 a slope of -384 from the 1e-300 floor."""
+        with pytest.raises(ValueError, match="at least two distinct radii, each in"):
+            s_decay_probe(power_cusp(0.5), ParabolicPolynomial.zero(1), radii,
+                          FracParams(1, 0.5), quad=QUAD, grid=(2, 2))
+
 
 @pytest.mark.parametrize("direction,point", [("space", (0.0,)), ("time", 0.0)])
 def test_derived_fields_keep_the_singular_points(direction, point):
