@@ -35,10 +35,11 @@ mu = lam + |k|^2, so the numeric range ends at
 TAU_MU / (|k|^2 + max(lam, 0)) (`_symbol_range`), where one Gauss-Hermite
 order still resolves the oscillation of cos(k.x), or at TAU_MAX if that is
 nearer, and the integral past the end is added in closed form (an
-incomplete gamma function), for every mu > 0.  A convolution with mu <= 0
-diverges and raises ValueError, and so does that of any other source with
-no time floor within TAU_MAX; a kernel derivative of an unrestricted
-oscillating symbol source has no such tail and raises NotImplementedError.
+incomplete gamma function, `_gammaincc`, in pure Python), for every mu > 0.
+A convolution with mu <= 0 diverges and raises ValueError, and so does that
+of any other source with no time floor within TAU_MAX; a kernel derivative
+of an unrestricted oscillating symbol source has no such tail and raises
+NotImplementedError.
 `_refined` and the estimate-free convolution raise FloatingPointError on a
 value or estimate that is not finite.
 
@@ -76,7 +77,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .core import FracParams, ScalarField, SpaceTimePoint, abs_gamma_neg, check_slowly_increasing
 from .kernel import _factor_eval
@@ -96,6 +96,16 @@ TAU_MU = 12.0  # symbol fields end at tau = TAU_MU / (|k|^2 + max(lam, 0))
 TAU_BAND = 1e-3  # the Gauss-Jacobi bottom band ends at this lag at the latest
 TAU_MAX = 1e4  # every time range ends here at the latest
 BLOCK = 2**13  # points per field call of the inner rules, at most (one row at least)
+
+# glibc's malloc maps each block of 128 KiB or more on its own and gives the
+# top of its heap back to the system once 128 KiB lie free there, so the
+# inner rules' temporaries, a few BLOCKs at a time, would be faulted in anew
+# on every call (a round-trip result took 95,000 minor page faults and 27 %
+# longer).  Freeing one mapped block raises both thresholds for the rest
+# of the process, to its size and twice that (the dynamic mmap threshold of
+# mallopt(3)); this 4 MiB array is allocated and freed at once.  Other
+# allocators ignore it.
+np.empty(2**19)
 
 
 @dataclass(frozen=True)
@@ -451,6 +461,103 @@ def _symbol_range(field: ScalarField, tau_hi: float, breaks: Sequence[float]) ->
     return min(tau_hi, max([TAU_MU / (float(np.dot(k, k)) + max(lam, 0.0)), *breaks]))
 
 
+_EPS = 2.0**-53  # unit round-off: each series stops once its terms fall below it
+_MAX_TERMS = 2000  # a cap on every series, so that a NaN argument cannot loop forever
+_EULER = 0.5772156649015329  # the Euler-Mascheroni constant
+_ZETA = (  # zeta(k) for k = 2, ..., 52: the Taylor coefficients of ln Gamma(1 + a)
+    1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
+    1.0173430619844492, 1.008349277381923, 1.0040773561979444, 1.0020083928260821,
+    1.000994575127818, 1.0004941886041194, 1.000246086553308, 1.0001227133475785,
+    1.0000612481350588, 1.000030588236307, 1.0000152822594086, 1.0000076371976379,
+    1.000003817293265, 1.0000019082127165, 1.0000009539620338, 1.0000004769329869,
+    1.0000002384505027, 1.000000119219926, 1.000000059608189, 1.0000000298035034,
+    1.0000000149015549, 1.0000000074507118, 1.000000003725334, 1.0000000018626598,
+    1.0000000009313275, 1.0000000004656628, 1.000000000232831, 1.0000000001164155,
+    1.0000000000582077, 1.0000000000291038, 1.000000000014552, 1.000000000007276,
+    1.000000000003638, 1.000000000001819, 1.0000000000009095, 1.0000000000004547,
+    1.0000000000002274, 1.0000000000001137, 1.0000000000000568, 1.0000000000000284,
+    1.0000000000000142, 1.000000000000007, 1.0000000000000036, 1.0000000000000018,
+    1.0000000000000009, 1.0000000000000004, 1.0000000000000002,
+)
+
+
+def _lgamma1p(a: float) -> float:
+    """ln Gamma(1 + a) for 0 < a < 1, to a few ulps of its value.
+
+    math.lgamma(1 + a) is off by up to 8e-16 in absolute terms, a large
+    share of ln Gamma(1 + a) ~ -0.58 a at small a (3.7e-13 relative at
+    a = 1e-3); so for a <= 1/2 the Taylor series
+    -gamma a + sum_k (-a)^k zeta(k) / k takes it, as scipy's lgam1p does
+    (at a = 1/2 its terms fall below the round-off by k = 51).
+    """
+    if a > 0.5:
+        return math.lgamma(1.0 + a)
+    total, power = -_EULER * a, -a
+    for k, zeta in enumerate(_ZETA, 2):
+        power *= -a
+        term = zeta * power / k
+        total += term
+        if abs(term) <= _EPS * abs(total):
+            break
+    return total
+
+
+def _gammaincc(a: float, x: float) -> float:
+    """Q(a, x) = Gamma(a, x) / Gamma(a), the regularized upper incomplete
+    gamma function, for 0 < a < 1 and x >= 0.
+
+    The regions are those of scipy's gammaincc (Cephes igamc; DLMF 8.7 and
+    8.9, Gautschi, ACM TOMS 5, 1979).  For x <= 1.1: 1 - P, with P's power
+    series x^a e^(-x) / Gamma(a + 1) sum_j x^j / ((a + 1) ... (a + j)), where
+    x is small against a (x <= 0.5 and a > -0.4 / ln x, or 1.1 x < a);
+    elsewhere Q's series (DLMF 8.7.3), whose leading term
+    1 - x^a / Gamma(1 + a) goes through -expm1 and `_lgamma1p`, since Q is
+    about a E1(x) for small a.  For x > 1.1 (where scipy takes 1 - P if
+    x < a, which a < 1 rules out): the continued fraction of Gamma(a, x)
+    (DLMF 8.9.2, contracted) by Lentz's method, times e^(-x)
+    apart from x^a / Gamma(a), so that the exponent does not round at the
+    scale of x; past x ~ 745 that underflows to 0 without a warning.
+    Within 1e-14 of the exact value for a in [0.01, 0.99], x up to 1e5,
+    where scipy's own value is off by up to about 1e-13.
+    """
+    if x == 0.0:
+        return 1.0
+    log_x = math.log(x)
+    if x <= 1.1:
+        if a > (-0.4 / log_x if x <= 0.5 else 1.1 * x):
+            term = total = 1.0
+            for j in range(1, _MAX_TERMS):
+                term *= x / (a + j)
+                total += term
+                if term <= _EPS * total:
+                    break
+            return 1.0 - total * math.exp(a * log_x - x - math.lgamma(a)) / a
+        factor, total = 1.0, 0.0
+        for j in range(1, _MAX_TERMS):
+            factor *= -x / j
+            term = factor / (a + j)
+            total += term
+            if abs(term) <= _EPS * abs(total):
+                break
+        return (-math.expm1(a * log_x - _lgamma1p(a))
+                - math.exp(a * log_x - math.lgamma(a)) * total)
+    # Lentz's c and 1 / d are at least x + 1 + j at step j (by induction,
+    # from x + 1 - a > 1), so neither needs the method's guard against zero
+    b = x + 1.0 - a
+    c = math.inf
+    d = 1.0 / b
+    fraction = d
+    for j in range(1, _MAX_TERMS):
+        an = -j * (j - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        fraction *= d * c
+        if abs(d * c - 1.0) <= _EPS:
+            break
+    return math.exp(-x) * math.exp(a * log_x - math.lgamma(a)) * fraction
+
+
 def _reach(source: RestrictedSource, t: float, symbol: bool = True) -> tuple:
     """(start, end, breaks, mu, reaches): the time range of a source at t,
     as lags tau.
@@ -677,7 +784,7 @@ def _convolve_once(
     tau_lo = max(quad.tau_min, start)
     total = 0.0
     if reaches and mu is not None:
-        total += source.field.eval_at(pt) * mu ** (-s) * float(gammaincc(s, mu * tau_hi))
+        total += source.field.eval_at(pt) * mu ** (-s) * _gammaincc(s, mu * tau_hi)
     bottom = None
     # the source reaches down to lag 0; a kernel derivative in time keeps no bottom
     if tau_lo == quad.tau_min and (deriv is None or deriv[-1] == 0):
@@ -801,7 +908,7 @@ def _increment(
     roundoff = float(np.finfo(float).eps) * unit * abs(u_at) * weight
     if mu is not None:
         z = mu * tau_hi
-        upper = mu**s * math.gamma(1.0 - s) * float(gammaincc(1.0 - s, z))
+        upper = mu**s * math.gamma(1.0 - s) * _gammaincc(1.0 - s, z)
         tail = unit * u_at * (-math.expm1(-z) * tau_hi ** (-s) + upper) / s
     elif reaches:
         # no decay assumption available: freeze G at its tau_hi value

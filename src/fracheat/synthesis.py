@@ -131,13 +131,15 @@ def synthesized_field(
 
 def jet_source(P: ParabolicPolynomial) -> ScalarField:
     """J = P * psi: the polynomial jet localized by the cutoff
-    psi = make_cutoff(n)."""
+    psi = make_cutoff(n).  A P without a nonzero coefficient gives P's own
+    zeros, the cutoff unevaluated, with the same support and name."""
     cutoff = make_cutoff(P.base.n)
 
     def func(x, t):
         return P.eval(x, t) * cutoff.eval(x, t)
 
-    return ScalarField(func, P.base.n, support=cutoff.support, name="jet_source")
+    return ScalarField(func if any(P.coeffs.values()) else P.eval, P.base.n,
+                       support=cutoff.support, name="jet_source")
 
 
 def difference_field(

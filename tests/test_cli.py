@@ -338,3 +338,22 @@ def test_run_passes_booleans_as_switches(tmp_path, spatial_only):
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "nu_profile.manifest.json").read_text())
     assert manifest["spatial_only"] is spatial_only
+
+
+def test_import_loads_no_scipy():
+    """The library and its command line run on numpy alone: importing them
+    in a fresh interpreter loads no scipy module, whose import had been most
+    of every cold start."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fracheat
+
+    code = ("import sys, fracheat, fracheat.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(fracheat.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

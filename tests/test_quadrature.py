@@ -63,6 +63,7 @@ relative, estimates to 1e-14 |value| + 1e-16.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,7 @@ from fracheat.quadrature import (
     _band_layout,
     _band_top,
     _bottom_band,
+    _gammaincc,
     _graded_bands,
     _hermite_grid,
     _panel_rows,
@@ -310,6 +312,57 @@ def test_negative_lam_symbol_synthesis():
     value, err = synthesize_solution(field, pt, FracParams(1, 0.5))
     truth = 0.1**-0.5 * math.cos(0.3)
     assert abs(value - truth) <= min(err, 1e-10 * truth)
+
+
+@pytest.mark.parametrize("lam,s", [(-0.95, 0.5), (-0.99, 0.7)])
+def test_symbol_tail_from_the_series_of_q(lam, s):
+    """exp(lam t) cos x with mu = lam + 1 = 0.05 or 0.01: the range ends at
+    tau_hi = TAU_MU, so the tail's Q(s, mu tau_hi) is taken at 0.6 and 0.12,
+    by Q's own series (with lam >= 0 the tail starts at mu tau_hi = 12, in
+    the continued fraction).  The synthesis is mu^(-s) f within its
+    estimate and 1e-10."""
+    field, pt = exp_symbol(lam, [1.0]), SpaceTimePoint.of(0.3, 0.0)
+    value, err = synthesize_solution(field, pt, FracParams(1, s))
+    truth = (lam + 1.0) ** -s * math.cos(0.3)
+    assert abs(value - truth) <= min(err, 1e-10 * truth)
+
+
+def test_gammaincc_matches_scipy():
+    """Q(a, x) against scipy's gammaincc on a in [0.01, 0.99] and x = 0 or
+    from 1e-12 to 1e5, with points straddling the region edges 0.5 and 1.1
+    and x = a + 1: within 1e-14 relative wherever scipy's value exceeds
+    1e-300, and below 1e-300 where it does not.  Where the two differ by
+    more than 1e-14 (286 of 9,500 points), scipy is off: its exponent
+    a ln x - x - ln Gamma(a) rounds at the scale of x (up to 9.9e-14 at
+    x = 601), and its ln Gamma(1 + a) series stops early near a = 1/2
+    (3.8e-14).  There the 30-digit value from mpmath decides, and Q is
+    within 1e-14 of it (9.0e-15 at worst, in the continued fraction just
+    past 1.1)."""
+    from scipy.special import gammaincc
+    import mpmath
+
+    straddle = 1.0 + np.array([-1e-6, -1e-12, 0.0, 1e-12, 1e-6])
+    for a in np.linspace(0.01, 0.99, 50):
+        a = float(a)
+        edges = np.outer([0.5, 1.1, a + 1.0], straddle).ravel()
+        x = np.concatenate([[0.0], np.geomspace(1e-12, 1e5, 200), edges])
+        for xi, want in zip(x.tolist(), gammaincc(a, x).tolist()):
+            got = _gammaincc(a, xi)
+            if want <= 1e-300:
+                assert got <= 1e-300, (a, xi)
+            elif abs(got - want) > 1e-14 * want:
+                with mpmath.workdps(30):
+                    exact = mpmath.gammainc(a, xi, mpmath.inf, regularized=True)
+                    assert abs(got - exact) <= 1e-14 * exact, (a, xi, got, want)
+
+
+def test_gammaincc_at_zero_and_past_the_underflow():
+    """Q(a, 0) = 1, and far out Q underflows to 0 without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (0.01, 0.5, 0.99):
+            assert _gammaincc(a, 0.0) == 1.0
+            assert _gammaincc(a, 800.0) == _gammaincc(a, 1e5) == 0.0
 
 
 @pytest.mark.parametrize("deriv", [(1, 0), (0, 1)], ids=["d_x", "d_t"])

@@ -176,6 +176,30 @@ class TestDifferenceField:
         assert d.support is not None
 
 
+class TestJetSource:
+    @pytest.mark.parametrize("coeffs", [{}, {(0, 0): 0.0, (1, 0): -0.0}], ids=["none", "zeros"])
+    def test_zero_jet_never_evaluates_the_cutoff(self, coeffs, monkeypatch):
+        """J of a P without a nonzero coefficient is P's zeros, the product
+        P psi had to the bit, with J's support and name, and the cutoff is
+        never evaluated (s_decay_probe and extract_jet pass the zero P)."""
+        P = ParabolicPolynomial(1, CENTER, coeffs)
+        x = np.linspace(-2.5, 2.5, 11)[:, None]
+        t = np.linspace(-1.0, 1.0, 11)
+        want = P.eval(x, t) * make_cutoff(1).eval(x, t)
+        smooth = jet_source(ParabolicPolynomial(0, CENTER, {(0, 0): 1.0}))
+
+        def refuse(z):
+            raise AssertionError("the cutoff was evaluated")
+
+        monkeypatch.setattr("fracheat.synthesis._mollifier_step", refuse)
+        J = jet_source(P)
+        got = J.eval(x, t)
+        assert got.tobytes() == want.tobytes()
+        assert (J.support, J.name) == (smooth.support, smooth.name)
+        with pytest.raises(AssertionError, match="cutoff was evaluated"):
+            smooth.eval(x, t)
+
+
 class TestSDecay:
     def test_remainder_decays_fast_for_cusp_data(self):
         params = FracParams(1, 0.5)
