@@ -458,7 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NotImplementedError as exc:  # for example cylinder grids in n = 2
+        raise SystemExit(f"{args.cmd}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -347,11 +347,12 @@ class ScalarField:
       time, or ("time", t0), across the finite time t0 at every x; any other
       entry raises ValueError.  The bottom band of a quadrature at (x, t)
       stays below the lag where its Gaussian window reaches a declared
-      point, and where the window at tau_min is not clear of one (a space
-      point within 2 W_MAX sqrt(tau_min) of x, a time within tau_min
-      before t, or an edge of the region within that reach) a head takes
-      the band's place; the direct Laplacian route's bands break at
-      ("space", x0).  Nothing checks that a field declares every kink: one
+      point.  Where the window at tau_min is not clear of one (a space
+      point within 2 W_MAX sqrt(tau_min) of x, or a time within tau_min
+      before t), the operator and the Marchaud derivative count the band
+      on [0, tau_min] whole as error, and the convolution takes an
+      analytic head in its place; the direct Laplacian route's bands break
+      at ("space", x0).  Nothing checks that a field declares every kink: one
       whose kink is undeclared (the cutoff's, along |x| = sqrt|t| where its
       step moves) takes the Gauss-Jacobi bottom band, which assumes a
       source smooth in tau

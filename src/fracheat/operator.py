@@ -15,6 +15,8 @@ Gaussian average and with the point value u(t - tau) as the average.  The
 fractional Laplacian of a cosine profile is the operator on the
 time-independent symbol field exp_symbol(0, k); compact and bounded
 profiles keep a direct quadrature in |y - x|, with a bottom band too.
+Each band's error is `quadrature._band_error`: a value diverging at a cusp
+is flagged by its estimate.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .fields import exp_symbol
 from .quadrature import (
     QuadratureSpec,
     RestrictedSource,
+    _band_error,
     _bottom_band,
     _graded_bands,
     _increment,
@@ -104,11 +107,11 @@ def apply_fractional_laplacian(
     the distances d from x to the support's edges and to the profile's
     declared ("space", x0) points: one Gauss-Jacobi band of weight z^(1-2s)
     takes it on [0, top], top = min(Z_BAND, d / 4), and dyadic bands graded
-    from top, split at each d > 0, take the rest.  A kink at x (d = 0), where
-    incr is a power of z that the band does not fit, leaves it [0, tau_min]
-    and counts its whole value as error.  The error takes in incr's round-off
-    as `quadrature._increment` counts G's, 4 ulps of u(x) weighted by
-    z^(-1-2s).  The tail is exact past a support, the worst case otherwise.
+    from top, split at each d > 0, take the rest.  The band's error
+    (`quadrature._band_error`) is incr's round-off and, at a kink at x
+    (d = 0), where incr is a power of z that the band on [0, tau_min] does
+    not fit, its whole value.  The tail is exact past a support, the worst
+    case otherwise.
     """
     if params.n != 1:
         raise NotImplementedError("direct spatial route implemented for n = 1")
@@ -137,13 +140,8 @@ def apply_fractional_laplacian(
         return _graded_bands(lambda z: incr(z) * z ** (-1.0 - 2.0 * s), top, z_hi, breaks,
                              nodes, _bottom_band(top, 1.0 - 2.0 * s, nodes))
 
-    # round-off: 4 ulps of u(x), weighted by z^(-1-2s) on the band and past it
-    z, w = _bottom_band(top, 1.0 - 2.0 * s, quad.graded_nodes)
-    band = w * z ** (-1.0 - 2.0 * s)
-    tail_err = 4.0 * float(np.finfo(float).eps) * abs(u_at) * (
-        float(np.sum(band)) + top ** (-2.0 * s) / (2.0 * s))
-    if 0.0 in breaks:  # the band does not fit a kink at x: all of it is error
-        tail_err += abs(float(np.sum(band * incr(z))))
+    band = _bottom_band(top, 1.0 - 2.0 * s, quad.graded_nodes)
+    tail_err = _band_error(band, top, 2.0 * s, abs(u_at), incr(band[0]) if 0.0 in breaks else None)
     # past z_hi the 2u(x) part is an exact power integral; u vanishes past a support
     tail = 2.0 * u_at * z_hi ** (-2.0 * s) / (2.0 * s)
     if interval is None:  # no decay assumption available: the worst case

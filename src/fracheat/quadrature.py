@@ -16,15 +16,14 @@ operator, on G / tau) integrates it spectrally (Golub-Welsch, Math. Comp.
 its coarse pass halves them like the bands', and top (`_band_top`) stays
 below TAU_BAND, the first break, the lag since a declared singular time and
 the lag where the Gaussian window reaches an edge of the region or a
-declared singular point.  Only where the window at tau_min is not clear of
-such a kink does a source that declares a singular point keep a head on
-[0, top] in the band's place: an analytic one in the convolution, a fitted
-power law (`_richardson_head`) in the operator.  A kernel derivative in time
-keeps no bottom.  `_graded_bands` is the band integrator for every kernel
-quadrature of the package (this module, the operator routes and the kernel
-mass), `_refined` their fine/coarse error estimate, and `_increment` the
-increment integral of the operator and of its Marchaud reduction, with their
-one tail policy.
+declared singular point.  Where the window at tau_min is not clear of a
+declared point, the increment integral counts the band's whole value as
+error (`_band_error`), and the convolution keeps an analytic head.  A kernel
+derivative in time keeps no bottom.  `_graded_bands` is the band integrator
+for every kernel quadrature of the package (this module, the operator routes
+and the kernel mass), `_refined` their fine/coarse error estimate, and
+`_increment` the increment integral of the operator and of its Marchaud
+reduction, with their one tail policy and one bottom-band error.
 `_reach` is the one time-range rule of both routes: it reads what the
 source declares (its time window, from a support or a time floor and the
 constraints, and its symbol) and ends the range there, at TAU_MAX, or at the
@@ -114,13 +113,13 @@ class QuadratureSpec:
 
     tau_min is the lag from which the dyadic bands are graded: below it
     (and up to top = tau_min 2^m <= TAU_BAND) a Gauss-Jacobi bottom band of
-    graded_nodes nodes takes the integral, or a head on [0, tau_min] where
-    the source declares a singular point that the Gaussian window at
-    tau_min does not clear (`_band_top`); the range ends at TAU_MAX at the
-    latest.  graded_nodes is the Gauss-Legendre order per dyadic band, hermite_order
-    the Gauss-Hermite order of every unbounded spatial integral (symbol
-    fields end their range where it resolves them), spatial_nodes the
-    Gauss-Legendre order per mapped spatial panel.
+    graded_nodes nodes takes the integral (the convolution: an analytic head
+    at a declared point that the Gaussian window at tau_min does not clear,
+    `_band_top`); the range ends at TAU_MAX at the latest.  graded_nodes is
+    the Gauss-Legendre order per dyadic band, hermite_order the Gauss-Hermite
+    order of every unbounded spatial integral (symbol fields end their range
+    where it resolves them), spatial_nodes the Gauss-Legendre order per
+    mapped spatial panel.
     """
 
     tau_min: float = 1e-8
@@ -360,8 +359,9 @@ def _band_top(
     source: RestrictedSource, x: Optional[np.ndarray], t: float, tau_min: float,
     tau_hi: float, breaks: Sequence[float],
 ) -> tuple:
-    """(top, head): the top of the bottom band [0, top] of a source at (x, t),
-    and whether a head takes [0, top] in the band's place.
+    """(top, cusp): the top of the bottom band [0, top] of a source at (x, t),
+    and whether a declared singular point lies within the Gaussian window's
+    reach at tau_min.
 
     top is the largest tau_min 2^m (m >= 0) that is at most TAU_BAND, the
     range's end tau_hi, the first positive break lag and the lag where the
@@ -370,43 +370,52 @@ def _band_top(
     each declared ("space", x0) at a distance d >= 0, and t - t0 for each
     declared ("time", t0) with t0 <= t.  Below it the Gaussian average is
     smooth in tau.  The graded bands above top keep the edges of bands
-    graded from tau_min.  Where TAU_BAND comes nearer than tau_min, top is
-    tau_min; x None (a point value, no window) skips the edges and the
-    space points.  Where tau_hi or a break comes nearer, top is that lag: no
-    band crosses a break.  Where a kink comes nearer than tau_min, top is
-    tau_min, or that nearer break; a source that declares a singular point
-    then keeps a head there (head True), since its window at tau_min is not
-    clear of the kink and the average there is not smooth in tau.
+    graded from tau_min.  Where TAU_BAND or a kink comes nearer than
+    tau_min, top is tau_min; x None (a point value, no window) skips the
+    edges and the space points.  Where tau_hi or a break comes nearer, top
+    is that lag: no band crosses a break.  cusp flags a declared point
+    nearer than tau_min, where the average is not smooth in tau on [0, top];
+    an edge that near flags nothing.
     """
     reach = min([tau_hi, *(b for b in breaks if b > 0.0)])
-    kink = math.inf
+    edge = point = math.inf
     ints = source.intervals(t - 0.5 * tau_min) if x is not None else None
-    for edge in (v for iv in ints or () for v in iv):
-        d = abs(edge - x[0])
+    for end in (v for iv in ints or () for v in iv):
+        d = abs(end - x[0])
         if 0.0 < d < math.inf:
-            kink = min(kink, (d / (2.0 * W_MAX)) ** 2)
+            edge = min(edge, (d / (2.0 * W_MAX)) ** 2)
     for kind, where in source.field.singular_points:
         if kind == "time" and where <= t:
-            kink = min(kink, t - where)
+            point = min(point, t - where)
         elif kind == "space" and x is not None:
-            kink = min(kink, (math.dist(x, where) / (2.0 * W_MAX)) ** 2)
-    head = bool(source.field.singular_points) and kink < tau_min
-    if head or reach <= tau_min:
-        return min(reach, tau_min), head
-    bound = min(reach, TAU_BAND, kink)
+            point = min(point, (math.dist(x, where) / (2.0 * W_MAX)) ** 2)
+    cusp = point < tau_min
+    if reach <= tau_min:
+        return reach, cusp
+    bound = min(reach, TAU_BAND, edge, point)
     top = tau_min
     while 2.0 * top <= bound:
         top *= 2.0
-    return top, head
+    return top, cusp
 
 
-def _richardson_head(g1: float, g2: float, lo: float, p: float, q: float, w: float) -> float:
-    """int_0^lo (A z^p + B z^q) z^w dz, with A and B fitted so that the
-    model takes the values g1 at lo and g2 at lo / 2."""
-    u, v = 2.0**-p, 2.0**-q
-    a = (g2 - v * g1) / (u - v)  # A lo^p
-    b = (u * g1 - g2) / (u - v)  # B lo^q
-    return lo ** (w + 1.0) * (a / (p + w + 1.0) + b / (q + w + 1.0))
+def _band_error(band: tuple, top: float, p: float, size: float, values=None) -> float:
+    """The error of a bottom band (tau, w) on [0, top] of an increment
+    integral int tau^(-1-p) G(tau) dtau whose G cancels near lag 0.
+
+    Round-off: 4 ulps of size (G's scale) weighted by tau^(-1-p) as the rules
+    weight it, 4 eps size (sum_j w_j tau_j^(-1-p) + top^(-p) / p), since the
+    field values, inner weights and sum each round and their errors can share
+    a sign (up to 2.7 ulps of the integral on symbol fields).  values, G at
+    the nodes where a kink lies within the band's reach and the band does not
+    fit G, add the band's whole value |sum_j w_j tau_j^(-1-p) G(tau_j)|.
+    """
+    tau, w = band
+    weight = w * tau ** (-1.0 - p)
+    err = 4.0 * float(np.finfo(float).eps) * size * (float(np.sum(weight)) + top ** (-p) / p)
+    if values is not None:
+        err += abs(float(np.sum(weight * values)))
+    return err
 
 
 def _finite(value: float, err: float = 0.0) -> tuple:
@@ -755,7 +764,7 @@ def _convolve_once(
     a function smooth in tau, also for a spatial kernel derivative, and the
     bands start at top.  A source that declares a singular point takes it
     too where the window at tau_min clears every kink, and otherwise
-    (`_band_top`'s head), with deriv None, an analytic head on [0, top]
+    (`_band_top`'s cusp), with deriv None, an analytic head on [0, top]
     that takes the inner integral at its limit pi^(n/2) g(x, t), a spatial
     derivative the band on that range.  A kernel derivative in time, whose
     integrand opens like tau^(s-2), keeps the bands from tau_min and no
@@ -788,8 +797,8 @@ def _convolve_once(
     bottom = None
     # the source reaches down to lag 0; a kernel derivative in time keeps no bottom
     if tau_lo == quad.tau_min and (deriv is None or deriv[-1] == 0):
-        tau_lo, head = _band_top(source, x, t, tau_lo, tau_hi, breaks)
-        if head and deriv is None:
+        tau_lo, cusp = _band_top(source, x, t, tau_lo, tau_hi, breaks)
+        if cusp and deriv is None:
             # analytic head: the inner integral tends to pi^{n/2} g(x, t)
             total += source.value_at(x, t) * tau_lo**s / (s * math.gamma(s))
         else:
@@ -853,20 +862,13 @@ def _increment(
     and x the point of that average (None for a point value, which has no
     window).  The working range is `_reach`'s, at least 4 tau_min long.
     Below top (`_band_top`) the bottom band takes G / tau, smooth in tau,
-    with the weight tau^(-s), as one more row of the bands' nodes; where
-    the window at tau_min is not clear of a declared singular point (its
-    head), a Richardson head on [0, top] that fits G = c1 tau + c2 tau^2
-    takes its place.  G cancels near lag 0, so the error takes in its
-    round-off there, weighted by tau^(-1-s) as the rules weight it: on the
-    band 4 eps unit |u_at| (sum_j w_j tau_j^(-1-s) + top^(-s) / s) over
-    its nodes tau_j and weights w_j, 4 ulps since the field values, the
-    inner weights and the sum each round and their errors at the nodes can
-    share a sign (up to 2.7 ulps of the integral on symbol fields); with
-    the head eps unit |u_at| top^(-s) (1 / s + 5 / (1 - s) +
-    6 / (2 - s)), 5 and 6 being the head's fit coefficients.  The tail
-    beyond tau_hi, with mass = tau_hi^(-s) / s: for a symbol field, whose
-    G is unit u_at (1 - e^(-mu tau)), the closed form
-    unit u_at (tau_hi^(-s) (1 - e^(-mu tau_hi)) + mu^s Gamma(1-s)
+    with the weight tau^(-s), as one more row of the bands' nodes.  Its
+    error (`_band_error`) is G's round-off, 4 ulps of unit u_at, and where
+    the window at tau_min is not clear of a declared point (`_band_top`'s
+    cusp) the band's whole value too: a value that diverges as tau_min
+    falls is flagged.  The tail beyond tau_hi, with mass = tau_hi^(-s) / s:
+    for a symbol field, whose G is unit u_at (1 - e^(-mu tau)), the closed
+    form unit u_at (tau_hi^(-s) (1 - e^(-mu tau_hi)) + mu^s Gamma(1-s)
     Q(1-s, mu tau_hi)) / s, with Q the regularized upper incomplete gamma
     function (mu = 0: the integral is exactly 0); for a field that does not
     reach past tau_hi unit u_at mass, exactly; for any other field G frozen
@@ -880,32 +882,18 @@ def _increment(
     if mu == 0.0:
         return 0.0, 0.0
     tau_hi = max(tau_hi, 4.0 * quad.tau_min)
-    top, head = _band_top(source, x, t, quad.tau_min, tau_hi, breaks)
+    top, cusp = _band_top(source, x, t, quad.tau_min, tau_hi, breaks)
 
     def one_pass(spec: QuadratureSpec) -> float:
         nodes = spec.graded_nodes
-
-        def integrand(tau):
-            return tau ** (-1.0 - s) * G(tau, spec)
-
-        if not head:
-            return _graded_bands(integrand, top, tau_hi, breaks, nodes,
-                                 _bottom_band(top, -s, nodes))
-        g1, g2 = G(np.array([[top], [top / 2]]), spec)[:, 0]
-        return (_richardson_head(g1, g2, top, 1.0, 2.0, -1.0 - s)
-                + _graded_bands(integrand, top, tau_hi, breaks, nodes))
+        return _graded_bands(lambda tau: tau ** (-1.0 - s) * G(tau, spec), top, tau_hi, breaks,
+                             nodes, _bottom_band(top, -s, nodes))
 
     mass = tau_hi ** (-s) / s
     tail, tail_err = unit * u_at * mass, 0.0  # exact if u vanishes past tau_hi
-    # G cancels to a few ulps of unit u_at, which the rules weight by
-    # tau^(-1-s): the band's and the bands' above it, int_top^inf = top^(-s) / s;
-    # or the bands' above the head and the head's fit coefficients 5 and 6
-    if head:
-        weight = top ** (-s) * (1.0 / s + 5.0 / (1.0 - s) + 6.0 / (2.0 - s))
-    else:
-        band_tau, band_w = _bottom_band(top, -s, quad.graded_nodes)
-        weight = 4.0 * (float(np.sum(band_w * band_tau ** (-1.0 - s))) + top ** (-s) / s)
-    roundoff = float(np.finfo(float).eps) * unit * abs(u_at) * weight
+    band = _bottom_band(top, -s, quad.graded_nodes)
+    values = G(band[0][None], quad)[0] if cusp else None
+    band_err = _band_error(band, top, s, unit * abs(u_at), values)
     if mu is not None:
         z = mu * tau_hi
         upper = mu**s * math.gamma(1.0 - s) * _gammaincc(1.0 - s, z)
@@ -916,7 +904,7 @@ def _increment(
         bound = u.bound if u.bound is not None else abs(u_at)
         tail_err = 2.0 * unit * bound * mass
     scale = 1.0 / (unit * abs_gamma_neg(s))
-    return _refined(one_pass, quad, tail, tail_err + roundoff, scale)
+    return _refined(one_pass, quad, tail, tail_err + band_err, scale)
 
 
 def increment_integral(

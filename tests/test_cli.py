@@ -340,6 +340,31 @@ def test_run_passes_booleans_as_switches(tmp_path, spatial_only):
     assert manifest["spatial_only"] is spatial_only
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["nu-profile", "--n", "2", "--depth", "2", "--grid", "2"],
+     "nu-profile: cylinder grids implemented for n = 1"),
+    (["decompose", "--probe", "s-decay", "--n", "2", "--depth", "2", "--grid", "2"],
+     "decompose: cylinder restrictions implemented for n = 1"),
+], ids=["nu_profile", "s_decay"])
+def test_what_is_not_implemented_is_one_line(tmp_path, argv, message):
+    """A case the library does not implement (cylinder grids and
+    restrictions in n = 2) stops the command with exit status 1 and one line
+    on stderr that names the command, not a traceback."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fracheat
+
+    env = {**os.environ, "PYTHONPATH": str(Path(fracheat.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-m", "fracheat.cli", *argv, "--field", "gaussian_bump",
+                          "--out-dir", str(tmp_path)], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 1
+    assert out.stderr == message + "\n"
+
+
 def test_import_loads_no_scipy():
     """The library and its command line run on numpy alone: importing them
     in a fresh interpreter loads no scipy module, whose import had been most
