@@ -72,8 +72,10 @@ def gaussian_bump(
         r2 = d[..., 0] * d[..., 0] if n == 1 else np.sum(d * d, axis=-1)
         q = r2 / width**2 + (t - t_center) ** 2 / t_width**2
         inside = q < 1.0
-        q = np.where(inside, q, 0.0)  # keeps exp finite off the support
-        return np.where(inside, amplitude * np.exp(1.0 - 1.0 / (1.0 - q)), 0.0)
+        out = np.zeros(q.shape)
+        vals = np.exp(1.0 - 1.0 / (1.0 - q[inside]))  # only on the support
+        out[inside] = vals if amplitude == 1.0 else amplitude * vals
+        return out
 
     rad = max(width, math.sqrt(t_width))
     support = ParabolicCylinder(
@@ -111,7 +113,8 @@ def power_cusp(
     def func(x, t):
         base = bump.eval(x, t)
         if direction == "space":
-            cusp = np.sum(np.atleast_2d(x) ** 2, axis=-1) ** (beta / 2.0)
+            x = np.atleast_2d(x)
+            cusp = (x[..., 0] * x[..., 0] if n == 1 else np.sum(x * x, axis=-1)) ** (beta / 2.0)
         else:
             cusp = np.abs(t) ** (beta / 2.0)
         return base * cusp

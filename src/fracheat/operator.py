@@ -34,6 +34,7 @@ from .quadrature import (
     _bottom_band,
     _graded_bands,
     _increment,
+    _SourceAt,
     _refined,
     increment_integral,
 )
@@ -184,4 +185,4 @@ def apply_marchaud(
     def G(tau, spec):
         return u_at - uval(t - tau)
 
-    return _increment(RestrictedSource(u_time), None, t, s, u_at, G, 1.0, quad)
+    return _increment(_SourceAt(RestrictedSource(u_time), t), None, s, u_at, G, 1.0, quad)

@@ -21,13 +21,13 @@ declared point, the increment integral counts the band's whole value as
 error (`_band_error`), and the convolution keeps an analytic head.  A kernel
 derivative in time keeps no bottom.  `_graded_bands` is the band integrator
 for every kernel quadrature of the package (this module, the operator routes
-and the kernel mass), `_refined` their fine/coarse error estimate, and
+and the kernel mass), on nodes that consecutive quadratures at one time share
+(`_band_layout`, cached), `_refined` their fine/coarse error estimate, and
 `_increment` the increment integral of the operator and of its Marchaud
 reduction, with their one tail policy and one bottom-band error.
-`_reach` is the one time-range rule of both routes: it reads what the
-source declares (its time window, from a support or a time floor and the
-constraints, and its symbol) and ends the range there, at TAU_MAX, or at the
-symbol cut, whichever is nearest.
+`_SourceAt` reads a source's time geometry at t once, with the one
+time-range rule of both routes: the range ends where the time window ends,
+at TAU_MAX, or at the symbol cut, whichever is nearest.
 Symbol fields exp(lam t) cos(k.x) have one time range and one tail in both
 routes: their Gaussian average at lag tau is pi^(n/2) f(x, t) e^(-mu tau),
 mu = lam + |k|^2, so the numeric range ends at
@@ -50,25 +50,26 @@ A(tau) = int e^(-w^2) g(x - 2 sqrt(tau) w, t - tau) dw (`_average`).
 Gauss-Hermite of order spec.hermite_order (None) on a region without an
 edge, or mapped Gauss-Legendre panels with the Gaussian written out on a
 union of intervals, so that indicator boundaries are hit exactly; an empty
-region never reaches the field.  `_average` asks its source for the region
-once per break segment, since the region changes only at the source's time
+region never reaches the field.  The region is asked once per break
+segment (`_SourceAt.region`): it changes only at the source's time
 breakpoints, which are band edges.
 
 Both inner rules are rows for one evaluator (`_row_average`): a row is a
-node of tau with a fixed number of points w and weights.  Gauss-Hermite
-gives one row per node (`_hermite_rows`), the panel rule one row per live
-panel (`_panel_rows`).  One Gaussian cut governs both rules: a panel that
-lies wholly past +-W_CUT, where e^(-w^2) <= 2^-64, makes no row, and a
+node of tau with a fixed number of points w and weights, at the node's
+2 sqrt(tau).  Gauss-Hermite gives one row per node (`_hermite_rows`), the
+panel rule one row per live panel (`_panel_rows`, enumerated from each
+node's count of live panels).  One Gaussian cut governs both rules: a panel
+that lies wholly past +-W_CUT, where e^(-w^2) <= 2^-64, makes no row, and a
 Gauss-Hermite row keeps only the nodes w with |w| < W_CUT.  The evaluator
 takes all bands of a call together, hands the field BLOCK // width rows at
-once (one row at least), sums each row on its own and then adds each node's
-rows in row order, so that block edges never change a result.  The band
-layout (`_band_layout`) is cached: consecutive quadratures at one time share
-it.  Cached node tables and layouts are read-only.
+once (one row at least), sums each row on its own and then adds each
+node's rows in row order, so that block edges never change a result.
+Cached node tables and layouts are read-only.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import asdict, dataclass, replace
@@ -239,23 +240,6 @@ class RestrictedSource:
     def n(self) -> int:
         return self.field.n
 
-    def time_window(self) -> tuple:
-        lo, hi = self.field.time_window()
-        for cyl, inside in self.constraints:
-            if inside:
-                lo, hi = max(lo, cyl.t_lo), min(hi, cyl.t_hi)
-        return lo, hi
-
-    def time_breakpoints(self) -> list:
-        pts = []
-        lo, hi = self.field.time_window()
-        for v in (lo, hi):
-            if math.isfinite(v):
-                pts.append(v)
-        for cyl, _ in self.constraints:
-            pts.extend([cyl.t_lo, cyl.t_hi])
-        return pts
-
     def intervals(self, eta: float):
         """The admissible spatial region at time eta, and with it the inner
         rule: intervals for windowed panels ([] where the source vanishes),
@@ -304,16 +288,17 @@ def _band_edges(tau_lo: float, tau_hi: float, breakpoints: Sequence[float]):
     return sorted(edges)
 
 
-@lru_cache(maxsize=256)
-def _band_layout(lo: float, hi: float, breaks: tuple) -> tuple:
-    """Read-only band midpoints and half-widths of `_graded_bands`.
-
-    Consecutive quadratures at one time share the layout: every convolution
-    at one t, fine and coarse pass alike, has the same range and breaks.
-    """
+@lru_cache(maxsize=64)
+def _band_layout(lo: float, hi: float, breaks: tuple, nodes: int) -> tuple:
+    """Read-only nodes tau of `_graded_bands`, one band per row, and the
+    bands' half-widths, shared by every quadrature at one t, top and order.
+    The bottom band's row is not stacked here: its power follows s, which
+    independent queries draw afresh, so each would miss."""
     edges = np.array(_band_edges(lo, hi, breaks))
     a, b = edges[:-1], edges[1:]
-    return _read_only(0.5 * (a + b), 0.5 * (b - a))
+    half = 0.5 * (b - a)
+    gl_x, _ = gauss_legendre(nodes)
+    return _read_only(0.5 * (a + b)[:, None] + half[:, None] * gl_x, half)
 
 
 def _graded_bands(
@@ -330,17 +315,16 @@ def _graded_bands(
     integrand(tau) gets the nodes tau, shape (rows, nodes), and returns the
     integrand there, same shape.
     """
-    mid, half = _band_layout(lo, hi, tuple(breaks))
-    gl_x, gl_w = gauss_legendre(nodes)
-    tau = mid[:, None] + half[:, None] * gl_x
+    tau, half = _band_layout(lo, hi, tuple(breaks), nodes)
+    _, gl_w = gauss_legendre(nodes)
     total = 0.0
     if bottom is None:
         vals = integrand(tau)
     else:
-        vals = integrand(np.vstack([bottom[0], tau]))
-        total, vals = float(np.sum(bottom[1] * vals[0])), vals[1:]
+        vals = integrand(np.concatenate((bottom[0][None], tau)))
+        total, vals = float((bottom[1] * vals[0]).sum()), vals[1:]
     # Python floats: the same products and sums as numpy scalars, without their overhead
-    for h, v in zip(half.tolist(), np.sum(gl_w * vals, axis=1).tolist()):
+    for h, v in zip(half.tolist(), (gl_w * vals).sum(axis=1).tolist()):
         total += h * v
     return total
 
@@ -355,13 +339,10 @@ def _bottom_band(top: float, beta: float, order: int) -> tuple:
     return _read_only(top * u, top * w * u ** (-beta))
 
 
-def _band_top(
-    source: RestrictedSource, x: Optional[np.ndarray], t: float, tau_min: float,
-    tau_hi: float, breaks: Sequence[float],
-) -> tuple:
-    """(top, cusp): the top of the bottom band [0, top] of a source at (x, t),
-    and whether a declared singular point lies within the Gaussian window's
-    reach at tau_min.
+def _band_top(at: _SourceAt, x: Optional[np.ndarray], tau_min: float, tau_hi: float) -> tuple:
+    """(top, cusp): the top of the bottom band [0, top] of a source seen
+    from t (`_SourceAt`) at x, and whether a declared singular point lies
+    within the Gaussian window's reach at tau_min.
 
     top is the largest tau_min 2^m (m >= 0) that is at most TAU_BAND, the
     range's end tau_hi, the first positive break lag and the lag where the
@@ -377,14 +358,10 @@ def _band_top(
     nearer than tau_min, where the average is not smooth in tau on [0, top];
     an edge that near flags nothing.
     """
-    reach = min([tau_hi, *(b for b in breaks if b > 0.0)])
+    t = at.t
+    reach = min([tau_hi, *(b for b in at.breaks if b > 0.0)])
     edge = point = math.inf
-    ints = source.intervals(t - 0.5 * tau_min) if x is not None else None
-    for end in (v for iv in ints or () for v in iv):
-        d = abs(end - x[0])
-        if 0.0 < d < math.inf:
-            edge = min(edge, (d / (2.0 * W_MAX)) ** 2)
-    for kind, where in source.field.singular_points:
+    for kind, where in at.source.field.singular_points:
         if kind == "time" and where <= t:
             point = min(point, t - where)
         elif kind == "space" and x is not None:
@@ -392,6 +369,11 @@ def _band_top(
     cusp = point < tau_min
     if reach <= tau_min:
         return reach, cusp
+    ints = at.region(0.5 * tau_min) if x is not None else None
+    for end in (v for iv in ints or () for v in iv):
+        d = abs(end - x[0])
+        if 0.0 < d < math.inf:
+            edge = min(edge, (d / (2.0 * W_MAX)) ** 2)
     bound = min(reach, TAU_BAND, edge, point)
     top = tau_min
     while 2.0 * top <= bound:
@@ -567,26 +549,41 @@ def _gammaincc(a: float, x: float) -> float:
     return math.exp(-x) * math.exp(a * log_x - math.lgamma(a)) * fraction
 
 
-def _reach(source: RestrictedSource, t: float, symbol: bool = True) -> tuple:
-    """(start, end, breaks, mu, reaches): the time range of a source at t,
-    as lags tau.
+class _SourceAt:
+    """A source seen from time t by lag tau, each fact read once: its time
+    range (start to end), its break lags (the field window's finite ends and
+    every cylinder's, sorted) and its region (`region`).
 
-    The source vanishes below the lag start (t - the end of its time window)
-    and past t - the start of its time window; the range ends there, at
-    TAU_MAX if that is nearer, and for a symbol source at `_symbol_range`'s
-    cut.  breaks are the lags of the source's time breakpoints, mu that of
-    `_symbol_mu`, and reaches says whether the source goes on past the end.
-    With symbol False (a kernel derivative, which has no closed-form symbol
-    tail) the source's symbol is not read: mu is None and the range uncut.
+    The time window is the field's, cut by every cylinder the source is kept
+    inside.  The source vanishes below the lag start (t - the end of that
+    window) and past t - its start; the range ends there, at TAU_MAX if that
+    is nearer, and for a symbol source at `_symbol_range`'s cut.  mu is that
+    of `_symbol_mu`, and reaches says whether the source goes on past the
+    end.  With symbol False (a kernel derivative, which has no closed-form
+    symbol tail) the symbol is not read: mu is None and the range uncut.
     """
-    lo, hi = source.time_window()
-    breaks = [t - b for b in source.time_breakpoints()]
-    end = min(TAU_MAX, t - lo)
-    mu = None
-    if symbol:
-        mu = _symbol_mu(source.field)
-        end = _symbol_range(source.field, end, breaks)
-    return t - hi, end, breaks, mu, t - lo > end
+
+    def __init__(self, source: RestrictedSource, t: float, symbol: bool = True):
+        lo, hi = source.field.time_window()
+        points = [v for v in (lo, hi) if math.isfinite(v)]
+        for cyl, inside in source.constraints:
+            points += [cyl.t_lo, cyl.t_hi]
+            if inside:
+                lo, hi = max(lo, cyl.t_lo), min(hi, cyl.t_hi)
+        self.source, self.t, self.start, self.end = source, t, t - hi, min(TAU_MAX, t - lo)
+        self.breaks = tuple(sorted(t - b for b in points))
+        self.mu = _symbol_mu(source.field) if symbol else None
+        self.end = _symbol_range(source.field, self.end, self.breaks) if symbol else self.end
+        self.reaches = t - lo > self.end
+        self._regions = {}
+
+    def region(self, lag: float):
+        """source.intervals(t - lag), asked once per segment between the
+        break lags, since the region changes only at a breakpoint."""
+        seg = bisect.bisect_left(self.breaks, lag)
+        if seg not in self._regions:
+            self._regions[seg] = self.source.intervals(self.t - lag)
+        return self._regions[seg]
 
 
 def _row_average(
@@ -594,12 +591,14 @@ def _row_average(
     x: np.ndarray,
     t: float,
     tau: np.ndarray,
+    root: np.ndarray,
     rows: tuple,
     params: FracParams,
     deriv: Optional[tuple],
 ) -> np.ndarray:
-    """sum_j wt[r, j] g(x - 2 sqrt(tau) w[r, j], t - tau) [phi] over the rows
-    (node, width, points) of an inner rule, added up per node of tau.
+    """sum_j wt[r, j] g(x - root w[r, j], t - tau) [phi] over the rows
+    (node, width, points) of an inner rule, added up per node of tau, with
+    root = 2 sqrt(tau) at each node.
 
     Row r is `width` points at the lag tau.flat[node[r]].  points(rows),
     for a slice of rows, gives their points w, each row's flattened with
@@ -615,6 +614,7 @@ def _row_average(
     node, width, points = rows
     n = x.size
     lag = tau.ravel()[node]
+    scale, eta = root.ravel()[node], t - lag
     # x at a row's points, as w: for n = 1 a scalar, which is faster and gives the same bits
     x_row = x[0] if n == 1 else np.tile(x, width)
     step = max(1, BLOCK // width)
@@ -622,13 +622,12 @@ def _row_average(
     for a in range(0, len(node), step):
         block = slice(a, a + step)
         w, wt = points(block)
-        tc = lag[block]
-        dy = (2.0 * np.sqrt(tc))[:, None] * w
-        vals = field_eval((x_row - dy).reshape(-1, n), (t - tc).repeat(width))
-        vals = vals.reshape(len(tc), width)
+        dy = scale[block, None] * w
+        vals = field_eval((x_row - dy).reshape(-1, n), eta[block].repeat(width))
+        vals = vals.reshape(-1, width)
         if deriv is not None:
-            dy = dy.reshape(len(tc), width, n)
-            vals = vals * _factor_eval(params, deriv, dy, tc.repeat(width).reshape(-1, width))
+            dy = dy.reshape(-1, width, n)
+            vals = vals * _factor_eval(params, deriv, dy, lag[block].repeat(width).reshape(-1, width))
         sums[block] = (vals * wt).sum(axis=1)
     return np.bincount(node, sums, minlength=tau.size).reshape(tau.shape)
 
@@ -661,45 +660,48 @@ def _hermite_rows(size: int, order: int, n: int) -> tuple:
     return np.arange(size), len(wq), lambda block: grid
 
 
-# panel k of p spans k / p to (k + 1) / p of the window, each taken as
+# panel k of p spans k / p to (k + 1) / p of the window, each edge taken as
 # np.linspace takes it, k (1 / p); a window spans at most 2 W_MAX in w.
-# The tables of k and k + 1 are made once, since most of a small
-# convolution's time is fixed cost per call.
-_PANEL = np.arange(math.ceil(W_MAX))
-_PANEL, _PANEL_END = _read_only(_PANEL, _PANEL + 1)
+# The table of k is made once, since most of a small convolution's time is
+# fixed cost per call.
+(_EDGE,) = _read_only(np.arange(math.ceil(W_MAX) + 1.0))
+_PANEL = _EDGE[:-1]
 
 
-def _panel_rows(x: float, tau: np.ndarray, regions, spatial_nodes: int) -> tuple:
+def _panel_rows(x: float, root: np.ndarray, regions, spatial_nodes: int) -> tuple:
     """One row per live panel (n = 1): for each (bands, intervals) of
-    regions, the panels of the nodes of tau's rows `bands` on those
-    intervals, a node's rows in the order interval, panel.
+    regions, the panels of the nodes of root's rows `bands` (a slice) on
+    those intervals, a node's rows in the order interval, panel.
 
-    A node's window on an interval is the part within W_MAX of x in w.  A
-    band cuts its nodes' windows on one interval into ceil(len / 2) equal
-    panels, len the widest of them, each with spatial_nodes Gauss-Legendre
-    points and the Gaussian written into their weights.  Panels wholly past
-    +-W_CUT, where e^(-w^2) <= 2^-64, are dropped: the window's two outer
-    ones when it is not clipped.
+    A node's window on an interval is the part within W_MAX of x in w
+    (root = 2 sqrt(tau)).  A band cuts its nodes' windows on one interval
+    into ceil(len / 2) equal panels, len the widest of them, each with
+    spatial_nodes Gauss-Legendre points and the Gaussian written into their
+    weights.  Panels wholly past +-W_CUT, where e^(-w^2) <= 2^-64, are
+    dropped (the window's two outer ones when it is not clipped): a node's
+    row of panel edges counts its live panels, and the rows repeat it that
+    many times.
     """
+    nodes = root.shape[1]
     node, mids, halfs = [], [], []
     for bands, ints in regions:
-        lo, hi = np.array(ints, dtype=float).reshape(-1, 2).T
-        sq = 2.0 * np.sqrt(tau[bands])[..., None]  # (band, node, interval)
-        y_lo = np.maximum(lo, x - W_MAX * sq)
-        y_hi = np.maximum(np.minimum(hi, x + W_MAX * sq), y_lo)
-        w_lo = ((x - y_hi) / sq)[..., None]
-        span = ((x - y_lo) / sq)[..., None] - w_lo
-        panels = np.ceil(span.max(axis=1, keepdims=True) / 2.0)
-        step = 1.0 / np.maximum(panels, 1.0)
-        e_lo = w_lo + span * (_PANEL * step)
-        e_hi = w_lo + span * (_PANEL_END * step)
-        live = (_PANEL < panels) & (e_hi > -W_CUT) & (e_lo < W_CUT)
-        band, j = live.nonzero()[:2]
-        e_lo, e_hi = e_lo[live], e_hi[live]
-        node.append(bands[band] * tau.shape[1] + j)
-        mids.append(0.5 * (e_hi + e_lo))
-        halfs.append(0.5 * (e_hi - e_lo))
-    if len(regions) == 1:
+        sq = root[bands].ravel()
+        reach = W_MAX * sq
+        ids = np.arange(bands.start * nodes, bands.stop * nodes)
+        for lo, hi in ints:
+            y_lo = np.maximum(lo, x - reach)
+            y_hi = np.maximum(np.minimum(hi, x + reach), y_lo)
+            w_lo = (x - y_hi) / sq
+            span = (x - y_lo) / sq - w_lo
+            panels = np.ceil(span.reshape(-1, nodes).max(axis=1) / 2.0).repeat(nodes)[:, None]
+            edge = w_lo[:, None] + span[:, None] * (_EDGE * (1.0 / np.maximum(panels, 1.0)))
+            e_lo, e_hi = edge[:, :-1], edge[:, 1:]
+            live = (_PANEL < panels) & (e_hi > -W_CUT) & (e_lo < W_CUT)
+            node.append(ids.repeat(live.sum(axis=1)))
+            e_lo, e_hi = e_lo[live], e_hi[live]
+            mids.append(0.5 * (e_hi + e_lo))
+            halfs.append(0.5 * (e_hi - e_lo))
+    if len(node) == 1:
         node, mids, halfs = node[0], mids[0], halfs[0]
     else:
         node, mids, halfs = (np.concatenate(parts) for parts in (node, mids, halfs))
@@ -713,38 +715,31 @@ def _panel_rows(x: float, tau: np.ndarray, regions, spatial_nodes: int) -> tuple
 
 
 def _average(
-    source: RestrictedSource,
+    at: _SourceAt,
     x: np.ndarray,
-    t: float,
     tau: np.ndarray,
     spec: QuadratureSpec,
     params: FracParams,
     deriv: Optional[tuple],
 ) -> np.ndarray:
-    """int e^{-w^2} g(x - 2 sqrt(tau) w, t - tau) [phi] dw at the tau nodes.
+    """int e^{-w^2} g(x - 2 sqrt(tau) w, t - tau) [phi] dw at the tau nodes
+    of a source seen from t; 2 sqrt(tau) is taken once, for every row.
 
-    tau holds the nodes of one band per row; no band crosses a time
-    breakpoint, where alone the region changes.  So `source.intervals` is
-    asked once per break segment.  A region without an edge (None, at every
-    time, so the first answer settles it) sends every node to Gauss-Hermite;
-    otherwise the panel rows of every segment form one row stream (an empty
-    region has none).
+    tau holds the nodes of one band per row, in rising lag; no band crosses
+    a time breakpoint, where alone the region changes.  So the rows split
+    into runs at the break lags, each with its region (`_SourceAt.region`).
+    A region without an edge (None, at every time, so the first answer
+    settles it) sends every node to Gauss-Hermite; otherwise the panel rows
+    of every run form one row stream (an empty region has none).
     """
-    first = tau[:, 0]
-    ints = source.intervals(t - first[0])
-    if ints is None:
+    first, root = tau[:, 0], 2.0 * np.sqrt(tau)
+    if at.region(first[0]) is None:
         rows = _hermite_rows(tau.size, spec.hermite_order, params.n)
     else:
-        cuts = sorted(t - b for b in source.time_breakpoints())
-        segment = np.searchsorted(cuts, first)
-        regions = []
-        for seg in dict.fromkeys(segment.tolist()):
-            bands = np.flatnonzero(segment == seg)
-            if regions:  # the first segment's region is already known
-                ints = source.intervals(t - first[bands[0]])
-            regions.append((bands, ints))
-        rows = _panel_rows(x[0], tau, regions, spec.spatial_nodes)
-    return _row_average(source.field.eval, x, t, tau, rows, params, deriv)
+        cuts = sorted({0, len(first), *np.searchsorted(first, at.breaks).tolist()})
+        regions = [(slice(a, b), at.region(first[a])) for a, b in zip(cuts, cuts[1:])]
+        rows = _panel_rows(x[0], root, regions, spec.spatial_nodes)
+    return _row_average(at.source.field.eval, x, at.t, tau, root, rows, params, deriv)
 
 
 def _convolve_once(
@@ -758,57 +753,58 @@ def _convolve_once(
     quad, with A the Gaussian average `_average` of the source (times the
     kernel-derivative factor phi for a deriv).
 
-    The range is `_reach`'s; a kernel derivative reads no symbol.  Where
+    The range is `_SourceAt`'s; a kernel derivative reads no symbol.  Where
     the source reaches down to lag 0, the bottom band takes [0, top]
     (`_band_top`) with the weight tau^(s-1): tau^(s-1) A is that power times
     a function smooth in tau, also for a spatial kernel derivative, and the
-    bands start at top.  A source that declares a singular point takes it
-    too where the window at tau_min clears every kink, and otherwise
-    (`_band_top`'s cusp), with deriv None, an analytic head on [0, top]
-    that takes the inner integral at its limit pi^(n/2) g(x, t), a spatial
-    derivative the band on that range.  A kernel derivative in time, whose
-    integrand opens like tau^(s-2), keeps the bands from tau_min and no
-    bottom.  A symbol source exp(lam t) cos(k.x) (deriv
-    None) that reaches past the range's end tau_hi is there the unrestricted
-    field f (the cut lies past every break short of TAU_MAX), whose Gaussian
-    average is pi^(n/2) f(x, t) e^(-mu tau), mu = lam + |k|^2: its tail is
-    mu^(-s) f(x, t) Q(s, mu tau_hi), with Q the regularized upper incomplete
-    gamma function.  With mu <= 0 that tail diverges, and a source reaching
-    past TAU_MAX raises ValueError, as does any non-symbol source reaching
-    past TAU_MAX, whose tail is not known (K * 1 diverges).  The source
-    vanishes before the lag start, where the range then begins.
+    bands start at top.  A source that declares a
+    singular point takes it too where the window at tau_min clears every
+    kink, and otherwise (`_band_top`'s cusp), with deriv None, an analytic
+    head on [0, top] that takes the inner integral at its limit
+    pi^(n/2) g(x, t), a spatial derivative the band on that range.  A kernel
+    derivative in time, whose integrand opens like tau^(s-2), keeps the
+    bands from tau_min and no bottom.  A symbol source exp(lam t) cos(k.x)
+    (deriv None) that reaches past the range's end tau_hi is there the
+    unrestricted field f (the cut lies past every break short of TAU_MAX),
+    whose Gaussian average is pi^(n/2) f(x, t) e^(-mu tau),
+    mu = lam + |k|^2: its tail is mu^(-s) f(x, t) Q(s, mu tau_hi), with Q
+    the regularized upper incomplete gamma function.  With mu <= 0 that tail
+    diverges, and a source reaching past TAU_MAX raises ValueError, as does
+    any non-symbol source reaching past TAU_MAX, whose tail is not known
+    (K * 1 diverges).  The source vanishes before the lag start, where the
+    range then begins.
     """
     x = pt.x_array()
     t = pt.t
     s = params.s
-    start, tau_hi, breaks, mu, reaches = _reach(source, t, symbol=deriv is None)
-    if tau_hi <= 0.0:
+    at = _SourceAt(source, t, symbol=deriv is None)
+    if at.end <= 0.0:
         return 0.0
-    if reaches and source.field.symbol_params is None:
+    if at.reaches and source.field.symbol_params is None:
         raise ValueError(f"the convolution of {source.field.name} has no tail: no time"
                          f" floor within TAU_MAX = {TAU_MAX:g} of t = {t}")
-    if reaches and mu is not None and mu <= 0.0:
+    if at.reaches and at.mu is not None and at.mu <= 0.0:
         raise ValueError(f"the convolution of {source.field.name} diverges:"
-                         f" lam + |k|^2 = {mu} <= 0")
-    tau_lo = max(quad.tau_min, start)
+                         f" lam + |k|^2 = {at.mu} <= 0")
+    tau_lo = max(quad.tau_min, at.start)
     total = 0.0
-    if reaches and mu is not None:
-        total += source.field.eval_at(pt) * mu ** (-s) * _gammaincc(s, mu * tau_hi)
+    if at.reaches and at.mu is not None:
+        total += source.field.eval_at(pt) * at.mu ** (-s) * _gammaincc(s, at.mu * at.end)
     bottom = None
     # the source reaches down to lag 0; a kernel derivative in time keeps no bottom
     if tau_lo == quad.tau_min and (deriv is None or deriv[-1] == 0):
-        tau_lo, cusp = _band_top(source, x, t, tau_lo, tau_hi, breaks)
+        tau_lo, cusp = _band_top(at, x, tau_lo, at.end)
         if cusp and deriv is None:
             # analytic head: the inner integral tends to pi^{n/2} g(x, t)
             total += source.value_at(x, t) * tau_lo**s / (s * math.gamma(s))
         else:
             bottom = _bottom_band(tau_lo, s - 1.0, quad.graded_nodes)
-    if tau_hi <= tau_lo and bottom is None:
+    if at.end <= tau_lo and bottom is None:
         return total
     scale = 1.0 / (math.pi ** (params.n / 2.0) * math.gamma(s))
     return total + scale * _graded_bands(
-        lambda tau: tau ** (s - 1.0) * _average(source, x, t, tau, quad, params, deriv),
-        tau_lo, tau_hi, breaks, quad.graded_nodes, bottom)
+        lambda tau: tau ** (s - 1.0) * _average(at, x, tau, quad, params, deriv),
+        tau_lo, at.end, at.breaks, quad.graded_nodes, bottom)
 
 
 def kernel_convolve(
@@ -852,42 +848,43 @@ def kernel_convolve(
 
 
 def _increment(
-    source: RestrictedSource, x: Optional[np.ndarray], t: float, s: float, u_at: float,
-    G: Callable, unit: float, quad: QuadratureSpec,
+    at: _SourceAt, x: Optional[np.ndarray], s: float, u_at: float, G: Callable, unit: float,
+    quad: QuadratureSpec,
 ) -> tuple:
     """(value, err) of int_0^inf tau^(-1-s) G(tau) dtau / (unit |Gamma(-s)|).
 
     G(tau, spec) = unit * u_at - (directional average of u at t - tau) on
-    the nodes of one band per row, with unit the average's total weight,
-    and x the point of that average (None for a point value, which has no
-    window).  The working range is `_reach`'s, at least 4 tau_min long.
-    Below top (`_band_top`) the bottom band takes G / tau, smooth in tau,
-    with the weight tau^(-s), as one more row of the bands' nodes.  Its
-    error (`_band_error`) is G's round-off, 4 ulps of unit u_at, and where
-    the window at tau_min is not clear of a declared point (`_band_top`'s
-    cusp) the band's whole value too: a value that diverges as tau_min
-    falls is flagged.  The tail beyond tau_hi, with mass = tau_hi^(-s) / s:
-    for a symbol field, whose G is unit u_at (1 - e^(-mu tau)), the closed
-    form unit u_at (tau_hi^(-s) (1 - e^(-mu tau_hi)) + mu^s Gamma(1-s)
-    Q(1-s, mu tau_hi)) / s, with Q the regularized upper incomplete gamma
-    function (mu = 0: the integral is exactly 0); for a field that does not
-    reach past tau_hi unit u_at mass, exactly; for any other field G frozen
-    at tau_hi, with the worst case 2 unit bound mass as its error.
+    the nodes of one band per row, with unit the average's total weight, at
+    the source u seen from t, and x the point of that average (None for a
+    point value, which has no window).  The working range is at's, at least
+    4 tau_min long.  Below top (`_band_top`) the bottom band takes G / tau,
+    smooth in tau, with the weight tau^(-s), as one more row of the bands'
+    nodes.  Its error (`_band_error`) is G's round-off, 4 ulps of unit u_at,
+    and where the window at tau_min is not clear of a declared point
+    (`_band_top`'s cusp) the band's whole value too: a value that diverges
+    as tau_min falls is flagged.  The tail beyond tau_hi, with mass =
+    tau_hi^(-s) / s: for a symbol field, whose G is unit u_at
+    (1 - e^(-mu tau)), the closed form unit u_at (tau_hi^(-s)
+    (1 - e^(-mu tau_hi)) + mu^s Gamma(1-s) Q(1-s, mu tau_hi)) / s, with Q
+    the regularized upper incomplete gamma function (mu = 0: the integral
+    is exactly 0); for a field that does not reach past tau_hi unit u_at
+    mass, exactly; for any other field G frozen at tau_hi, with the worst
+    case 2 unit bound mass as its error.
     """
-    u = source.field
+    u = at.source.field
     if not check_slowly_increasing(u):
         raise ValueError("field grows too fast backward in time for the history"
                          " integral")
-    _, tau_hi, breaks, mu, reaches = _reach(source, t)
+    tau_hi, mu = at.end, at.mu
     if mu == 0.0:
         return 0.0, 0.0
     tau_hi = max(tau_hi, 4.0 * quad.tau_min)
-    top, cusp = _band_top(source, x, t, quad.tau_min, tau_hi, breaks)
+    top, cusp = _band_top(at, x, quad.tau_min, tau_hi)
 
     def one_pass(spec: QuadratureSpec) -> float:
         nodes = spec.graded_nodes
-        return _graded_bands(lambda tau: tau ** (-1.0 - s) * G(tau, spec), top, tau_hi, breaks,
-                             nodes, _bottom_band(top, -s, nodes))
+        return _graded_bands(lambda tau: tau ** (-1.0 - s) * G(tau, spec), top, tau_hi,
+                             at.breaks, nodes, _bottom_band(top, -s, nodes))
 
     mass = tau_hi ** (-s) / s
     tail, tail_err = unit * u_at * mass, 0.0  # exact if u vanishes past tau_hi
@@ -898,7 +895,7 @@ def _increment(
         z = mu * tau_hi
         upper = mu**s * math.gamma(1.0 - s) * _gammaincc(1.0 - s, z)
         tail = unit * u_at * (-math.expm1(-z) * tau_hi ** (-s) + upper) / s
-    elif reaches:
+    elif at.reaches:
         # no decay assumption available: freeze G at its tau_hi value
         tail = G(np.array([[tau_hi]]), quad)[0, 0] * mass
         bound = u.bound if u.bound is not None else abs(u_at)
@@ -922,12 +919,12 @@ def increment_integral(
     window) from `RestrictedSource.intervals` like a convolution does.
     Returns (value, error).
     """
-    source = RestrictedSource(u)
+    at = _SourceAt(RestrictedSource(u), pt.t)
     x = pt.x_array()
     unit = math.pi ** (params.n / 2.0)
     u_at = u.eval_at(pt)
 
     def G(tau, spec):
-        return unit * u_at - _average(source, x, pt.t, tau, spec, params, None)
+        return unit * u_at - _average(at, x, tau, spec, params, None)
 
-    return _increment(source, x, pt.t, params.s, u_at, G, unit, quad)
+    return _increment(at, x, params.s, u_at, G, unit, quad)

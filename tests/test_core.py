@@ -223,3 +223,63 @@ class TestScalarField:
         params = FracParams(1, 0.5)
         assert (apply_fractional_laplacian(bare, 0.2, params)
                 == apply_fractional_laplacian(cusp, 0.2, params))
+
+
+def _bump_formula(x, t, center, t_center, width, t_width, n, amplitude):
+    """gaussian_bump's value, written out as it was before it took exp only
+    on its support: exp at q = 0 off the support, then masked."""
+    d = x - np.asarray(center, dtype=float)
+    r2 = d[..., 0] * d[..., 0] if n == 1 else np.sum(d * d, axis=-1)
+    q = r2 / width**2 + (t - t_center) ** 2 / t_width**2
+    inside = q < 1.0
+    q = np.where(inside, q, 0.0)
+    return np.where(inside, amplitude * np.exp(1.0 - 1.0 / (1.0 - q)), 0.0)
+
+
+class TestFieldFormulas:
+    """gaussian_bump and power_cusp give the bits of their formulas written
+    out in full, on points where q is exactly 1, just below 1, outside the
+    time window, and spread over and past the support."""
+
+    @staticmethod
+    def _points(n, width, t_width):
+        below = np.nextafter(1.0, 0.0)
+        edge = np.zeros((6, n))
+        edge[:, 0] = [width, -width, width * math.sqrt(below), 0.0, 0.0, 0.5 * width]
+        t_edge = np.array([0.0, 0.0, 0.0, t_width, 2.0 * t_width, 0.0])
+        rng = np.random.default_rng(5)
+        x = np.vstack([edge, rng.uniform(-1.5 * width, 1.5 * width, (200, n))])
+        return x, np.concatenate([t_edge, rng.uniform(-1.5 * t_width, 1.5 * t_width, 200)])
+
+    @staticmethod
+    def _same_bits(got, want):
+        return got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("amplitude", [1.0, 2.5])
+    @pytest.mark.parametrize("width,t_width", [(1.0, 1.0), (0.75, 0.5)])
+    def test_bump(self, n, amplitude, width, t_width):
+        from fracheat import gaussian_bump
+
+        center = np.zeros(n)
+        x, t = self._points(n, width, t_width)
+        q = np.sum(x * x, axis=-1) / width**2 + t**2 / t_width**2
+        assert np.any(q == 1.0) and np.any((0.999 < q) & (q < 1.0)) and np.any(q > 1.0)
+        f = gaussian_bump(center, 0.0, width, t_width, n=n, amplitude=amplitude)
+        want = _bump_formula(x, t, center, 0.0, width, t_width, n, amplitude)
+        assert self._same_bits(f.eval(x, t), want)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
+    @pytest.mark.parametrize("direction", ["space", "time"])
+    def test_cusp(self, n, beta, direction):
+        from fracheat import power_cusp
+
+        x, t = self._points(n, 0.75, 0.75)
+        base = _bump_formula(x, t, np.zeros(n), 0.0, 0.75, 0.75, n, 1.0)
+        if direction == "space":
+            cusp = np.sum(np.atleast_2d(x) ** 2, axis=-1) ** (beta / 2.0)
+        else:
+            cusp = np.abs(t) ** (beta / 2.0)
+        got = power_cusp(beta, direction, n=n).eval(x, t)
+        assert self._same_bits(got, base * cusp)

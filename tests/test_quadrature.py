@@ -70,6 +70,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracheat import (
     FracParams,
@@ -112,8 +114,8 @@ from fracheat.quadrature import (
     _graded_bands,
     _hermite_grid,
     _panel_rows,
-    _reach,
     _row_average,
+    _SourceAt,
     _symbol_range,
     gauss_hermite,
     gauss_jacobi,
@@ -554,9 +556,8 @@ BAND_SOURCES = {
 
 def _band_case(name):
     source, x, t = BAND_SOURCES[name]
-    x, tau_min = np.array(x), QuadratureSpec().tau_min
-    _, tau_hi, breaks, _, _ = _reach(source, t)
-    return source, x, t, tau_min, tau_hi, breaks
+    at = _SourceAt(source, t)
+    return at, np.array(x), QuadratureSpec().tau_min
 
 
 @pytest.mark.parametrize("name", sorted(BAND_SOURCES))
@@ -566,8 +567,9 @@ def test_band_top_stays_below_every_kink(name):
     x +- 2 W_MAX sqrt(top) stays clear of every edge of the region and every
     declared point; twice top would break one of these bounds.  No declared
     point is flagged, cusp sources included."""
-    source, x, t, tau_min, tau_hi, breaks = _band_case(name)
-    top, cusp = _band_top(source, x, t, tau_min, tau_hi, breaks)
+    at, x, tau_min = _band_case(name)
+    source, t, tau_hi, breaks = at.source, at.t, at.end, at.breaks
+    top, cusp = _band_top(at, x, tau_min, tau_hi)
     m = math.log2(top / tau_min)
     assert top > 0.0 and m == int(m) >= 0 and not cusp
     ints = source.intervals(t - 0.5 * tau_min) or []
@@ -588,10 +590,10 @@ def test_band_top_stays_below_every_kink(name):
 def test_bands_above_top_keep_their_edges(name):
     """The graded bands above top are the last bands of those graded from
     tau_min, bit for bit."""
-    source, x, t, tau_min, tau_hi, breaks = _band_case(name)
-    top, _ = _band_top(source, x, t, tau_min, tau_hi, breaks)
-    full = _band_edges(tau_min, tau_hi, breaks)
-    above = _band_edges(top, tau_hi, breaks)
+    at, x, tau_min = _band_case(name)
+    top, _ = _band_top(at, x, tau_min, at.end)
+    full = _band_edges(tau_min, at.end, at.breaks)
+    above = _band_edges(top, at.end, at.breaks)
     assert len(above) < len(full) and above == full[len(full) - len(above):]
 
 
@@ -644,29 +646,26 @@ def test_band_top_where_a_kink_comes_within_tau_min():
     declared points; where a declared point is nearer, it is flagged (cusp)
     on tau_min, or on a nearer break."""
     tau_min = QuadratureSpec().tau_min
-    bump = RestrictedSource(gaussian_bump())
-    _, tau_hi, breaks, _, _ = _reach(bump, 0.2)
-    assert _band_top(bump, np.array([0.9999]), 0.2, tau_min, tau_hi, breaks) == (tau_min, False)
-    kept = RestrictedSource(exp_symbol(0.5, [1.0]), [(_CYL, True)])
-    _, tau_hi, breaks, _, _ = _reach(kept, 0.5 * tau_min)
-    top, cusp = _band_top(kept, np.array([0.3]), 0.5 * tau_min, tau_min, tau_hi, breaks)
-    assert top == min(b for b in breaks if b > 0.0) == 0.5 * tau_min and not cusp
-    cusp_source = RestrictedSource(power_cusp(0.5))
-    edge = cusp_source.field.spatial_interval()[1]  # 0.866: the support's radius is sqrt(0.75)
-    _, tau_hi, breaks, _, _ = _reach(cusp_source, 0.2)
+    bump = _SourceAt(RestrictedSource(gaussian_bump()), 0.2)
+    assert _band_top(bump, np.array([0.9999]), tau_min, bump.end) == (tau_min, False)
+    kept = _SourceAt(RestrictedSource(exp_symbol(0.5, [1.0]), [(_CYL, True)]), 0.5 * tau_min)
+    top, cusp = _band_top(kept, np.array([0.3]), tau_min, kept.end)
+    assert top == min(b for b in kept.breaks if b > 0.0) == 0.5 * tau_min and not cusp
+    cusp_source = _SourceAt(RestrictedSource(power_cusp(0.5)), 0.2)
+    # 0.866: the support's radius is sqrt(0.75)
+    edge = cusp_source.source.field.spatial_interval()[1]
     for x, want in (
         (0.3, (tau_min * 2**14, False)),  # the cusp's lag, (0.3 / (2 W_MAX))^2 = 3.0e-4
         (0.749, (tau_min * 2**12, False)),  # the edge's, 0.117 away: 4.6e-5
         (edge - 5e-4, (tau_min, False)),  # the edge within 2 W_MAX sqrt(tau_min) = 1.7e-3
         (0.0, (tau_min, True)),  # at the cusp
     ):
-        assert _band_top(cusp_source, np.array([x]), 0.2, tau_min, tau_hi, breaks) == want
-    after = RestrictedSource(power_cusp(0.5, direction="time"))  # tau_min / 2 after its cusp
-    _, tau_hi, breaks, _, _ = _reach(after, 0.5 * tau_min)
-    assert _band_top(after, np.array([0.3]), 0.5 * tau_min, tau_min, tau_hi, breaks) == (
-        tau_min, True)
-    _, tau_hi, breaks, _, _ = _reach(_restricted(), 0.5 * tau_min)  # after its cylinders
-    top, cusp = _band_top(_restricted(), np.array([0.5]), 0.5 * tau_min, tau_min, tau_hi, breaks)
+        assert _band_top(cusp_source, np.array([x]), tau_min, cusp_source.end) == want
+    # tau_min / 2 after its cusp
+    after = _SourceAt(RestrictedSource(power_cusp(0.5, direction="time")), 0.5 * tau_min)
+    assert _band_top(after, np.array([0.3]), tau_min, after.end) == (tau_min, True)
+    restricted = _SourceAt(_restricted(), 0.5 * tau_min)  # after its cylinders
+    top, cusp = _band_top(restricted, np.array([0.5]), tau_min, restricted.end)
     assert top == 0.5 * tau_min and not cusp
 
 
@@ -924,7 +923,7 @@ def test_spec_stores_numpy_scalars_as_python_numbers():
     lambda: gauss_legendre(8),
     lambda: gauss_hermite(8),
     lambda: _hermite_grid(8, 2),
-    lambda: _band_layout(1e-3, 1.0, (0.3,)),
+    lambda: _band_layout(1e-3, 1.0, (0.3,), 8),
 ], ids=["gauss_legendre", "gauss_hermite", "hermite_grid", "band_layout"])
 def test_cached_arrays_are_read_only(arrays):
     """A write into a cached node table would corrupt every later quadrature."""
@@ -988,32 +987,39 @@ def test_x_independent_operator_matches_marchaud(make):
     assert abs(value - want) <= 1e-9 * abs(want)
 
 
-def _inner_intervals_per_count(field_eval, x, t, tau, ints, spatial_nodes, params, deriv,
-                               counts, live):
+def _inner_intervals_per_count(field_eval, x, t, tau, root, ints, spatial_nodes, params, deriv,
+                               counts, live, rows=None, kept=None):
     """Reference inner rule: one field evaluation per interval and panel
-    count, each count's bands summed over their (panel, node) axes.  Every
-    panel is evaluated; live gets the number of those that reach inside
-    (-W_CUT, W_CUT)."""
-    sq = 2.0 * np.sqrt(tau)
+    count, each count's bands summed over their (panel, node) axes, with
+    root = 2 sqrt(tau).  Every panel is evaluated; live gets the number of
+    those that reach inside (-W_CUT, W_CUT), rows, if given, their
+    (node, interval, panel, points w), and kept, if given, the sums over
+    them alone and the largest sum of their terms' absolute values (the
+    scale of their round-off)."""
     inner = np.zeros(tau.shape)
     gl_x, gl_w = gauss_legendre(spatial_nodes)
-    for lo, hi in ints:
-        y_lo = np.maximum(lo, x - W_MAX * sq)
-        y_hi = np.maximum(np.minimum(hi, x + W_MAX * sq), y_lo)
-        w_lo = (x - y_hi) / sq
-        w_hi = (x - y_lo) / sq
+    node_of = np.arange(tau.size).reshape(tau.shape)
+    for i, (lo, hi) in enumerate(ints):
+        y_lo = np.maximum(lo, x - W_MAX * root)
+        y_hi = np.maximum(np.minimum(hi, x + W_MAX * root), y_lo)
+        w_lo = (x - y_hi) / root
+        w_hi = (x - y_lo) / root
         max_len = np.max(w_hi - w_lo, axis=1)
         panels = np.where(max_len > 0, np.clip(np.ceil(max_len / 2.0), 1, 10), 0)
         for n_panels in np.unique(panels[panels > 0]).astype(int):
             counts.add(int(n_panels))
-            rows = panels == n_panels
-            r_tau, r_sq, r_lo = tau[rows].ravel(), sq[rows].ravel(), w_lo[rows].ravel()
+            sel = panels == n_panels
+            r_tau, r_sq, r_lo = tau[sel].ravel(), root[sel].ravel(), w_lo[sel].ravel()
             frac = np.linspace(0.0, 1.0, n_panels + 1)
-            edges = r_lo[:, None] + (w_hi[rows].ravel() - r_lo)[:, None] * frac[None, :]
-            live.append(int(np.sum((edges[:, 1:] > -W_CUT) & (edges[:, :-1] < W_CUT))))
+            edges = r_lo[:, None] + (w_hi[sel].ravel() - r_lo)[:, None] * frac[None, :]
+            alive = (edges[:, 1:] > -W_CUT) & (edges[:, :-1] < W_CUT)
+            live.append(int(np.sum(alive)))
             mids = 0.5 * (edges[:, 1:] + edges[:, :-1])
             halfs = 0.5 * (edges[:, 1:] - edges[:, :-1])
             w = mids[:, :, None] + halfs[:, :, None] * gl_x
+            if rows is not None:
+                for r, k in zip(*alive.nonzero()):
+                    rows.append((node_of[sel].ravel()[r], i, k, w[r, k]))
             y = x - r_sq[:, None, None] * w
             eta = np.repeat(t - r_tau, w[0].size)
             vals = field_eval(y.reshape(-1, 1), eta).reshape(y.shape)
@@ -1024,18 +1030,59 @@ def _inner_intervals_per_count(field_eval, x, t, tau, ints, spatial_nodes, param
                     params, deriv, (r_sq[:, None, None] * w)[..., None], tau3
                 )
             wq = halfs[:, :, None] * gl_w
-            inner[rows] += np.sum(integ * wq, axis=(1, 2)).reshape(-1, tau.shape[1])
+            inner[sel] += np.sum(integ * wq, axis=(1, 2)).reshape(-1, tau.shape[1])
+            if kept is not None:
+                terms = integ * wq * alive[:, :, None]
+                kept[0][sel] += np.sum(terms, axis=(1, 2)).reshape(-1, tau.shape[1])
+                kept[1] = max(kept[1], np.max(np.sum(np.abs(terms), axis=(1, 2))))
     return inner
 
 
+# bands of 4 nodes from tau = 1e-3 to 8, a third of an octave wide: the
+# windows of the first two intervals span from 1 to 9 panels, and the third
+# interval lies outside every window
+_EDGES = 1e-3 * 2.0 ** (np.arange(40) / 3.0)
+_PANEL_TAU = (0.5 * (_EDGES[:-1] + _EDGES[1:])[:, None]
+              + 0.5 * np.diff(_EDGES)[:, None] * gauss_legendre(4)[0])
+_PANEL_INTS = [(-6.0, 9.0), (-40.0, -12.0), (500.0, 600.0)]
+
+
+@st.composite
+def _panel_cases(draw):
+    """(x, tau, intervals): up to 8 bands of 1 to 5 Gauss-Legendre nodes,
+    from 1 to 3 octaves wide, and 1 to 3 intervals, each anywhere near x,
+    outside every window, or within a few widths of the narrowest window
+    around x (so clipped on both sides)."""
+    x = draw(st.floats(-2.0, 2.0))
+    octave = 2.0 ** draw(st.integers(-2, 1))
+    edges = draw(st.floats(1e-5, 1.0)) * 2.0 ** (octave * np.arange(draw(st.integers(2, 9))))
+    gl_x, _ = gauss_legendre(draw(st.integers(1, 5)))
+    tau = 0.5 * (edges[:-1] + edges[1:])[:, None] + 0.5 * np.diff(edges)[:, None] * gl_x
+    reach = W_MAX * 2.0 * math.sqrt(edges[0])
+    interval = st.one_of(
+        st.tuples(st.floats(-12.0, 12.0), st.floats(1e-3, 20.0)).map(lambda p: (p[0], p[0] + p[1])),
+        st.just((500.0, 600.0)),
+        st.tuples(st.floats(0.0, 3.0), st.floats(1e-3, 3.0)).map(
+            lambda p: (x - p[0] * reach, x + p[1] * reach)),
+    )
+    return x, tau, draw(st.lists(interval, min_size=1, max_size=3))
+
+
 @pytest.mark.parametrize("deriv", [None, (1, 0)])
-def test_inner_intervals_matches_per_count_loop(deriv):
-    """Panel rows on the live panels only, in field calls of at most BLOCK
-    points, agree to 1e-14 of the largest value with a loop over panel
-    counts that evaluates every panel, on bands whose panel counts run from
-    1 to 9.  Not bit for bit: each panel is summed on its own and the
-    panels then added, where the loop sums a node's (panel, node) terms in
-    one go."""
+@settings(max_examples=60, deadline=None)
+@given(case=_panel_cases())
+@example(case=(0.2, _PANEL_TAU, _PANEL_INTS))
+def test_inner_intervals_matches_per_count_loop(deriv, case):
+    """Panel rows, enumerated from each node's count of live panels, are the
+    live panels of a loop over panel counts that evaluates every panel: the
+    same rows with the same points w, and the field sees those and no
+    others, in calls of BLOCK // width rows.  Their values agree with the
+    loop's sums over the live panels to 1e-14 of its largest sum of absolute
+    terms (on the fixed example, with all its panels to 1e-14 of the
+    largest value), not bit for bit: each panel is summed on its own and
+    the panels then added, where the loop sums a node's (panel, node) terms
+    in one go."""
+    x, tau, ints = case
     params = FracParams(1, 0.4)
     field = power_cusp(0.5)
     calls = []
@@ -1044,25 +1091,29 @@ def test_inner_intervals_matches_per_count_loop(deriv):
         calls.append(len(eta))
         return field.eval(y, eta)
 
-    # bands of 4 nodes from tau = 1e-3 to 8, a third of an octave wide: the
-    # windows of the first two intervals span from 1 to 9 panels, and the
-    # third interval lies outside every window
-    edges = 1e-3 * 2.0 ** (np.arange(40) / 3.0)
-    gl_x, _ = gauss_legendre(4)
-    tau = 0.5 * (edges[:-1] + edges[1:])[:, None] + 0.5 * np.diff(edges)[:, None] * gl_x
-    ints = [(-6.0, 9.0), (-40.0, -12.0), (500.0, 600.0)]
-    counts, live = set(), []
-    want = _inner_intervals_per_count(field.eval, 0.2, 0.3, tau, ints, 10, params, deriv,
-                                      counts, live)
-    assert counts == set(range(1, 10))
-    rows = _panel_rows(0.2, tau, [(np.arange(len(tau)), ints)], 10)
-    got = _row_average(field_eval, np.array([0.2]), 0.3, tau, rows, params, deriv)
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    # the field sees the live panels and no others: 930 of the first
-    # interval's 1,112 panels (rows) and 76 of the second's 120
-    assert sum(calls) == 10 * sum(live) == 10 * (930 + 76)
-    # one row stream of 819 rows of 10 points per call: two calls in all
-    assert calls == [8190, 1870]
+    root = 2.0 * np.sqrt(tau)
+    counts, live, want_rows, kept = set(), [], [], [np.zeros(tau.shape), 0.0]
+    want = _inner_intervals_per_count(field.eval, x, 0.3, tau, root, ints, 10, params, deriv,
+                                      counts, live, want_rows, kept)
+    rows = _panel_rows(x, root, [(slice(0, len(tau)), ints)], 10)
+    got = _row_average(field_eval, np.array([x]), 0.3, tau, root, rows, params, deriv)
+    assert np.max(np.abs(got - kept[0])) <= 1e-14 * kept[1]
+    # a node's rows in the order interval, panel, as the loop finds them
+    want_rows.sort(key=lambda row: row[:3])
+    node, width, points = rows
+    order = np.argsort(node, kind="stable")
+    assert node[order].tolist() == [row[0] for row in want_rows]
+    w = points(slice(None))[0][order]
+    assert np.array_equal(w, np.array([row[3] for row in want_rows]).reshape(w.shape))
+    # the field sees the live panels and no others, BLOCK // width rows a call
+    step = BLOCK // width
+    assert sum(calls) == width * sum(live)
+    assert calls == [min(step, len(node) - a) * width for a in range(0, len(node), step)]
+    if tau is _PANEL_TAU:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        # 930 of the first interval's 1,112 panels and 76 of the second's 120
+        assert counts == set(range(1, 10)) and sum(live) == 930 + 76
+        assert calls == [8190, 1870]
 
 
 def test_panels_past_cut_skipped_by_the_operator(monkeypatch):
@@ -1074,13 +1125,15 @@ def test_panels_past_cut_skipped_by_the_operator(monkeypatch):
     plain = quadrature._panel_rows
     rows, want = [], []
 
-    def counted(x, tau, regions, spatial_nodes):
+    def counted(x, root, regions, spatial_nodes):
         live = []
         for bands, ints in regions:
-            _inner_intervals_per_count(lambda y, eta: np.zeros(len(eta)), x, 0.0, tau[bands],
-                                       ints, spatial_nodes, None, None, set(), live)
+            # a zero field: only the windows, so only root, count
+            _inner_intervals_per_count(lambda y, eta: np.zeros(len(eta)), x, 0.0,
+                                       np.zeros(root[bands].shape), root[bands], ints,
+                                       spatial_nodes, None, None, set(), live)
         want.append(sum(live))
-        out = plain(x, tau, regions, spatial_nodes)
+        out = plain(x, root, regions, spatial_nodes)
         rows.append(len(out[0]))
         return out
 
@@ -1153,7 +1206,7 @@ def test_admissible_region_once_per_break_segment():
     value, err = kernel_convolve(counting, SpaceTimePoint.of(0.1, 0.0), FracParams(1, 0.5),
                                  COARSE)
     assert (value, err) == pytest.approx(GOLDEN["conv_restricted"], rel=1e-12, abs=0.0)
-    segments = len(source.time_breakpoints()) + 1
+    segments = len(_SourceAt(source, 0.0).breaks) + 1
     assert 0 < len(asked) <= 2 * segments
 
 
@@ -1222,9 +1275,7 @@ def test_hermite_bands_grouped_by_order(make, x, first_derivative):
     deriv = (1,) + (0,) * n if first_derivative else None
     spec = QuadratureSpec()
     x, t = np.array(x), 0.1
-    mid, half = _band_layout(spec.tau_min, TAU_MAX, ())
-    gl_x, _ = gauss_legendre(spec.graded_nodes)
-    tau = mid[:, None] + half[:, None] * gl_x
+    tau, _ = _band_layout(spec.tau_min, TAU_MAX, (), spec.graded_nodes)
     want = _inner_hermite_per_band(field, x, t, tau, spec.hermite_order, params, deriv)
 
     calls = []
@@ -1234,7 +1285,7 @@ def test_hermite_bands_grouped_by_order(make, x, first_derivative):
         return type(field).eval(field, y, eta)
 
     field.eval = counting
-    got = _average(RestrictedSource(field), x, t, tau, spec, params, deriv)
+    got = _average(_SourceAt(RestrictedSource(field), t), x, tau, spec, params, deriv)
     assert np.array_equal(got, want)
 
     q = len(_hermite_grid(spec.hermite_order, n)[1])  # the nodes inside the cut
