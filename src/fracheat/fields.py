@@ -73,8 +73,7 @@ def gaussian_bump(
         q = r2 / width**2 + (t - t_center) ** 2 / t_width**2
         inside = q < 1.0
         out = np.zeros(q.shape)
-        vals = np.exp(1.0 - 1.0 / (1.0 - q[inside]))  # only on the support
-        out[inside] = vals if amplitude == 1.0 else amplitude * vals
+        out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - q[inside]))  # only on the support
         return out
 
     rad = max(width, math.sqrt(t_width))

@@ -666,6 +666,7 @@ def _hermite_rows(size: int, order: int, n: int) -> tuple:
 # fixed cost per call.
 (_EDGE,) = _read_only(np.arange(math.ceil(W_MAX) + 1.0))
 _PANEL = _EDGE[:-1]
+(_NO_ROWS,) = _read_only(np.empty(0, np.intp))  # so that no interval still concatenates
 
 
 def _panel_rows(x: float, root: np.ndarray, regions, spatial_nodes: int) -> tuple:
@@ -703,8 +704,8 @@ def _panel_rows(x: float, root: np.ndarray, regions, spatial_nodes: int) -> tupl
             halfs.append(0.5 * (e_hi - e_lo))
     if len(node) == 1:
         node, mids, halfs = node[0], mids[0], halfs[0]
-    else:
-        node, mids, halfs = (np.concatenate(parts) for parts in (node, mids, halfs))
+    else:  # several intervals, or none (every region empty): then no rows
+        node, mids, halfs = (np.concatenate([_NO_ROWS, *parts]) for parts in (node, mids, halfs))
     gl_x, gl_w = gauss_legendre(spatial_nodes)
 
     def points(block):

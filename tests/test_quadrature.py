@@ -59,7 +59,10 @@ moved within their tolerances, by at most 4.6e-15 relative in value and
 1.1e-14 in estimate, and were not re-recorded; the rest kept their bits.
 Every golden kept its bits again when the operator's increment integral
 took the band at a declared point too, counting it whole as error, in
-place of its Richardson head.
+place of its Richardson head.  op_before_window, the operator on a bump
+at a time before its window, where every region of the source is empty,
+reads 0 with the estimate of a zero sum, as it did before panel rows
+were enumerated from per-node counts.
 Any later change to the quadrature must reproduce them: values to 1e-12
 relative, estimates to 1e-14 |value| + 1e-16.
 """
@@ -191,6 +194,9 @@ CASES = {
         gaussian_bump(), SpaceTimePoint.of(0.0, -1.5), FracParams(1, 0.5), COARSE),
     "op_after_window": lambda: apply_fully_fractional(
         gaussian_bump(), SpaceTimePoint.of(0.0, 1.5), FracParams(1, 0.5), COARSE),
+    # before the window every region of the source is empty: no panel rows
+    "op_before_window": lambda: apply_fully_fractional(
+        gaussian_bump(), SpaceTimePoint.of(0.0, -1.5), FracParams(1, 0.5), COARSE),
 }
 
 GOLDEN = {
@@ -209,6 +215,7 @@ GOLDEN = {
     'mass_n1': (0.5641895835477564, 6.933096515559673e-11),
     'mass_n2': (1.0141187137602978, 3.0841366612724163e-10),
     'op_after_window': (-0.0536352533549248, 6.915380201780412e-05),
+    'op_before_window': (0.0, 1e-16),
     'op_bounded': (-0.2342764211548908, 0.0010597132611463703),
     'op_bump_n1': (1.2048174158955194, 4.874574387378466e-06),
     'op_bump_n2': (2.4616576304189297, 4.659110242935401e-05),
@@ -1050,9 +1057,9 @@ _PANEL_INTS = [(-6.0, 9.0), (-40.0, -12.0), (500.0, 600.0)]
 @st.composite
 def _panel_cases(draw):
     """(x, tau, intervals): up to 8 bands of 1 to 5 Gauss-Legendre nodes,
-    from 1 to 3 octaves wide, and 1 to 3 intervals, each anywhere near x,
-    outside every window, or within a few widths of the narrowest window
-    around x (so clipped on both sides)."""
+    from 1 to 3 octaves wide, and up to 3 intervals (none: an empty region),
+    each anywhere near x, outside every window, or within a few widths of
+    the narrowest window around x (so clipped on both sides)."""
     x = draw(st.floats(-2.0, 2.0))
     octave = 2.0 ** draw(st.integers(-2, 1))
     edges = draw(st.floats(1e-5, 1.0)) * 2.0 ** (octave * np.arange(draw(st.integers(2, 9))))
@@ -1065,13 +1072,14 @@ def _panel_cases(draw):
         st.tuples(st.floats(0.0, 3.0), st.floats(1e-3, 3.0)).map(
             lambda p: (x - p[0] * reach, x + p[1] * reach)),
     )
-    return x, tau, draw(st.lists(interval, min_size=1, max_size=3))
+    return x, tau, draw(st.lists(interval, min_size=0, max_size=3))
 
 
 @pytest.mark.parametrize("deriv", [None, (1, 0)])
 @settings(max_examples=60, deadline=None)
 @given(case=_panel_cases())
 @example(case=(0.2, _PANEL_TAU, _PANEL_INTS))
+@example(case=(0.2, _PANEL_TAU[:2], []))
 def test_inner_intervals_matches_per_count_loop(deriv, case):
     """Panel rows, enumerated from each node's count of live panels, are the
     live panels of a loop over panel counts that evaluates every panel: the
