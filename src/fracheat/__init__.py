@@ -50,7 +50,7 @@ from .operator import (
     marchaud_constant,
     symbol_oracle,
 )
-from .quadrature import QuadratureSpec, RestrictedSource, kernel_convolve
+from .quadrature import QuadratureSpec, RestrictedSource, kernel_convolve, kernel_convolve_at
 from .regularity import (
     JetSequence,
     NuProfile,

@@ -20,9 +20,10 @@ declared singular point.  Where the window at tau_min is not clear of a
 declared point, the increment integral counts the band's whole value as
 error (`_band_error`), and the convolution keeps an analytic head.  A kernel
 derivative in time keeps no bottom.  `_graded_bands` is the band integrator
-for every kernel quadrature of the package (this module, the operator routes
-and the kernel mass), on nodes that consecutive quadratures at one time share
-(`_band_layout`, cached), `_refined` their fine/coarse error estimate, and
+of the increment integral, the operator routes and the kernel mass (the
+convolution engine adds its bands per target the same way), on nodes that
+consecutive quadratures at one time share (`_band_layout`, cached),
+`_refined` their fine/coarse error estimate, and
 `_increment` the increment integral of the operator and of its Marchaud
 reduction, with their one tail policy and one bottom-band error.
 `_SourceAt` reads a source's time geometry at t once, with the one
@@ -54,17 +55,24 @@ region never reaches the field.  The region is asked once per break
 segment (`_SourceAt.region`): it changes only at the source's time
 breakpoints, which are band edges.
 
+One engine (`_convolve_at`) convolves m targets x at one time t: it reads
+the source at t once, and every target's bands are a suffix of one band
+layout, that of the lowest target's top.  `kernel_convolve` is its
+one-target case, and `kernel_convolve_at` takes many targets at once.
+
 Both inner rules are rows for one evaluator (`_row_average`): a row is a
-node of tau with a fixed number of points w and weights, at the node's
-2 sqrt(tau).  Gauss-Hermite gives one row per node (`_hermite_rows`), the
-panel rule one row per live panel (`_panel_rows`, enumerated from each
-node's count of live panels).  One Gaussian cut governs both rules: a panel
-that lies wholly past +-W_CUT, where e^(-w^2) <= 2^-64, makes no row, and a
-Gauss-Hermite row keeps only the nodes w with |w| < W_CUT.  The evaluator
-takes all bands of a call together, hands the field BLOCK // width rows at
-once (one row at least), sums each row on its own and then adds each
-node's rows in row order, so that block edges never change a result.
-Cached node tables and layouts are read-only.
+(target, node) of tau with a fixed number of points w and weights, at the
+node's 2 sqrt(tau) and seen from the target's x.  Gauss-Hermite gives one
+row per (target, node) (`_hermite_rows`), the panel rule one row per live
+panel (`_panel_rows`, enumerated from each (target, node)'s count of live
+panels).  One Gaussian cut governs both rules: a panel that lies wholly
+past +-W_CUT, where e^(-w^2) <= 2^-64, makes no row, and a Gauss-Hermite
+row keeps only the nodes w with |w| < W_CUT.  The evaluator takes all
+bands of all targets of a call together, hands the field BLOCK // width
+rows at once (one row at least), sums each row on its own and then adds
+each (target, node)'s rows in row order, so that neither block edges nor
+the other targets ever change a result.  Cached node tables and layouts
+are read-only.
 """
 
 from __future__ import annotations
@@ -85,6 +93,7 @@ __all__ = [
     "QuadratureSpec",
     "RestrictedSource",
     "kernel_convolve",
+    "kernel_convolve_at",
     "increment_integral",
     "gauss_legendre",
     "gauss_hermite",
@@ -290,15 +299,15 @@ def _band_edges(tau_lo: float, tau_hi: float, breakpoints: Sequence[float]):
 
 @lru_cache(maxsize=64)
 def _band_layout(lo: float, hi: float, breaks: tuple, nodes: int) -> tuple:
-    """Read-only nodes tau of `_graded_bands`, one band per row, and the
-    bands' half-widths, shared by every quadrature at one t, top and order.
-    The bottom band's row is not stacked here: its power follows s, which
-    independent queries draw afresh, so each would miss."""
+    """Read-only nodes tau of `_graded_bands`, one band per row, the bands'
+    half-widths and their lower edges, shared by every quadrature at one t,
+    top and order.  The bottom band's row is not stacked here: its power
+    follows s, which independent queries draw afresh, so each would miss."""
     edges = np.array(_band_edges(lo, hi, breaks))
     a, b = edges[:-1], edges[1:]
     half = 0.5 * (b - a)
     gl_x, _ = gauss_legendre(nodes)
-    return _read_only(0.5 * (a + b)[:, None] + half[:, None] * gl_x, half)
+    return _read_only(0.5 * (a + b)[:, None] + half[:, None] * gl_x, half, a)
 
 
 def _graded_bands(
@@ -315,14 +324,22 @@ def _graded_bands(
     integrand(tau) gets the nodes tau, shape (rows, nodes), and returns the
     integrand there, same shape.
     """
-    tau, half = _band_layout(lo, hi, tuple(breaks), nodes)
+    tau, half, _ = _band_layout(lo, hi, tuple(breaks), nodes)
+    if bottom is None:
+        return _band_sum(integrand(tau), half, nodes)
+    return _band_sum(integrand(np.concatenate((bottom[0][None], tau))), half, nodes, bottom[1])
+
+
+def _band_sum(vals: np.ndarray, half: np.ndarray, nodes: int, bottom=None) -> float:
+    """The integral from the integrand's values vals at the nodes of bands
+    of half-widths half (`_band_layout`), one band per row, in rising lag,
+    each with the Gauss-Legendre rule of order nodes; with the weights
+    bottom of a bottom band (`_bottom_band`), vals has that band's row in
+    front.  The bands are added in their order, after the bottom band."""
     _, gl_w = gauss_legendre(nodes)
     total = 0.0
-    if bottom is None:
-        vals = integrand(tau)
-    else:
-        vals = integrand(np.concatenate((bottom[0][None], tau)))
-        total, vals = float((bottom[1] * vals[0]).sum()), vals[1:]
+    if bottom is not None:
+        total, vals = float((bottom * vals[0]).sum()), vals[1:]
     # Python floats: the same products and sums as numpy scalars, without their overhead
     for h, v in zip(half.tolist(), (gl_w * vals).sum(axis=1).tolist()):
         total += h * v
@@ -371,7 +388,7 @@ def _band_top(at: _SourceAt, x: Optional[np.ndarray], tau_min: float, tau_hi: fl
         return reach, cusp
     ints = at.region(0.5 * tau_min) if x is not None else None
     for end in (v for iv in ints or () for v in iv):
-        d = abs(end - x[0])
+        d = abs(end - float(x[0]))  # a Python float, so that the doubling below runs on floats
         if 0.0 < d < math.inf:
             edge = min(edge, (d / (2.0 * W_MAX)) ** 2)
     bound = min(reach, TAU_BAND, edge, point)
@@ -597,39 +614,46 @@ def _row_average(
     deriv: Optional[tuple],
 ) -> np.ndarray:
     """sum_j wt[r, j] g(x - root w[r, j], t - tau) [phi] over the rows
-    (node, width, points) of an inner rule, added up per node of tau, with
-    root = 2 sqrt(tau) at each node.
+    (key, width, points) of an inner rule, added up per (target, node) of
+    tau, with root = 2 sqrt(tau) at each node.
 
-    Row r is `width` points at the lag tau.flat[node[r]].  points(rows),
-    for a slice of rows, gives their points w, each row's flattened with
-    the coordinates last, shape (rows, width * n), and their weights wt,
-    shape (rows, width), or one pair of shapes (width * n,) and (width,)
-    for all of them; flat rows keep numpy's inner loops long, and points
-    made a block at a time keep every temporary cache-sized.  The field gets
-    BLOCK // width rows per call (one row at least); each row is summed on
-    its own, and then each node's rows are added in row order, so block
-    edges never change a result.  Returns tau's shape, zero at a node
-    without rows.
+    tau holds one band's nodes per row, row i seen from the target x[i]
+    (x has shape (rows of tau, n), or (1, n) for one target of every row).
+    Row r of the rule is `width` points at the lag tau.flat[key[r]], seen
+    from that node's target.  points(rows), for a slice of rows, gives
+    their points w, each row's flattened with the coordinates last, shape
+    (rows, width * n), and their weights wt, shape (rows, width), or one
+    pair of shapes (width * n,) and (width,) for all of them; flat rows keep
+    numpy's inner loops long, and points made a block at a time keep every
+    temporary cache-sized.  The field gets BLOCK // width rows per call (one
+    row at least), whatever their targets; each row is summed on its own,
+    and then each (target, node)'s rows are added in row order, so neither
+    block edges nor the other targets ever change a result.  Returns tau's
+    shape, zero at a node without rows.
     """
-    node, width, points = rows
-    n = x.size
-    lag = tau.ravel()[node]
-    scale, eta = root.ravel()[node], t - lag
-    # x at a row's points, as w: for n = 1 a scalar, which is faster and gives the same bits
-    x_row = x[0] if n == 1 else np.tile(x, width)
+    key, width, points = rows
+    n = x.shape[1]
+    lag = tau.ravel()[key]
+    scale, eta = root.ravel()[key], t - lag
+    many = len(x) > 1
+    # x at a row's points, as w: one target's for every row (for n = 1 a scalar, which
+    # is faster and gives the same bits), or each row's own, taken a block at a time
+    x_row = (x.repeat(tau.shape[1], axis=0)[key] if many
+             else x[0, 0] if n == 1 else np.tile(x[0], width))
     step = max(1, BLOCK // width)
-    sums = np.empty(len(node))
-    for a in range(0, len(node), step):
+    sums = np.empty(len(key))
+    for a in range(0, len(key), step):
         block = slice(a, a + step)
         w, wt = points(block)
         dy = scale[block, None] * w
-        vals = field_eval((x_row - dy).reshape(-1, n), eta[block].repeat(width))
+        x_at = (x_row[block] if n == 1 else np.tile(x_row[block], width)) if many else x_row
+        vals = field_eval((x_at - dy).reshape(-1, n), eta[block].repeat(width))
         vals = vals.reshape(-1, width)
         if deriv is not None:
             dy = dy.reshape(-1, width, n)
             vals = vals * _factor_eval(params, deriv, dy, lag[block].repeat(width).reshape(-1, width))
         sums[block] = (vals * wt).sum(axis=1)
-    return np.bincount(node, sums, minlength=tau.size).reshape(tau.shape)
+    return np.bincount(key, sums, minlength=tau.size).reshape(tau.shape)
 
 
 @lru_cache(maxsize=64)
@@ -669,10 +693,12 @@ _PANEL = _EDGE[:-1]
 (_NO_ROWS,) = _read_only(np.empty(0, np.intp))  # so that no interval still concatenates
 
 
-def _panel_rows(x: float, root: np.ndarray, regions, spatial_nodes: int) -> tuple:
+def _panel_rows(x: np.ndarray, root: np.ndarray, regions, spatial_nodes: int) -> tuple:
     """One row per live panel (n = 1): for each (bands, intervals) of
     regions, the panels of the nodes of root's rows `bands` (a slice) on
-    those intervals, a node's rows in the order interval, panel.
+    those intervals, each row of root seen from its target x[row] (x holds
+    one coordinate per row of root, or one for all), a (target, node)'s
+    rows in the order interval, panel.
 
     A node's window on an interval is the part within W_MAX of x in w
     (root = 2 sqrt(tau)).  A band cuts its nodes' windows on one interval
@@ -684,35 +710,37 @@ def _panel_rows(x: float, root: np.ndarray, regions, spatial_nodes: int) -> tupl
     many times.
     """
     nodes = root.shape[1]
-    node, mids, halfs = [], [], []
+    key, mids, halfs = [], [], []
     for bands, ints in regions:
-        sq = root[bands].ravel()
+        sq = root[bands]
+        xb = x[0] if len(x) == 1 else x[bands, None]
         reach = W_MAX * sq
         ids = np.arange(bands.start * nodes, bands.stop * nodes)
         for lo, hi in ints:
-            y_lo = np.maximum(lo, x - reach)
-            y_hi = np.maximum(np.minimum(hi, x + reach), y_lo)
-            w_lo = (x - y_hi) / sq
-            span = (x - y_lo) / sq - w_lo
-            panels = np.ceil(span.reshape(-1, nodes).max(axis=1) / 2.0).repeat(nodes)[:, None]
-            edge = w_lo[:, None] + span[:, None] * (_EDGE * (1.0 / np.maximum(panels, 1.0)))
+            y_lo = np.maximum(lo, xb - reach)
+            y_hi = np.maximum(np.minimum(hi, xb + reach), y_lo)
+            w_lo = (xb - y_hi) / sq
+            span = (xb - y_lo) / sq - w_lo
+            panels = np.ceil(span.max(axis=1) / 2.0).repeat(nodes)[:, None]
+            edge = (w_lo.reshape(-1, 1)
+                    + span.reshape(-1, 1) * (_EDGE * (1.0 / np.maximum(panels, 1.0))))
             e_lo, e_hi = edge[:, :-1], edge[:, 1:]
             live = (_PANEL < panels) & (e_hi > -W_CUT) & (e_lo < W_CUT)
-            node.append(ids.repeat(live.sum(axis=1)))
+            key.append(ids.repeat(live.sum(axis=1)))
             e_lo, e_hi = e_lo[live], e_hi[live]
             mids.append(0.5 * (e_hi + e_lo))
             halfs.append(0.5 * (e_hi - e_lo))
-    if len(node) == 1:
-        node, mids, halfs = node[0], mids[0], halfs[0]
+    if len(key) == 1:
+        key, mids, halfs = key[0], mids[0], halfs[0]
     else:  # several intervals, or none (every region empty): then no rows
-        node, mids, halfs = (np.concatenate([_NO_ROWS, *parts]) for parts in (node, mids, halfs))
+        key, mids, halfs = (np.concatenate([_NO_ROWS, *parts]) for parts in (key, mids, halfs))
     gl_x, gl_w = gauss_legendre(spatial_nodes)
 
     def points(block):
         w = mids[block, None] + halfs[block, None] * gl_x
         return w, np.exp(-(w * w)) * (halfs[block, None] * gl_w)
 
-    return node, spatial_nodes, points
+    return key, spatial_nodes, points
 
 
 def _average(
@@ -726,61 +754,73 @@ def _average(
     """int e^{-w^2} g(x - 2 sqrt(tau) w, t - tau) [phi] dw at the tau nodes
     of a source seen from t; 2 sqrt(tau) is taken once, for every row.
 
-    tau holds the nodes of one band per row, in rising lag; no band crosses
-    a time breakpoint, where alone the region changes.  So the rows split
-    into runs at the break lags, each with its region (`_SourceAt.region`).
-    A region without an edge (None, at every time, so the first answer
-    settles it) sends every node to Gauss-Hermite; otherwise the panel rows
-    of every run form one row stream (an empty region has none).
+    tau holds the nodes of one band per row, row i seen from the target
+    x[i] (x has shape (rows, n), or (1, n) for one target of every row);
+    no band crosses a time breakpoint, where alone the region changes.  So
+    the rows split into runs within one break segment
+    (`_SourceAt.region`), a run ending wherever the next row lies in
+    another.  A region without an edge (None, at every time, so the first
+    answer settles it) sends every node to Gauss-Hermite; otherwise the
+    panel rows of every run form one row stream (an empty region has none).
     """
     first, root = tau[:, 0], 2.0 * np.sqrt(tau)
     if at.region(first[0]) is None:
         rows = _hermite_rows(tau.size, spec.hermite_order, params.n)
     else:
-        cuts = sorted({0, len(first), *np.searchsorted(first, at.breaks).tolist()})
+        seg = np.array(at.breaks).searchsorted(first).tolist()
+        cuts = [0, *(i for i in range(1, len(seg)) if seg[i] != seg[i - 1]), len(seg)]
         regions = [(slice(a, b), at.region(first[a])) for a, b in zip(cuts, cuts[1:])]
-        rows = _panel_rows(x[0], root, regions, spec.spatial_nodes)
+        rows = _panel_rows(x[:, 0], root, regions, spec.spatial_nodes)
     return _row_average(at.source.field.eval, x, at.t, tau, root, rows, params, deriv)
 
 
-def _convolve_once(
+def _convolve_at(
     source: RestrictedSource,
-    pt: SpaceTimePoint,
+    x: np.ndarray,
+    t: float,
     params: FracParams,
     quad: QuadratureSpec,
     deriv: Optional[tuple],
-) -> float:
-    """int_0^inf tau^(s-1) A(tau) dtau / (pi^(n/2) Gamma(s)), one pass at
-    quad, with A the Gaussian average `_average` of the source (times the
-    kernel-derivative factor phi for a deriv).
+) -> list:
+    """int_0^inf tau^(s-1) A(tau) dtau / (pi^(n/2) Gamma(s)) at each target
+    of x, shape (m, n), all at the time t: one pass at quad, with A the
+    Gaussian average `_average` of the source (times the kernel-derivative
+    factor phi for a deriv).
 
-    The range is `_SourceAt`'s; a kernel derivative reads no symbol.  Where
-    the source reaches down to lag 0, the bottom band takes [0, top]
-    (`_band_top`) with the weight tau^(s-1): tau^(s-1) A is that power times
-    a function smooth in tau, also for a spatial kernel derivative, and the
-    bands start at top.  A source that declares a
-    singular point takes it too where the window at tau_min clears every
-    kink, and otherwise (`_band_top`'s cusp), with deriv None, an analytic
-    head on [0, top] that takes the inner integral at its limit
-    pi^(n/2) g(x, t), a spatial derivative the band on that range.  A kernel
-    derivative in time, whose integrand opens like tau^(s-2), keeps the
-    bands from tau_min and no bottom.  A symbol source exp(lam t) cos(k.x)
-    (deriv None) that reaches past the range's end tau_hi is there the
-    unrestricted field f (the cut lies past every break short of TAU_MAX),
-    whose Gaussian average is pi^(n/2) f(x, t) e^(-mu tau),
+    The range is `_SourceAt`'s, read once for all targets; a kernel
+    derivative reads no symbol.  Where the source reaches down to lag 0,
+    the bottom band takes [0, top] (`_band_top`, per target) with the
+    weight tau^(s-1): tau^(s-1) A is that power times a function smooth in
+    tau, also for a spatial kernel derivative, and the bands start at top.
+    A source that declares a singular point takes it too where the window
+    at tau_min clears every kink, and otherwise (`_band_top`'s cusp), with
+    deriv None, an analytic head on [0, top] that takes the inner integral
+    at its limit pi^(n/2) g(x, t), a spatial derivative the band on that
+    range.  A kernel derivative in time, whose integrand opens like
+    tau^(s-2), keeps the bands from tau_min and no bottom.  A symbol source
+    exp(lam t) cos(k.x) (deriv None) that reaches past the range's end
+    tau_hi is there the unrestricted field f (the cut lies past every break
+    short of TAU_MAX), whose Gaussian average is pi^(n/2) f(x, t) e^(-mu tau),
     mu = lam + |k|^2: its tail is mu^(-s) f(x, t) Q(s, mu tau_hi), with Q
     the regularized upper incomplete gamma function.  With mu <= 0 that tail
     diverges, and a source reaching past TAU_MAX raises ValueError, as does
     any non-symbol source reaching past TAU_MAX, whose tail is not known
     (K * 1 diverges).  The source vanishes before the lag start, where the
     range then begins.
+
+    Every top is tau_min 2^m or the range's shared reach, so the graded
+    bands of the lowest top hold every target's bands, from its own top on,
+    with the same nodes.  The targets' rows, each target's bottom band and
+    then its bands, go to the field together (`_average`), and each target
+    adds its bottom band and then its bands in rising lag, as it would
+    alone: a target's value does not depend on the others.  Returns the m
+    values as a list.
     """
-    x = pt.x_array()
-    t = pt.t
-    s = params.s
+    s, nodes = params.s, quad.graded_nodes
     at = _SourceAt(source, t, symbol=deriv is None)
+    total = [0.0] * len(x)
     if at.end <= 0.0:
-        return 0.0
+        return total
     if at.reaches and source.field.symbol_params is None:
         raise ValueError(f"the convolution of {source.field.name} has no tail: no time"
                          f" floor within TAU_MAX = {TAU_MAX:g} of t = {t}")
@@ -788,24 +828,60 @@ def _convolve_once(
         raise ValueError(f"the convolution of {source.field.name} diverges:"
                          f" lam + |k|^2 = {at.mu} <= 0")
     tau_lo = max(quad.tau_min, at.start)
-    total = 0.0
     if at.reaches and at.mu is not None:
-        total += source.field.eval_at(pt) * at.mu ** (-s) * _gammaincc(s, at.mu * at.end)
-    bottom = None
+        mu_s, upper = at.mu ** (-s), _gammaincc(s, at.mu * at.end)
+        for j, xj in enumerate(x):
+            total[j] += source.field.eval_at(SpaceTimePoint.of(xj, t)) * mu_s * upper
     # the source reaches down to lag 0; a kernel derivative in time keeps no bottom
-    if tau_lo == quad.tau_min and (deriv is None or deriv[-1] == 0):
-        tau_lo, cusp = _band_top(at, x, tau_lo, at.end)
-        if cusp and deriv is None:
-            # analytic head: the inner integral tends to pi^{n/2} g(x, t)
-            total += source.value_at(x, t) * tau_lo**s / (s * math.gamma(s))
-        else:
-            bottom = _bottom_band(tau_lo, s - 1.0, quad.graded_nodes)
-    if at.end <= tau_lo and bottom is None:
+    reached = tau_lo == quad.tau_min and (deriv is None or deriv[-1] == 0)
+    live, lowest = [], at.end  # (target, top, bottom band or None) of each target with rows
+    for j, xj in enumerate(x):
+        top, bottom = tau_lo, None
+        if reached:
+            top, cusp = _band_top(at, xj, tau_lo, at.end)
+            if cusp and deriv is None:
+                # analytic head: the inner integral tends to pi^{n/2} g(x, t)
+                total[j] += source.value_at(xj, t) * top**s / (s * math.gamma(s))
+            else:
+                bottom = _bottom_band(top, s - 1.0, nodes)
+        if bottom is not None or top < at.end:
+            live.append((j, top, bottom))
+            lowest = min(lowest, top)
+    if not live:
         return total
+    tau, half, low = _band_layout(lowest, at.end, at.breaks, nodes)
+    # a target's rows: its bottom band, then the bands from its top on
+    starts = [0 if top == lowest else int(low.searchsorted(top)) for _, top, _ in live]
+    pieces, counts = [], []
+    for (_, _, bottom), k in zip(live, starts):
+        if bottom is not None:
+            pieces.append(bottom[0][None])
+        pieces.append(tau[k:])
+        counts.append(len(tau) - k + (bottom is not None))
+    rows = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    targets = x if len(x) == 1 else x[[j for j, _, _ in live]].repeat(counts, axis=0)
+    values = rows ** (s - 1.0) * _average(at, targets, rows, quad, params, deriv)
     scale = 1.0 / (math.pi ** (params.n / 2.0) * math.gamma(s))
-    return total + scale * _graded_bands(
-        lambda tau: tau ** (s - 1.0) * _average(at, x, tau, quad, params, deriv),
-        tau_lo, at.end, at.breaks, quad.graded_nodes, bottom)
+    row = 0
+    for (j, _, bottom), k, count in zip(live, starts, counts):
+        total[j] += scale * _band_sum(values[row:row + count], half[k:], nodes,
+                                      None if bottom is None else bottom[1])
+        row += count
+    return total
+
+
+def _as_restricted(source, deriv: Optional[tuple]) -> RestrictedSource:
+    """source as a RestrictedSource (a plain ScalarField is unrestricted),
+    or NotImplementedError for a kernel derivative of an unrestricted
+    oscillating symbol source (no closed-form tail ends its range)."""
+    if isinstance(source, ScalarField):
+        source = RestrictedSource(source)
+    field = source.field
+    if (deriv is not None and not source.constraints and field.symbol_params is not None
+            and any(field.symbol_params[1])):
+        raise NotImplementedError("kernel derivative of an unrestricted oscillating symbol"
+                                  " source")
+    return source
 
 
 def kernel_convolve(
@@ -823,24 +899,50 @@ def kernel_convolve(
     deriv differentiates the kernel in closed form under the integral.
     Returns (value, error_estimate); the estimate comes from a node-count
     refinement, and a symbol source's tail past the time range is closed
-    form (`_convolve_once`).  With with_error=False the estimate is NaN.
-    Raises FloatingPointError when the value (or the estimate) is not
-    finite, ValueError when the convolution of a symbol source diverges or
-    any other source has no time floor within TAU_MAX of pt, and
-    NotImplementedError for a kernel derivative of an unrestricted
+    form (`_convolve_at`, with one target).  With with_error=False the
+    estimate is NaN.  Raises FloatingPointError when the value (or the
+    estimate) is not finite, ValueError when the convolution of a symbol
+    source diverges or any other source has no time floor within TAU_MAX of
+    pt, and NotImplementedError for a kernel derivative of an unrestricted
     symbol source with k != 0 (no closed-form tail ends its range).
     """
-    if isinstance(source, ScalarField):
-        source = RestrictedSource(source)
-    field = source.field
-    if (deriv is not None and not source.constraints and field.symbol_params is not None
-            and any(field.symbol_params[1])):
-        raise NotImplementedError("kernel derivative of an unrestricted oscillating symbol"
-                                  " source")
+    source = _as_restricted(source, deriv)
+    x = pt.x_array()[None]
+
+    def one_pass(spec: QuadratureSpec) -> float:
+        return _convolve_at(source, x, pt.t, params, spec, deriv)[0]
+
     if not with_error:
-        value, _ = _finite(_convolve_once(source, pt, params, quad, deriv))
+        value, _ = _finite(one_pass(quad))
         return value, math.nan
-    return _refined(lambda spec: _convolve_once(source, pt, params, spec, deriv), quad)
+    return _refined(one_pass, quad)
+
+
+def kernel_convolve_at(
+    source,
+    x,
+    t: float,
+    params: FracParams,
+    quad: QuadratureSpec = QuadratureSpec(),
+    deriv: Optional[tuple] = None,
+) -> np.ndarray:
+    """The values of `kernel_convolve` at the points (x[i], t), x of shape
+    (m, n) with n = params.n, in one pass without an error estimate: the
+    value of kernel_convolve(..., with_error=False) at each, bit for bit.
+
+    The targets share one reading of the source at t and one row stream
+    (`_convolve_at`), so many targets at one t cost less than as many
+    calls.  Returns an array of m values (empty for no targets).  Raises
+    ValueError for an x of another shape, FloatingPointError for a value
+    that is not finite, and otherwise as `kernel_convolve`.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != params.n:
+        raise ValueError(f"need targets x of shape (m, {params.n}), got {x.shape}")
+    values = _convolve_at(_as_restricted(source, deriv), x, float(t), params, quad, deriv)
+    for value in values:
+        _finite(value)
+    return np.array(values)
 
 
 # ---------------------------------------------------------------------------
@@ -926,6 +1028,6 @@ def increment_integral(
     u_at = u.eval_at(pt)
 
     def G(tau, spec):
-        return unit * u_at - _average(at, x, tau, spec, params, None)
+        return unit * u_at - _average(at, x[None], tau, spec, params, None)
 
     return _increment(at, x, params.s, u_at, G, unit, quad)

@@ -39,7 +39,7 @@ from .core import (
     ScalarField,
     SpaceTimePoint,
 )
-from .quadrature import QuadratureSpec, RestrictedSource, kernel_convolve
+from .quadrature import QuadratureSpec, RestrictedSource, kernel_convolve, kernel_convolve_at
 
 __all__ = [
     "make_cutoff",
@@ -258,6 +258,9 @@ def s_decay_probe(
 ) -> dict:
     """Average of |S_r| over the midpoint grid of the past cylinder Q_r, per radius.
 
+    Each time of the grid is one convolution of its points
+    (`kernel_convolve_at`), whose values are those of one estimate-free
+    `kernel_convolve` per point.
     Returns {"radii", "averages", "slope"}: the slope is the least-squares
     fit of log average against log r, the decay exponent of the internal
     remainder.  Expected: k + alpha + 2s when f lies in C^{k+alpha} at the
@@ -273,10 +276,10 @@ def s_decay_probe(
     for r in radii:
         src = _piece_sources(f, P, r, params, center)["S_r"]
         x, t = ParabolicCylinder(center, r).midpoints(grid)
-        vals = [
-            kernel_convolve(src, SpaceTimePoint.of(xi, ti), params, quad, with_error=False)[0]
-            for xi, ti in zip(x, t)
-        ]
+        vals = np.empty(len(t))
+        for ti in np.unique(t):  # the grid's points at one time, in one convolution
+            at = t == ti
+            vals[at] = kernel_convolve_at(src, x[at], ti, params, quad)
         avgs.append(float(np.mean(np.abs(vals))))
     lr = np.log(np.asarray(radii))
     la = np.log(np.maximum(np.asarray(avgs), 1e-300))

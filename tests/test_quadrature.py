@@ -92,6 +92,7 @@ from fracheat import (
     exp_symbol,
     gaussian_bump,
     kernel_convolve,
+    kernel_convolve_at,
     kernel_mass,
     polynomial_field,
     power_cusp,
@@ -101,6 +102,7 @@ from fracheat import (
 )
 from fracheat.cli import quad_hash
 from fracheat.kernel import _factor_eval
+from fracheat.synthesis import _piece_sources
 from fracheat.quadrature import (
     BLOCK,
     TAU_BAND,
@@ -606,16 +608,26 @@ def test_bands_above_top_keep_their_edges(name):
 
 @pytest.fixture
 def bands_seen(monkeypatch):
-    """(lo, bottom) of every `_graded_bands` call, in call order."""
+    """(lo, bottom) of every band sum (`_band_sum`), in call order: one per
+    target and pass of a convolution, one per pass of an increment
+    integral.  lo is the lower edge of the first band summed (a target's
+    bands are a suffix of the last band layout made), bottom the bottom
+    band's weights or None."""
     from fracheat import quadrature
 
-    plain, seen = quadrature._graded_bands, []
+    layout, band_sum, lows, seen = quadrature._band_layout, quadrature._band_sum, [], []
 
-    def recording(integrand, lo, hi, breaks, nodes, bottom=None):
-        seen.append((lo, bottom))
-        return plain(integrand, lo, hi, breaks, nodes, bottom)
+    def laid_out(lo, hi, breaks, nodes):
+        out = layout(lo, hi, breaks, nodes)
+        lows.append(out[2])
+        return out
 
-    monkeypatch.setattr(quadrature, "_graded_bands", recording)
+    def summed(vals, half, nodes, bottom=None):
+        seen.append((lows[-1][len(lows[-1]) - len(half)], bottom))
+        return band_sum(vals, half, nodes, bottom)
+
+    monkeypatch.setattr(quadrature, "_band_layout", laid_out)
+    monkeypatch.setattr(quadrature, "_band_sum", summed)
     return seen
 
 
@@ -642,6 +654,25 @@ def test_where_the_bottom_band_applies(field, deriv, x, band, lifted, bands_seen
     kernel_convolve(field, SpaceTimePoint.of(x, 0.2), FracParams(1, 0.4), COARSE, deriv=deriv)
     assert [b is not None for _, b in bands_seen] == [band, band]
     assert all((lo > COARSE.tau_min) == lifted for lo, _ in bands_seen)
+
+
+def test_each_target_keeps_its_own_bottom(bands_seen):
+    """In one call of several targets at one time each target keeps its own
+    top and bottom, as one call per target takes them: at the cusp and
+    within its window's reach at tau_min the head (no bottom band, bands
+    from tau_min), near the support's edge (0.866) the band on
+    [0, tau_min], clear of both the band with a lifted top, and past the
+    support the band up to the last tau_min 2^m below TAU_BAND."""
+    cusp, params, xs = power_cusp(0.5), FracParams(1, 0.4), [0.0, 1e-4, 0.865, 0.3, 1.5]
+    for x in xs:
+        kernel_convolve(cusp, SpaceTimePoint.of(x, 0.2), params, COARSE, with_error=False)
+    alone = [(lo, b is None) for lo, b in bands_seen]
+    bands_seen.clear()
+    kernel_convolve_at(cusp, np.array(xs)[:, None], 0.2, params, COARSE)
+    assert [(lo, b is None) for lo, b in bands_seen] == alone
+    tau_min = COARSE.tau_min
+    assert alone == [(tau_min, True), (tau_min, True), (tau_min, False),
+                     (tau_min * 2**14, False), (tau_min * 2**16, False)]
 
 
 def test_band_top_where_a_kink_comes_within_tau_min():
@@ -998,7 +1029,8 @@ def _inner_intervals_per_count(field_eval, x, t, tau, root, ints, spatial_nodes,
                                counts, live, rows=None, kept=None):
     """Reference inner rule: one field evaluation per interval and panel
     count, each count's bands summed over their (panel, node) axes, with
-    root = 2 sqrt(tau).  Every panel is evaluated; live gets the number of
+    root = 2 sqrt(tau) and x the target of every row of tau, or of each
+    (shape (rows, 1)).  Every panel is evaluated; live gets the number of
     those that reach inside (-W_CUT, W_CUT), rows, if given, their
     (node, interval, panel, points w), and kept, if given, the sums over
     them alone and the largest sum of their terms' absolute values (the
@@ -1006,6 +1038,7 @@ def _inner_intervals_per_count(field_eval, x, t, tau, root, ints, spatial_nodes,
     inner = np.zeros(tau.shape)
     gl_x, gl_w = gauss_legendre(spatial_nodes)
     node_of = np.arange(tau.size).reshape(tau.shape)
+    x = np.broadcast_to(x, tau.shape)
     for i, (lo, hi) in enumerate(ints):
         y_lo = np.maximum(lo, x - W_MAX * root)
         y_hi = np.maximum(np.minimum(hi, x + W_MAX * root), y_lo)
@@ -1027,7 +1060,7 @@ def _inner_intervals_per_count(field_eval, x, t, tau, root, ints, spatial_nodes,
             if rows is not None:
                 for r, k in zip(*alive.nonzero()):
                     rows.append((node_of[sel].ravel()[r], i, k, w[r, k]))
-            y = x - r_sq[:, None, None] * w
+            y = x[sel].ravel()[:, None, None] - r_sq[:, None, None] * w
             eta = np.repeat(t - r_tau, w[0].size)
             vals = field_eval(y.reshape(-1, 1), eta).reshape(y.shape)
             integ = vals * np.exp(-(w * w))
@@ -1056,11 +1089,13 @@ _PANEL_INTS = [(-6.0, 9.0), (-40.0, -12.0), (500.0, 600.0)]
 
 @st.composite
 def _panel_cases(draw):
-    """(x, tau, intervals): up to 8 bands of 1 to 5 Gauss-Legendre nodes,
-    from 1 to 3 octaves wide, and up to 3 intervals (none: an empty region),
-    each anywhere near x, outside every window, or within a few widths of
-    the narrowest window around x (so clipped on both sides)."""
-    x = draw(st.floats(-2.0, 2.0))
+    """(targets, tau, intervals): 1 to 3 targets, up to 8 bands of 1 to 5
+    Gauss-Legendre nodes, from 1 to 3 octaves wide, each band seen from the
+    targets in turn, and up to 3 intervals (none: an empty region), each
+    anywhere near the first target, outside every window, or within a few
+    widths of the narrowest window around it (so clipped on both sides)."""
+    targets = tuple(draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3)))
+    x = targets[0]
     octave = 2.0 ** draw(st.integers(-2, 1))
     edges = draw(st.floats(1e-5, 1.0)) * 2.0 ** (octave * np.arange(draw(st.integers(2, 9))))
     gl_x, _ = gauss_legendre(draw(st.integers(1, 5)))
@@ -1072,25 +1107,27 @@ def _panel_cases(draw):
         st.tuples(st.floats(0.0, 3.0), st.floats(1e-3, 3.0)).map(
             lambda p: (x - p[0] * reach, x + p[1] * reach)),
     )
-    return x, tau, draw(st.lists(interval, min_size=0, max_size=3))
+    return targets, tau, draw(st.lists(interval, min_size=0, max_size=3))
 
 
 @pytest.mark.parametrize("deriv", [None, (1, 0)])
 @settings(max_examples=60, deadline=None)
 @given(case=_panel_cases())
-@example(case=(0.2, _PANEL_TAU, _PANEL_INTS))
-@example(case=(0.2, _PANEL_TAU[:2], []))
+@example(case=((0.2,), _PANEL_TAU, _PANEL_INTS))
+@example(case=((0.2, -0.7), _PANEL_TAU, _PANEL_INTS))
+@example(case=((0.2,), _PANEL_TAU[:2], []))
 def test_inner_intervals_matches_per_count_loop(deriv, case):
-    """Panel rows, enumerated from each node's count of live panels, are the
-    live panels of a loop over panel counts that evaluates every panel: the
-    same rows with the same points w, and the field sees those and no
-    others, in calls of BLOCK // width rows.  Their values agree with the
-    loop's sums over the live panels to 1e-14 of its largest sum of absolute
-    terms (on the fixed example, with all its panels to 1e-14 of the
-    largest value), not bit for bit: each panel is summed on its own and
-    the panels then added, where the loop sums a node's (panel, node) terms
-    in one go."""
-    x, tau, ints = case
+    """Panel rows, enumerated from each (target, node)'s count of live
+    panels, are the live panels of a loop over panel counts that evaluates
+    every panel: the same rows with the same points w, and the field sees
+    those and no others, in calls of BLOCK // width rows, whatever their
+    targets.  Their values agree with the loop's sums over the live panels
+    to 1e-14 of its largest sum of absolute terms (on the fixed example,
+    with all its panels to 1e-14 of the largest value), not bit for bit:
+    each panel is summed on its own and the panels then added, where the
+    loop sums a node's (panel, node) terms in one go.  With several targets
+    the bands are seen from each in turn, one target per row of tau."""
+    targets, tau, ints = case
     params = FracParams(1, 0.4)
     field = power_cusp(0.5)
     calls = []
@@ -1099,25 +1136,27 @@ def test_inner_intervals_matches_per_count_loop(deriv, case):
         calls.append(len(eta))
         return field.eval(y, eta)
 
+    # one target for every row, or each row of tau its own
+    x = np.array(targets) if len(targets) == 1 else np.resize(targets, len(tau))
     root = 2.0 * np.sqrt(tau)
     counts, live, want_rows, kept = set(), [], [], [np.zeros(tau.shape), 0.0]
-    want = _inner_intervals_per_count(field.eval, x, 0.3, tau, root, ints, 10, params, deriv,
-                                      counts, live, want_rows, kept)
+    want = _inner_intervals_per_count(field.eval, x[:, None], 0.3, tau, root, ints, 10, params,
+                                      deriv, counts, live, want_rows, kept)
     rows = _panel_rows(x, root, [(slice(0, len(tau)), ints)], 10)
-    got = _row_average(field_eval, np.array([x]), 0.3, tau, root, rows, params, deriv)
+    got = _row_average(field_eval, x[:, None], 0.3, tau, root, rows, params, deriv)
     assert np.max(np.abs(got - kept[0])) <= 1e-14 * kept[1]
-    # a node's rows in the order interval, panel, as the loop finds them
+    # a (target, node)'s rows in the order interval, panel, as the loop finds them
     want_rows.sort(key=lambda row: row[:3])
-    node, width, points = rows
-    order = np.argsort(node, kind="stable")
-    assert node[order].tolist() == [row[0] for row in want_rows]
+    key, width, points = rows
+    order = np.argsort(key, kind="stable")
+    assert key[order].tolist() == [row[0] for row in want_rows]
     w = points(slice(None))[0][order]
     assert np.array_equal(w, np.array([row[3] for row in want_rows]).reshape(w.shape))
     # the field sees the live panels and no others, BLOCK // width rows a call
     step = BLOCK // width
     assert sum(calls) == width * sum(live)
-    assert calls == [min(step, len(node) - a) * width for a in range(0, len(node), step)]
-    if tau is _PANEL_TAU:
+    assert calls == [min(step, len(key) - a) * width for a in range(0, len(key), step)]
+    if tau is _PANEL_TAU and len(targets) == 1:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         # 930 of the first interval's 1,112 panels and 76 of the second's 120
         assert counts == set(range(1, 10)) and sum(live) == 930 + 76
@@ -1125,9 +1164,11 @@ def test_inner_intervals_matches_per_count_loop(deriv, case):
 
 
 def test_panels_past_cut_skipped_by_the_operator(monkeypatch):
-    """The operator on a compact source makes rows of only the panels that
-    the per-count reference finds live, and returns the value and estimate
-    of a run that evaluates every panel, bit for bit."""
+    """The operator on a compact source, and a convolution of several targets
+    at one time, make rows of only the panels that the per-count reference
+    finds live, each (target, node) seen from its own target, and the
+    operator returns the value and estimate of a run that evaluates every
+    panel, bit for bit."""
     from fracheat import quadrature
 
     plain = quadrature._panel_rows
@@ -1136,8 +1177,9 @@ def test_panels_past_cut_skipped_by_the_operator(monkeypatch):
     def counted(x, root, regions, spatial_nodes):
         live = []
         for bands, ints in regions:
-            # a zero field: only the windows, so only root, count
-            _inner_intervals_per_count(lambda y, eta: np.zeros(len(eta)), x, 0.0,
+            # a zero field: only the windows, so only root, x, count
+            _inner_intervals_per_count(lambda y, eta: np.zeros(len(eta)),
+                                       x[0] if len(x) == 1 else x[bands, None], 0.0,
                                        np.zeros(root[bands].shape), root[bands], ints,
                                        spatial_nodes, None, None, set(), live)
         want.append(sum(live))
@@ -1149,6 +1191,11 @@ def test_panels_past_cut_skipped_by_the_operator(monkeypatch):
     cut = CASES["op_bump_n1"]()
     assert rows == want
     n_cut = sum(rows)
+    rows.clear()
+    want.clear()
+    kernel_convolve_at(power_cusp(0.5), np.array([[0.0], [0.1], [0.6], [-0.85]]), 0.2,
+                       FracParams(1, 0.4), COARSE)
+    assert len(rows) == 1 and rows == want
     rows.clear()
     monkeypatch.setattr(quadrature, "W_CUT", math.inf)
     assert CASES["op_bump_n1"]() == cut
@@ -1237,6 +1284,99 @@ def test_operator_reads_field_only_inside_its_window(monkeypatch):
     assert rest.size > 0 and np.all(np.abs(rest) < 1.0)
 
 
+MANY = QuadratureSpec(graded_nodes=6, spatial_nodes=8, hermite_order=16)
+_P0 = ParabolicPolynomial.zero(1)
+_ORIGIN = SpaceTimePoint.of(0.0, 0.0)
+_CUSP_PIECES = _piece_sources(power_cusp(0.5), _P0, 0.25, FracParams(1, 0.4), _ORIGIN)
+# source, times to draw from, and whether kernel derivatives are drawn
+MANY_TARGET_SOURCES = {
+    "bump": (gaussian_bump(), [-1.5, -0.3, 0.2, 1.5], True),
+    "cusp": (power_cusp(0.5), [0.2, 5e-9, -0.4], True),
+    "S_r": (_CUSP_PIECES["S_r"], [0.0, -0.01, -0.5], True),
+    "T_r": (_CUSP_PIECES["T_r"], [0.0, -0.1, -0.9], True),
+    "w_r": (_CUSP_PIECES["w_r"], [0.03, -0.02], True),
+    # a bump 3 away from the cylinder it is kept inside: every region is empty
+    "w_r_empty": (_piece_sources(gaussian_bump((3.0,)), _P0, 0.25, FracParams(1, 0.4),
+                                 _ORIGIN)["w_r"], [0.03, 0.5], True),
+    # the closed-form tail past the symbol's range (a kernel derivative has none)
+    "symbol": (exp_symbol(0.5, [1.0]), [0.3, -0.2], False),
+}
+# the cusp (where the convolution takes its head), within its reach at
+# tau_min, near the cusp source's support edge (0.866), and far from both
+_TARGETS = st.one_of(st.sampled_from([0.0, 1e-4, -2e-3, 0.3, 0.865, -0.87, 2.5]),
+                     st.floats(-1.5, 1.5))
+
+
+@st.composite
+def _many_target_cases(draw):
+    """(source name, targets, t, deriv): 1 to 8 targets at one time."""
+    name = draw(st.sampled_from(sorted(MANY_TARGET_SOURCES)))
+    _, times, derivs = MANY_TARGET_SOURCES[name]
+    # a subnormal t after a break at 0 makes the bottom band's nodes underflow to 0
+    t = draw(st.one_of(st.sampled_from(times), st.floats(-1.0, 1.0, allow_subnormal=False)))
+    xs = draw(st.lists(_TARGETS, min_size=1, max_size=8))
+    deriv = draw(st.sampled_from([None, (1, 0), (0, 1)])) if derivs else None
+    return name, xs, t, deriv
+
+
+def _one_call_each(source, xs, t, params, deriv):
+    """The per-target values of kernel_convolve without an estimate, or the
+    type of the error one of them raises."""
+    try:
+        return [kernel_convolve(source, SpaceTimePoint.of(x, t), params, MANY, deriv,
+                                with_error=False)[0] for x in xs]
+    except (FloatingPointError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("block", [BLOCK, 2**7])
+@settings(max_examples=50, deadline=None)
+@given(case=_many_target_cases())
+@example(case=("cusp", [0.0, 1e-4, 0.865, 0.3, 2.5], 0.2, None))
+@example(case=("cusp", [0.0, 1e-4, 0.865, 0.3, 2.5], 0.2, (1, 0)))
+@example(case=("S_r", [0.1, -0.2, 0.05, 0.24], -0.01, None))
+@example(case=("w_r_empty", [0.0, 0.1], 0.03, None))
+@example(case=("symbol", [0.3, -1.0, 2.0], 0.3, None))
+def test_many_targets_match_one_call_per_target(block, case):
+    """kernel_convolve_at on targets at one time gives, bit for bit, the
+    value of one kernel_convolve call per target without an estimate
+    (at the default BLOCK), also with field calls of 2^7 points, whose
+    blocks split the targets' rows; where one of those calls raises, so
+    does the call of all targets."""
+    from fracheat import quadrature
+
+    name, xs, t, deriv = case
+    source, params = MANY_TARGET_SOURCES[name][0], FracParams(1, 0.4)
+    want = _one_call_each(source, xs, t, params, deriv)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "BLOCK", block)
+        if isinstance(want, type):
+            with pytest.raises(want):
+                kernel_convolve_at(source, np.array(xs)[:, None], t, params, MANY, deriv)
+            return
+        got = kernel_convolve_at(source, np.array(xs)[:, None], t, params, MANY, deriv)
+    assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+
+def test_kernel_convolve_at_inputs():
+    """Targets of another dimension than params.n, or not an (m, n) array,
+    raise ValueError; no targets give an empty array; a value that is not
+    finite raises FloatingPointError, as kernel_convolve does."""
+    params = FracParams(1, 0.5)
+    with pytest.raises(ValueError, match=r"shape \(m, 1\)"):
+        kernel_convolve_at(gaussian_bump(), np.zeros((3, 2)), 0.2, params, COARSE)
+    with pytest.raises(ValueError):
+        kernel_convolve_at(gaussian_bump(), np.zeros(3), 0.2, params, COARSE)
+    empty = kernel_convolve_at(gaussian_bump(), np.empty((0, 1)), 0.2, params, COARSE)
+    assert empty.shape == (0,) and empty.dtype == np.float64
+    nan = ScalarField(lambda x, t: np.full(len(t), np.nan), 1,
+                      support=ParabolicCylinder(_ORIGIN, 1.0, "two"), name="nan")
+    with pytest.raises(FloatingPointError):
+        kernel_convolve(nan, SpaceTimePoint.of(0.1, 0.2), params, COARSE, with_error=False)
+    with pytest.raises(FloatingPointError):
+        kernel_convolve_at(nan, np.array([[0.1], [0.3]]), 0.2, params, COARSE)
+
+
 def _inner_hermite_per_band(field, x, t, tau, order, params, deriv):
     """Reference Gauss-Hermite inner rule: one field evaluation per band."""
     inner = np.empty(tau.shape)
@@ -1270,21 +1410,23 @@ def test_hermite_grid_keeps_the_nodes_inside_w_cut(order, n, kept):
 
 @pytest.mark.parametrize("first_derivative", [False, True])
 @pytest.mark.parametrize("make,x", [
-    (lambda: exp_symbol(0.2, [3.0]), [0.3]),
-    (lambda: exp_symbol(0.5, [0.6, 0.8], n=2), [0.2, -0.1]),
-    (lambda: gaussian_bump([0.0, 0.0], n=2), [0.1, 0.2]),
+    (lambda: exp_symbol(0.2, [3.0]), [[0.3], [-0.45]]),
+    (lambda: exp_symbol(0.5, [0.6, 0.8], n=2), [[0.2, -0.1], [-0.3, 0.25]]),
+    (lambda: gaussian_bump([0.0, 0.0], n=2), [[0.1, 0.2], [0.5, -0.4]]),
 ], ids=["symbol_n1", "symbol_n2", "bump_n2"])
 def test_hermite_bands_grouped_by_order(make, x, first_derivative):
-    """The Hermite bands share a field call per block of at most BLOCK
-    points, with the bits of one call per band."""
+    """The Hermite bands of two targets, each band seen from each target,
+    share a field call per block of at most BLOCK points, with the bits of
+    one call per band and target."""
     field = make()
     n = field.n
     params = FracParams(n, 0.4)
     deriv = (1,) + (0,) * n if first_derivative else None
     spec = QuadratureSpec()
     x, t = np.array(x), 0.1
-    tau, _ = _band_layout(spec.tau_min, TAU_MAX, (), spec.graded_nodes)
-    want = _inner_hermite_per_band(field, x, t, tau, spec.hermite_order, params, deriv)
+    tau, _, _ = _band_layout(spec.tau_min, TAU_MAX, (), spec.graded_nodes)
+    want = np.concatenate([_inner_hermite_per_band(field, xj, t, tau, spec.hermite_order,
+                                                   params, deriv) for xj in x])
 
     calls = []
 
@@ -1293,10 +1435,12 @@ def test_hermite_bands_grouped_by_order(make, x, first_derivative):
         return type(field).eval(field, y, eta)
 
     field.eval = counting
-    got = _average(_SourceAt(RestrictedSource(field), t), x, tau, spec, params, deriv)
+    rows = np.concatenate([tau] * len(x))
+    got = _average(_SourceAt(RestrictedSource(field), t), x.repeat(len(tau), axis=0), rows,
+                   spec, params, deriv)
     assert np.array_equal(got, want)
 
     q = len(_hermite_grid(spec.hermite_order, n)[1])  # the nodes inside the cut
     step = max(1, BLOCK // q)
-    assert calls == [min(step, tau.size - start) * q for start in range(0, tau.size, step)]
+    assert calls == [min(step, rows.size - start) * q for start in range(0, rows.size, step)]
     assert all(size <= max(BLOCK, q) for size in calls)

@@ -6,12 +6,14 @@ import pytest
 from fracheat import (
     FracParams,
     MultiIndex,
+    ParabolicCylinder,
     ParabolicPolynomial,
     QuadratureSpec,
     SpaceTimePoint,
     decompose_internal,
     exp_symbol,
     gaussian_bump,
+    kernel_convolve,
     make_cutoff,
     polynomial_field,
     power_cusp,
@@ -21,7 +23,7 @@ from fracheat import (
 )
 from fracheat.fields import make_field
 from fracheat.regularity import reduce_to_g
-from fracheat.synthesis import difference_field, jet_source
+from fracheat.synthesis import _piece_sources, difference_field, jet_source
 
 QUAD = QuadratureSpec(graded_nodes=10, spatial_nodes=12)
 CENTER = SpaceTimePoint.of(0.0, 0.0)
@@ -212,6 +214,26 @@ class TestSDecay:
         assert res["slope"] >= 1.3
         assert all(a > 0 for a in res["averages"])
         assert res["radii"] == sorted(res["radii"])
+
+    @pytest.mark.parametrize("grid", [(16, 16), (3, 5)], ids=["criterion_06", "grid_3x5"])
+    def test_averages_and_slope_are_those_of_one_convolution_per_point(self, grid):
+        """The probe convolves each time slice of its midpoint grid in one
+        call, and its averages and slope are those of one estimate-free
+        kernel_convolve per point, bit for bit: at criterion 06's settings
+        and on a grid of 3 x 5 points."""
+        params, quad = FracParams(1, 0.5), QuadratureSpec(graded_nodes=8, spatial_nodes=10)
+        f, P, radii = power_cusp(0.5), ParabolicPolynomial.zero(1), [2.0**-j for j in range(1, 7)]
+        res = s_decay_probe(f, P, radii, params, quad=quad, grid=grid)
+        avgs = []
+        for r in sorted(radii):
+            src = _piece_sources(f, P, r, params, CENTER)["S_r"]
+            x, t = ParabolicCylinder(CENTER, r).midpoints(grid)
+            vals = [kernel_convolve(src, SpaceTimePoint.of(xi, ti), params, quad,
+                                    with_error=False)[0] for xi, ti in zip(x, t)]
+            avgs.append(float(np.mean(np.abs(vals))))
+        slope = float(np.polyfit(np.log(sorted(radii)), np.log(np.maximum(avgs, 1e-300)), 1)[0])
+        assert res["radii"] == sorted(radii)
+        assert res["averages"] == avgs and res["slope"] == slope
 
     @pytest.mark.parametrize("radii", [[0.5], [1.0], [0.5, 0.5], [0.5, 3.0], [0.0, 0.5],
                                        [-0.25, 0.5], [math.nan, 0.5], []],
