@@ -354,8 +354,8 @@ class ScalarField:
       analytic head in its place; the direct Laplacian route's bands break
       at ("space", x0).  Nothing checks that a field declares every kink: one
       whose kink is undeclared (the cutoff's, along |x| = sqrt|t| where its
-      step moves) takes the Gauss-Jacobi bottom band, which assumes a
-      source smooth in tau
+      step moves) takes the bottom band (`quadrature.power_rule`), which
+      assumes a source smooth in tau
     """
 
     func: Callable

@@ -42,7 +42,8 @@ def exp_symbol(lam: float, k, n: int = 1) -> ScalarField:
         raise ValueError("frequency vector length must equal n")
 
     def func(x, t):
-        return np.exp(lam * t) * np.cos(x @ k)
+        # n = 1: the one product, x @ k bit for bit at a fifth of matmul's cost
+        return np.exp(lam * t) * np.cos(x[..., 0] * k[0] if n == 1 else x @ k)
 
     return ScalarField(
         func,

@@ -106,12 +106,12 @@ def apply_fractional_laplacian(
       C int_0^inf (2u(x) - u(x+z) - u(x-z)) / z^(1+2s) dz.
     incr / z^2 = (2u(x) - u(x+z) - u(x-z)) / z^2 is smooth in z short of
     the distances d from x to the support's edges and to the profile's
-    declared ("space", x0) points: one Gauss-Jacobi band of weight z^(1-2s)
-    takes it on [0, top], top = min(Z_BAND, d / 4), and dyadic bands graded
-    from top, split at each d > 0, take the rest.  The band's error
-    (`quadrature._band_error`) is incr's round-off and, at a kink at x
-    (d = 0), where incr is a power of z that the band on [0, tau_min] does
-    not fit, its whole value.  The tail is exact past a support, the worst
+    declared ("space", x0) points: one bottom band of weight z^(1-2s)
+    (`quadrature.power_rule`) takes it on [0, top], top = min(Z_BAND, d / 4),
+    and dyadic bands graded from top, split at each d > 0, take the rest.
+    The band's error (`quadrature._band_error`) is incr's round-off and, at
+    a kink at x (d = 0), where incr is a power of z that the band on
+    [0, tau_min] does not fit, its whole value.  The tail is exact past a support, the worst
     case otherwise.
     """
     if params.n != 1:

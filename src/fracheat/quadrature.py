@@ -8,11 +8,12 @@ the substitution y = x - 2 sqrt(tau) w:
 
 The time integral runs over dyadic bands graded toward tau = 0, with band
 edges aligned to every time at which the integrand's spatial restriction
-changes shape.  Below them one Gauss-Jacobi bottom band takes [0, top]:
-the Gaussian average of a smooth source is smooth in tau near 0, so
-Gauss-Jacobi with the weight tau^(s-1) (the convolution) or tau^(-s) (the
-operator, on G / tau) integrates it spectrally (Golub-Welsch, Math. Comp.
-23, 1969).  Its graded_nodes nodes are one more row of the bands' nodes,
+changes shape.  Below them one bottom band takes [0, top]: the Gaussian
+average of a smooth source is smooth in tau near 0, so a product rule for
+the weight tau^(s-1) (the convolution) or tau^(-s) (the operator, on
+G / tau) integrates it spectrally (`power_rule`: fixed nodes, with weights
+from modified Chebyshev moments as in QUADPACK, so a fresh s costs a
+recurrence).  Its graded_nodes nodes are one more row of the bands' nodes,
 its coarse pass halves them like the bands', and top (`_band_top`) stays
 below TAU_BAND, the first break, the lag since a declared singular time and
 the lag where the Gaussian window reaches an edge of the region or a
@@ -102,7 +103,7 @@ __all__ = [
 W_MAX = 8.6  # Gaussian window half-width; exp(-W_MAX^2) ~ 5e-33
 W_CUT = math.sqrt(64.0 * math.log(2.0))  # exp(-W_CUT^2) = 2^-64: panels, nodes past it skipped
 TAU_MU = 12.0  # symbol fields end at tau = TAU_MU / (|k|^2 + max(lam, 0))
-TAU_BAND = 1e-3  # the Gauss-Jacobi bottom band ends at this lag at the latest
+TAU_BAND = 1e-3  # the bottom band (`power_rule`) ends at this lag at the latest
 TAU_MAX = 1e4  # every time range ends here at the latest
 BLOCK = 2**13  # points per field call of the inner rules, at most (one row at least)
 
@@ -122,7 +123,7 @@ class QuadratureSpec:
     """Knobs for the kernel quadratures.
 
     tau_min is the lag from which the dyadic bands are graded: below it
-    (and up to top = tau_min 2^m <= TAU_BAND) a Gauss-Jacobi bottom band of
+    (and up to top = tau_min 2^m <= TAU_BAND) a bottom band (`power_rule`) of
     graded_nodes nodes takes the integral (the convolution: an analytic head
     at a declared point that the Gaussian window at tau_min does not clear,
     `_band_top`); the range ends at TAU_MAX at the latest.  graded_nodes is
@@ -183,22 +184,38 @@ def gauss_hermite(order: int):
 
 
 @lru_cache(maxsize=64)
-def gauss_jacobi(order: int, beta: float):
-    """Nodes u and weights of the Gauss rule for int_0^1 u^beta p(u) du,
-    beta > -1, exact for polynomials p of degree <= 2 order - 1.
+def _power_nodes(order: int):
+    """The nodes u of `power_rule` and the inverse of V[k, j] = T_k(2 u_j - 1),
+    k < order (condition number about 3 up to order 64)."""
+    x, _ = gauss_legendre(2 * order)
+    u = x[order:] ** 2
+    V = np.polynomial.chebyshev.chebvander(2.0 * u - 1.0, order - 1).T
+    return _read_only(u, np.linalg.inv(V))
 
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    polynomials P^(0, beta) on [-1, 1] (weight (1 + x)^beta), mapped to
-    u = (1 + x) / 2, and the weights the squared first components of its
-    eigenvectors times the weight's mass 1 / (beta + 1) on [0, 1].
+
+@lru_cache(maxsize=64)
+def power_rule(order: int, beta: float):
+    """Nodes u and weights of a rule for int_0^1 u^beta p(u) du, beta > -1,
+    exact for polynomials p of degree <= order - 1, and <= 2 order - 1 at
+    beta = -1/2, where it is the Gauss rule.
+
+    The nodes do not depend on beta: they are the Gauss nodes of the weight
+    u^(-1/2), the squares of the positive nodes of Gauss-Legendre of order
+    2 order.  The weights w = V^(-1) mu (`_power_nodes`) integrate the
+    Chebyshev polynomials T_k(2u - 1), k < order, exactly: their moments
+    mu_k = int_0^1 u^beta T_k(2u - 1) du = R_k / 2^(beta + 1) follow
+    QUADPACK dqmomo's forward recurrence (Piessens and Branders, BIT 13,
+    1973), so a fresh beta costs a recurrence and one product, not an
+    eigensolve.  Below beta ~ -0.8 some weights are negative; sum |w| is at
+    most 3.2 sum w for orders up to 64.
     """
-    k = np.arange(1.0, order)
-    sk = 2.0 * k + beta
-    # the general diagonal beta^2 / (sk (sk + 2)) is 0/0 at k = 0, beta = 0
-    diag = np.concatenate([[beta / (beta + 2.0)], beta**2 / (sk * (sk + 2.0))])
-    off = 2.0 * k * (k + beta) / (sk * np.sqrt((sk + 1.0) * (sk - 1.0)))
-    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return _read_only(0.5 * (1.0 + x), vec[0] ** 2 / (beta + 1.0))
+    u, inv = _power_nodes(order)
+    two = 2.0 ** (beta + 1.0)
+    r0 = two / (beta + 1.0)
+    r = [r0, r0 * beta / (beta + 2.0)]
+    for k in range(2, order):
+        r.append(-(two + k * (k - beta - 2.0) * r[-1]) / ((k - 1.0) * (k + beta + 1.0)))
+    return _read_only(u, inv @ np.array(r[:order]) / two)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +366,10 @@ def _band_sum(vals: np.ndarray, half: np.ndarray, nodes: int, bottom=None) -> fl
 @lru_cache(maxsize=256)
 def _bottom_band(top: float, beta: float, order: int) -> tuple:
     """Read-only nodes tau and weights of int_0^top f(tau) dtau for
-    f = tau^beta h with h smooth: Gauss-Jacobi of that weight
-    (`gauss_jacobi`), its weights divided by tau^beta, since f comes with
+    f = tau^beta h with h smooth: the product rule of that weight
+    (`power_rule`), its weights divided by tau^beta, since f comes with
     the power in it."""
-    u, w = gauss_jacobi(order, beta)
+    u, w = power_rule(order, beta)
     return _read_only(top * u, top * w * u ** (-beta))
 
 
@@ -403,15 +420,16 @@ def _band_error(band: tuple, top: float, p: float, size: float, values=None) -> 
     integral int tau^(-1-p) G(tau) dtau whose G cancels near lag 0.
 
     Round-off: 4 ulps of size (G's scale) weighted by tau^(-1-p) as the rules
-    weight it, 4 eps size (sum_j w_j tau_j^(-1-p) + top^(-p) / p), since the
+    weight it, 4 eps size (sum_j |w_j| tau_j^(-1-p) + top^(-p) / p), since the
     field values, inner weights and sum each round and their errors can share
-    a sign (up to 2.7 ulps of the integral on symbol fields).  values, G at
+    a sign (up to 2.7 ulps of the integral on symbol fields); the band's
+    weights turn negative where its power is below about -0.8.  values, G at
     the nodes where a kink lies within the band's reach and the band does not
     fit G, add the band's whole value |sum_j w_j tau_j^(-1-p) G(tau_j)|.
     """
     tau, w = band
     weight = w * tau ** (-1.0 - p)
-    err = 4.0 * float(np.finfo(float).eps) * size * (float(np.sum(weight)) + top ** (-p) / p)
+    err = 4.0 * float(np.finfo(float).eps) * size * (float(np.abs(weight).sum()) + top ** (-p) / p)
     if values is not None:
         err += abs(float(np.sum(weight * values)))
     return err

@@ -159,6 +159,18 @@ class TestScalarField:
         assert check_slowly_increasing(exp_symbol(0.0, [2.0], 1))
         assert not check_slowly_increasing(exp_symbol(-1.0, [0.0], 1))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_symbol_field_is_its_formula_bit_for_bit(self, n):
+        """exp_symbol evaluates exp(lam t) cos(x @ k) with the same bits, also
+        where n = 1 takes the one product in place of the matmul."""
+        from fracheat import exp_symbol
+
+        rng = np.random.default_rng(3)
+        k = rng.normal(size=n) * 3.0
+        x, t = rng.normal(size=(4097, n)), rng.normal(size=4097)
+        want = np.exp(0.7 * t) * np.cos(x @ k)
+        assert np.array_equal(exp_symbol(0.7, k, n).eval(x, t), want)
+
     @pytest.mark.parametrize("declared", [
         {"support": ParabolicCylinder(SpaceTimePoint.of(0.0, 0.0), 1.0, "two")},
         {"time_floor": 0.0},

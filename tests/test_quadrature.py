@@ -63,6 +63,23 @@ place of its Richardson head.  op_before_window, the operator on a bump
 at a time before its window, where every region of the source is empty,
 reads 0 with the estimate of a zero sum, as it did before panel rows
 were enumerated from per-node counts.
+Eight goldens were re-grounded when the bottom band's Gauss-Jacobi rule,
+a Golub-Welsch eigensolve per (order, beta), gave way to `power_rule`:
+fixed nodes (the Gauss nodes of the weight u^(-1/2)) with weights from
+modified Chebyshev moments, exact to degree order - 1 at every beta and to
+2 order - 1 at beta = -1/2, where it is the Gauss rule.  Moved in value,
+relative, with the distance to the closed form before and after:
+lap_lorentz by 1.2e-11 (2.3e-11 to 1.1e-11), marchaud_bounded by 7.1e-12
+(1.55e-10 to 1.62e-10 from Re(e^(i pi s/2) Gamma(1 + s) (1 - i t)^(-1-s)),
+the Marchaud derivative of 1 / (1 + t^2)) and op_bounded by 1.9e-12 (1.40e-11
+to 1.58e-11 from the same closed form at s = 0.7).  Moved in estimate only,
+the value by less than 1e-13: lap_bump 1.46952e-7 to 1.46960e-7 (9.01e-11
+to 9.00e-11 from the mpmath value), lap_cos 1.174896e-9 to 1.174910e-9
+(2.7e-15 to 5.1e-15 from its closed form), marchaud_ramp 3.69e-13 to
+3.97e-13 (2e-16 to 5.4e-15 from t^(1-s) / Gamma(2 - s)), op_bump_n1
+4.8745744e-6 to 4.8745743e-6 (7.3e-6 from the fine reference
+1.2048086274 +- 9.4e-9, before and after) and op_bump_n2 4.65911024e-5 to
+4.65911019e-5 (no reference).  The rest moved within their tolerances.
 Any later change to the quadrature must reproduce them: values to 1e-12
 relative, estimates to 1e-14 |value| + 1e-16.
 """
@@ -123,8 +140,8 @@ from fracheat.quadrature import (
     _SourceAt,
     _symbol_range,
     gauss_hermite,
-    gauss_jacobi,
     gauss_legendre,
+    power_rule,
 )
 
 COARSE = QuadratureSpec(graded_nodes=8, spatial_nodes=10)
@@ -208,19 +225,19 @@ GOLDEN = {
     'conv_restricted': (0.11736173527223548, 0.0003110514730614423),
     'conv_restricted_deriv': (0.09714914641835708, 8.27903968849164e-05),
     'conv_symbol_n1': (0.4335533881047879, 3.8980971971535e-07),
-    'lap_bump': (1.3026713977996325, 1.4695153323856657e-07),
-    'lap_cos': (1.0560099013564404, 1.17489591168221e-09),
-    'lap_lorentz': (0.4511185722493171, 3.5123305599424674e-08),
-    'marchaud_bounded': (-0.08466506295351042, 0.0035895269310461564),
+    'lap_bump': (1.3026713977995934, 1.469604275356498e-07),
+    'lap_cos': (1.056009901356438, 1.1749103140617186e-09),
+    'lap_lorentz': (0.45111857224376495, 3.5161832422653956e-08),
+    'marchaud_bounded': (-0.08466506295411176, 0.003589526930618153),
     'marchaud_exp': (1.2214027581601594, 1.6573526897083135e-12),
-    'marchaud_ramp': (1.1191749540701226, 3.690398267592509e-13),
+    'marchaud_ramp': (1.1191749540701283, 3.964806814531748e-13),
     'mass_n1': (0.5641895835477564, 6.933096515559673e-11),
     'mass_n2': (1.0141187137602978, 3.0841366612724163e-10),
     'op_after_window': (-0.0536352533549248, 6.915380201780412e-05),
     'op_before_window': (0.0, 1e-16),
-    'op_bounded': (-0.2342764211548908, 0.0010597132611463703),
-    'op_bump_n1': (1.2048174158955194, 4.874574387378466e-06),
-    'op_bump_n2': (2.4616576304189297, 4.659110242935401e-05),
+    'op_bounded': (-0.23427642115533084, 0.001059713259063524),
+    'op_bump_n1': (1.2048174158954035, 4.874574271888991e-06),
+    'op_bump_n2': (2.46165763041889, 4.6591101852035556e-05),
     'op_symbol_k0': (0.9999999999999167, 2.2058368464802584e-07),
     'op_symbol_n1': (1.4931409694394828, 1.4108334103501276e-12),
     'op_symbol_n2': (1.2508787635702558, 3.8039986099762224e-07),
@@ -490,38 +507,73 @@ def test_graded_bands_one_call_per_order():
 @pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_bottom_band_is_exact_to_its_degree(order, s):
     """The bottom band of `order` nodes on [0, top] integrates tau^(beta + j)
-    exactly for j <= 2 order - 1, at the weights of both routes: beta = s - 1
-    (the convolution) and beta = -s (the operator, on G / tau)."""
+    exactly for j <= order - 1 at the weights of both routes, beta = s - 1
+    (the convolution) and beta = -s (the operator, on G / tau), and for
+    j <= 2 order - 1 at beta = -1/2, where `power_rule` is the Gauss rule.
+    No absolute floor: the integrals are about 1e-15 at the highest powers."""
     top = 1e-8 * 2.0**16
     for beta in (s - 1.0, -s):
         tau, w = _bottom_band(top, beta, order)
-        for j in range(2 * order):
+        for j in range(2 * order if beta == -0.5 else order):
             exact = top ** (beta + j + 1.0) / (beta + j + 1.0)
-            assert np.sum(w * tau ** (beta + j)) == pytest.approx(exact, rel=1e-13), (beta, j)
+            got = np.sum(w * tau ** (beta + j))
+            assert got == pytest.approx(exact, rel=1e-13, abs=0.0), (beta, j)
 
 
-@pytest.mark.parametrize("s", [0.3, 0.7])
-def test_jacobi_table_matches_scipy(s):
-    """The Golub-Welsch table is scipy's Gauss-Jacobi rule mapped to [0, 1]
-    (scipy is imported here only: its roots_jacobi loads scipy.linalg)."""
+@pytest.mark.parametrize("order", [4, 8, 16, 32])
+def test_power_rule_at_minus_one_half_is_gauss_jacobi(order):
+    """At beta = -1/2 the rule is scipy's Gauss-Jacobi rule mapped to [0, 1],
+    nodes to 1e-13 and weights to 1e-13 of the rule's mass 2 (scipy's own
+    weights are off by 1.2e-13 at order 32 against the Gauss-Legendre form
+    of the same rule).  scipy is imported here only: its roots_jacobi loads
+    scipy.linalg."""
     from scipy.special import roots_jacobi
 
-    for order in (8, 16):
-        for beta in (s - 1.0, -s):
-            u, w = gauss_jacobi(order, beta)
-            x, wx = roots_jacobi(order, 0.0, beta)
-            np.testing.assert_allclose(u, 0.5 * (1.0 + x), rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(w, wx / 2.0 ** (beta + 1.0), rtol=1e-12, atol=0.0)
+    u, w = power_rule(order, -0.5)
+    x, wx = roots_jacobi(order, 0.0, -0.5)
+    np.testing.assert_allclose(u, 0.5 * (1.0 + x), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(w, wx / 2.0**0.5, rtol=0.0, atol=2e-13)
 
 
-def test_jacobi_table_at_zero_weight_is_legendre():
-    """At beta = 0 the table is Gauss-Legendre on [0, 1], without the 0/0
-    of the general first diagonal entry."""
+def test_power_rule_integrates_an_exponential_as_gauss_jacobi_does():
+    """int_0^1 u^beta e^(-c u) du, c in {0.012, 0.1}, to 1e-14 relative at
+    orders 8, 16 and 32, for beta = s - 1, -s and 1 - 2s (the convolution,
+    the operator and the direct Laplacian route) and s from 0.1 to 0.9.  The
+    reference is the 30-digit value c^(-beta-1) gamma(beta + 1, c) from
+    mpmath: scipy's Gauss-Jacobi rule of order 32 is itself off by up to
+    7.3e-14 there (beta = -0.9, c = 0.1), where this rule is within 2e-16."""
+    import mpmath
+
+    for s in (0.1, 0.3, 0.5, 0.7, 0.9):
+        for beta in (s - 1.0, -s, 1.0 - 2.0 * s):
+            for c in (0.012, 0.1):
+                with mpmath.workdps(30):
+                    exact = float(mpmath.gammainc(beta + 1.0, 0, c) * mpmath.mpf(c) ** (-beta - 1.0))
+                for order in (8, 16, 32):
+                    u, w = power_rule(order, beta)
+                    got = w @ np.exp(-c * u)
+                    assert got == pytest.approx(exact, rel=1e-14, abs=0.0), (s, beta, c, order)
+
+
+def test_power_rule_weights_stay_near_positive():
+    """Below beta ~ -0.8 some weights are negative, but sum |w| stays within
+    3.5 sum w for orders 2 to 64 and beta in [-0.99, 0.99] (at most 3.16),
+    so the band's round-off term, which sums |w|, stays near its size."""
+    for order in range(2, 65):
+        for beta in np.linspace(-0.99, 0.99, 67):
+            _, w = power_rule(order, float(beta))
+            assert np.abs(w).sum() <= 3.5 * w.sum(), (order, beta)
+
+
+def test_power_rule_at_zero_weight_runs_clean():
+    """At beta = 0 the moments' first recurrence step is 0 and no step
+    divides by 0: the rule raises no floating-point error, and it integrates
+    polynomials of degree order - 1 as Gauss-Legendre on [0, 1] does."""
     with np.errstate(all="raise"):
-        u, w = gauss_jacobi(8, 0.0)
+        u, w = power_rule(8, 0.0)
     x, wx = gauss_legendre(8)
-    np.testing.assert_allclose(u, 0.5 * (1.0 + x), rtol=1e-14, atol=1e-16)
-    np.testing.assert_allclose(w, 0.5 * wx, rtol=1e-13)
+    for j in range(8):
+        assert w @ u**j == pytest.approx(0.5 * wx @ (0.5 * (1.0 + x)) ** j, rel=1e-14)
 
 
 def test_graded_bands_take_the_bottom_band_as_one_more_row():
